@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CkappaDegenerate, ValidationError, WindowViolation
-from .model import PrecurvedReference
+from .model import PrecurvedReference, _strain_matrix
 from .params import BeamMatrices
 
 __all__ = [
@@ -77,6 +77,8 @@ class LyapunovCertificate:
     w_minus: np.ndarray          # (N+1,)
     w_plus: np.ndarray           # (N+1,)
     q_diag: np.ndarray           # (N+1, 12) diagonal of Q(x)
+    q1: np.ndarray               # (N+1,) row-sum bound q_1 of the coupling
+    q2: np.ndarray               # (N+1,) eigenvalue bound q_2 of the coupling
     reflection_bound: float      # C_kappa used for the window
     boundary_margins_0: np.ndarray | None = None   # (6,) eigs of k^2 Q+(0) - Q-(0)
     boundary_margins_L: np.ndarray | None = None   # (6,) eigs of Q-(L) - Q+(L)
@@ -103,8 +105,6 @@ class VerificationReport:
 
 def theta_matrix(matrices: BeamMatrices, curvature: np.ndarray) -> np.ndarray:
     """Symmetric indefinite coupling Theta(x) = -[[0, X], [X, 0]], X = EDM + (EDM)^T."""
-    from .model import _strain_matrix
-
     eb = _strain_matrix(np.asarray(curvature, dtype=float))
     dm = np.diag(matrices.mass) * np.diag(matrices.speed)
     x = eb * dm[None, :] if eb.ndim == 2 else eb * dm
@@ -212,7 +212,8 @@ def build_certificate(
     ``phiL=None`` picks min(window midpoint, 1.5 phi0).  ``phiL == phi0``
     is accepted and produces constant weights; the interior condition then
     fails and the certificate comes back with ``valid=False`` (useful as a
-    negative control).
+    negative control).  The bounds q_1, q_2 are computed here once and
+    carried on the certificate for verification and reporting.
     """
     if m not in (1, 2):
         raise ValidationError([f"m must be 1 or 2, got {m!r}"])
@@ -258,6 +259,8 @@ def build_certificate(
         w_minus=w_minus,
         w_plus=w_plus,
         q_diag=q_diag,
+        q1=q1,
+        q2=q2,
         reflection_bound=matrices.reflection_bound,
     )
     report = verify_certificate(cert, matrices, reference)
@@ -323,13 +326,12 @@ def verify_certificate(
         np.all(b0 <= MARGIN_RTOL * bscale) and np.all(bL <= MARGIN_RTOL * bscale)
     )
 
-    _, q1, q2 = theta_functions(matrices, reference.curvature)
     # dw-/dx = phi' and dw+/dx = -phi', so the minimum modulus is |phi'|;
     # w+ - w- = 2 gap, taken from the analytic product form
     min_dw = np.abs(cert.dphi)
     gap = 2.0 * cert.gap
-    dominance = min_dw - gap * q1
-    weyl = min_dw - gap * q2
+    dominance = min_dw - gap * cert.q1
+    weyl = min_dw - gap * cert.q2
 
     return VerificationReport(
         boundary_margins_0=b0,
@@ -354,21 +356,6 @@ def sigma_matrices(
     return out
 
 
-def lipschitz_coefficient(matrices: BeamMatrices, samples: int = 256) -> float:
-    """Sampled coefficient K with ||Jac g(r)||_2 <= K |r| (g quadratic, K global)."""
-    from .model import g_diag_pair
-
-    rng = np.random.default_rng(20240)
-    best = 0.0
-    eye = np.eye(12)
-    for _ in range(samples):
-        u = rng.normal(size=12)
-        u /= np.linalg.norm(u)
-        jac = (g_diag_pair(matrices, u, eye) + g_diag_pair(matrices, eye, u)).T
-        best = max(best, float(np.linalg.norm(jac, 2)))
-    return best
-
-
 def lipschitz_bound(matrices: BeamMatrices) -> float:
     """Provable coefficient: ||Jac g(r)||_2 <= 2 sqrt(sum_i ||Gc_i||_2^2) |r|."""
     from .model import quadratic_forms
@@ -388,14 +375,17 @@ def decay_rate_estimate(
 
     C_S is the largest eigenvalue of -phi' Lambda + 2 (phi(L) - phi) Theta
     over the grid (negative for a valid certificate), C_Q the max/min ratio
-    of the diagonal of Q over the beam, and C_g a sampled Lipschitz
-    coefficient of the nonlinearity per unit state magnitude.  The result
-    is clipped at zero; treat it as indicative, not proof-grade.
+    of the diagonal of Q over the beam, and C_g the provable Lipschitz
+    coefficient :func:`lipschitz_bound` of the nonlinearity per unit state
+    magnitude.  C_g over-estimates the true coefficient, so for delta > 0
+    the estimate errs on the conservative side; at delta = 0 it does not
+    enter.  The result is clipped at zero; treat it as indicative, not
+    proof-grade.
     """
     sig = sigma_matrices(cert, matrices, reference)
     c_s = float(np.linalg.eigvalsh(sig)[:, -1].max())
     c_q = float(cert.q_diag.max() / cert.q_diag.min())
-    c_g = lipschitz_coefficient(matrices)
+    c_g = lipschitz_bound(matrices)
     return max(0.0, 0.5 * c_q * (-c_s - 4.0 * c_q * c_g * delta))
 
 
@@ -428,8 +418,7 @@ def certificate_to_csv(
     reference: PrecurvedReference,
     alpha_estimate: float | None = None,
 ) -> str:
-    """Report CSV: per-node margins plus a scalar summary block."""
-    _, q1, q2 = theta_functions(matrices, reference.curvature)
+    """Report CSV: per-node margins plus a scalar summary block, all read from ``cert``."""
     out = io.StringIO()
     out.write("# certificate report\n")
     out.write("x,w_minus,w_plus,interior_max_eig,dominance_slack,weyl_slack\n")
@@ -447,8 +436,8 @@ def certificate_to_csv(
     out.write(f"valid,{int(cert.valid)}\n")
     out.write(f"m,{cert.m}\n")
     out.write(f"C_kappa,{cert.reflection_bound:.17g}\n")
-    out.write(f"C_q1,{float(np.max(q1)):.17g}\n")
-    out.write(f"C_q2,{float(np.max(q2)):.17g}\n")
+    out.write(f"C_q1,{float(np.max(cert.q1)):.17g}\n")
+    out.write(f"C_q2,{float(np.max(cert.q2)):.17g}\n")
     out.write(f"phi0,{cert.phi0:.17g}\n")
     out.write(f"phiL,{cert.phiL:.17g}\n")
     for i, v in enumerate(cert.boundary_margins_0):

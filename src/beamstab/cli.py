@@ -14,12 +14,10 @@ failure, 4 blow-up during simulation.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +69,6 @@ def _echo_prefix(scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _round_trip_time(scenario) -> float:
-    p = scenario.params
-    return 2.0 * p.length / math.sqrt(p.young / p.rho)
-
-
 def cmd_certify(args) -> int:
     scenario = _load(args)
     out = _out_dir(args)
@@ -99,7 +92,7 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.valid else EXIT_CERTIFICATE
 
 
-def _prepare_run(scenario, store_snapshots=False, stride=None):
+def _prepare_run(scenario):
     matrices = derive_matrices(scenario.params)
     reference = scenarios.build_reference(scenario)
     spec = scenario.certificate
@@ -113,18 +106,11 @@ def _prepare_run(scenario, store_snapshots=False, stride=None):
         seed=scenario.datum.seed,
         order=scenario.datum.order,
     )
-    cfg = scenario.sim
-    if store_snapshots or stride is not None:
-        cfg = replace(
-            cfg,
-            store_snapshots=store_snapshots or cfg.store_snapshots,
-            output_stride=stride if stride is not None else cfg.output_stride,
-        )
-    return matrices, reference, cert, datum, cfg
+    return matrices, reference, cert, datum, scenario.sim
 
 
 def _fit_summary(scenario, traj, extra=None) -> str:
-    t_min = _round_trip_time(scenario)
+    t_min = solver.round_trip_time(scenario.params)
     rows = []
 
     def try_fit(label, values):
@@ -167,38 +153,11 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     scenario = _load(args)
     out = _out_dir(args)
+    matrices, reference, cert, datum, cfg = _prepare_run(scenario)
     # keep the reconstruction lattice bounded; stride stays deterministic
-    base_cfg = scenario.sim
-    dt_max = base_cfg.cfl * (scenario.params.length / base_cfg.n_cells) / math.sqrt(
-        scenario.params.young / scenario.params.rho
+    traj, states, pose = reconstruct.run_pipeline(
+        cfg, matrices, reference, datum, cert=cert, max_records=MAX_RECONSTRUCT_RECORDS
     )
-    n_steps = max(1, math.ceil(base_cfg.t_end / dt_max))
-    stride = max(base_cfg.output_stride, math.ceil(n_steps / MAX_RECONSTRUCT_RECORDS))
-    matrices, reference, cert, datum, cfg = _prepare_run(
-        scenario, store_snapshots=True, stride=stride
-    )
-    traj = solver.simulate(cfg, matrices, reference, datum, cert=cert, lyap_order=1)
-
-    snaps = traj.snapshots
-    # the quaternion sweeps need a uniform time lattice: drop a ragged tail record
-    if len(snaps) >= 3:
-        dt0 = snaps[1].time - snaps[0].time
-        if abs((snaps[-1].time - snaps[-2].time) - dt0) > 1e-12 * max(1.0, snaps[-1].time):
-            snaps = snaps[:-1]
-    states = [model.to_physical(s, matrices) for s in snaps]
-
-    pose = reconstruct.reconstruct_rotation(states, reference, reference.rotation[-1])
-    ref_line = model.reference_centerline(reference)
-    h_p = ref_line[-1]
-    tangent0 = np.einsum(
-        "nij,nj->ni", pose.R[0], states[0].values[:, 6:9] + model.E1
-    )
-    dx = reference.dx
-    seg = 0.5 * dx * (tangent0[1:] + tangent0[:-1])
-    tail = np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1], np.zeros((1, 3))], axis=0)
-    p0 = h_p[None, :] - tail
-    pose = reconstruct.reconstruct_centerline(states, pose, p0, h_p)
-
     back = model.strains_velocities_from_pose(pose, reference)
     round_trip = max(
         float(np.abs(b.values - s.values).max()) for b, s in zip(back, states)
@@ -224,7 +183,7 @@ def cmd_reconstruct(args) -> int:
     }
     try:
         alpha_obs, _, r2_obs = solver.fit_decay(
-            obs_times, obs_values, t_min=_round_trip_time(scenario)
+            obs_times, obs_values, t_min=solver.round_trip_time(scenario.params)
         )
         extra["observable_decay_rate"] = alpha_obs
         extra["observable_fit_r2"] = r2_obs
@@ -250,14 +209,14 @@ def _sweep_row(payload):
     try:
         scenario = scenarios.scenario_from_dict(scenario_dict)
         scenario = scenarios.apply_override(scenario, f"{_SWEEP_PATHS[axis]}={value!r}")
-        matrices, reference, cert, datum, cfg = _prepare_run(scenario, store_snapshots=False)
+        matrices, reference, cert, datum, cfg = _prepare_run(scenario)
         row["C_kappa"] = matrices.reflection_bound
         row["cert_valid"] = int(cert.valid)
         traj = solver.simulate(cfg, matrices, reference, datum, cert=cert, lyap_order=1)
         series = traj.lyap if traj.lyap is not None else traj.h1**2
         # fit after the first round trip when the run is long enough,
         # otherwise over whatever trailing window still has 10 samples
-        t_min = min(_round_trip_time(scenario), 0.5 * cfg.t_end)
+        t_min = min(solver.round_trip_time(scenario.params), 0.5 * cfg.t_end)
         if np.count_nonzero(traj.times >= t_min) < 10:
             t_min = traj.times[-min(10, len(traj.times))]
         alpha, _, _ = solver.fit_decay(traj.times, series, t_min=t_min)

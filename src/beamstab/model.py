@@ -38,7 +38,6 @@ __all__ = [
     "StateField",
     "straight_reference",
     "curved_reference",
-    "assemble_coupling_physical",
     "coupling_pattern_blocks",
     "gbar",
     "gbar_pair",
@@ -88,18 +87,17 @@ def vec(m: np.ndarray) -> np.ndarray:
 class PrecurvedReference:
     """Per-node data describing the beam before deformation.
 
-    ``rotation`` holds the reference rotation R(x) on each grid node,
-    ``curvature`` the rotational strain of the undeformed shape,
-    ``strain_matrix`` the 6x6 block matrix [hat(curv), 0; hat(e1), hat(curv)],
-    and ``coupling_phys`` / ``coupling_char`` the 12x12 lower-order coupling
-    in physical and characteristic variables.
+    ``rotation`` holds the reference rotation R(x) on each grid node and
+    ``curvature`` the rotational strain of the undeformed shape; together
+    with the grid they are the whole geometry.  ``coupling_char`` is the
+    one table derived from it, the 12x12 lower-order coupling
+    B = L Bbar L^{-1} in characteristic variables (see
+    :func:`coupling_pattern_blocks`), which the solver reads every step.
     """
 
     grid: np.ndarray            # (N+1,)
     rotation: np.ndarray        # (N+1, 3, 3)
     curvature: np.ndarray       # (N+1, 3)
-    strain_matrix: np.ndarray   # (N+1, 6, 6)
-    coupling_phys: np.ndarray   # (N+1, 12, 12)
     coupling_char: np.ndarray   # (N+1, 12, 12)
 
     @property
@@ -132,32 +130,12 @@ def _strain_matrix(curvature: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_coupling_physical(matrices: BeamMatrices, strain_matrix: np.ndarray) -> np.ndarray:
-    """Physical-variable coupling  [0, -M^{-1} E C^{-1}; E^T, 0]  at one or many nodes."""
-    eb = np.asarray(strain_matrix, dtype=float)
-    lead = eb.shape[:-2]
-    minv = 1.0 / np.diag(matrices.mass)
-    cinv = 1.0 / np.diag(matrices.flexibility)
-    out = np.zeros(lead + (12, 12))
-    # -M^{-1} E C^{-1}: row scale by 1/m_i, column scale by 1/c_j
-    out[..., :6, 6:] = -(minv[:, None] * eb * cinv[None, :])
-    out[..., 6:, :6] = np.swapaxes(eb, -1, -2)
-    return out
-
-
-def _coupling_char(matrices: BeamMatrices, coupling_phys: np.ndarray) -> np.ndarray:
-    """Characteristic coupling  B = L Bbar L^{-1}  (batched)."""
-    return np.einsum(
-        "ij,...jk,kl->...il", matrices.to_char, coupling_phys, matrices.from_char
-    )
-
-
 def coupling_pattern_blocks(matrices: BeamMatrices, strain_matrix: np.ndarray) -> np.ndarray:
-    """Closed-form characteristic coupling from the strain matrix alone.
+    """Characteristic coupling B = L Bbar L^{-1} in closed form, batched.
 
-    With P = D E^T and S = M^{-1} E D M, equals
-    0.5 * [[P - S, P + S], [-(P + S), -(P - S)]]; agrees with
-    L Bbar L^{-1} to machine precision and is used as a cross-check.
+    Bbar = [0, -M^{-1} E C^{-1}; E^T, 0] is the physical coupling of the
+    strain matrix E.  With P = D E^T and S = M^{-1} E D M the conjugate is
+    0.5 * [[P - S, P + S], [-(P + S), -(P - S)]].
     """
     eb = np.asarray(strain_matrix, dtype=float)
     lead = eb.shape[:-2]
@@ -179,16 +157,8 @@ def _reference_from_samples(
     rotation: np.ndarray,
     curvature: np.ndarray,
 ) -> PrecurvedReference:
-    strain = _strain_matrix(curvature)
-    coupling_phys = assemble_coupling_physical(matrices, strain)
-    return PrecurvedReference(
-        grid=grid,
-        rotation=rotation,
-        curvature=curvature,
-        strain_matrix=strain,
-        coupling_phys=coupling_phys,
-        coupling_char=_coupling_char(matrices, coupling_phys),
-    )
+    coupling = coupling_pattern_blocks(matrices, _strain_matrix(curvature))
+    return PrecurvedReference(grid, rotation, curvature, coupling)
 
 
 def straight_reference(params, n_cells: int) -> PrecurvedReference:
@@ -422,7 +392,7 @@ def reference_to_csv(reference: PrecurvedReference) -> str:
 
 
 def reference_from_csv(text: str, matrices: BeamMatrices) -> PrecurvedReference:
-    """Rebuild a reference (including coupling tables) from its CSV form."""
+    """Rebuild a reference (including its coupling table) from its CSV form."""
     lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     grid = data[:, 0]

@@ -220,31 +220,19 @@ def stresses_from_strains(matrices: BeamMatrices, s: np.ndarray) -> np.ndarray:
     return np.asarray(s, dtype=float) / np.diag(matrices.flexibility)
 
 
-_DUMP_BLOCKS = [
-    ("inertia", "inertia"),
-    ("stiff_force", "stiff_force"),
-    ("stiff_moment", "stiff_moment"),
-    ("mass", "mass"),
-    ("flexibility", "flexibility"),
-    ("speed", "speed"),
-    ("speed_signed", "speed_signed"),
-    ("to_char", "to_char"),
-    ("from_char", "from_char"),
-    ("flux", "flux"),
-    ("energy_phys", "energy_phys"),
-    ("energy_char", "energy_char"),
-    ("kappa", "kappa"),
-    ("char_weight", "char_weight"),
-]
+_DUMP_BLOCKS = (
+    "inertia", "stiff_force", "stiff_moment", "mass", "flexibility", "speed", "speed_signed",
+    "to_char", "from_char", "flux", "energy_phys", "energy_char", "kappa", "char_weight",
+)
 
 
 def dump_matrices(matrices: BeamMatrices) -> str:
     """All derived matrices as labelled CSV blocks (debug aid)."""
     out = io.StringIO()
-    for title, attr in _DUMP_BLOCKS:
-        mat = getattr(matrices, attr)
+    for name in _DUMP_BLOCKS:
+        mat = getattr(matrices, name)
         n = mat.shape[1]
-        out.write(f"# {title} ({mat.shape[0]}x{n})\n")
+        out.write(f"# {name} ({mat.shape[0]}x{n})\n")
         out.write("row," + ",".join(f"c{j + 1}" for j in range(n)) + "\n")
         for i, row in enumerate(mat):
             out.write(f"r{i + 1}," + ",".join(f"{v:.17g}" for v in row) + "\n")

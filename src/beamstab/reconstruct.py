@@ -26,13 +26,16 @@ C^1 regularity statement that cannot be checked discretely.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EndpointMismatch, NonUnitInput, NotARotation, ZeroQuaternion
+from . import model, solver
+from .errors import EndpointMismatch, NonUnitInput, NotARotation, ValidationError, ZeroQuaternion
 from .fd import diff1
 from .model import E1, PrecurvedReference, StateField, hat
+from .params import BeamMatrices
 
 __all__ = [
     "PoseField",
@@ -41,6 +44,7 @@ __all__ = [
     "quaternion_from_rotation",
     "reconstruct_rotation",
     "reconstruct_centerline",
+    "run_pipeline",
     "decay_observable",
     "pose_snapshot_to_csv",
     "pose_residuals_to_csv",
@@ -238,6 +242,20 @@ def reconstruct_rotation(
     )
 
 
+def _from_clamp(rot: np.ndarray, y: np.ndarray, h_p: np.ndarray, dx: float):
+    """Tangent R (y3 + e1) and positions h_p - int_x^L R (y3 + e1).
+
+    ``rot`` is (..., N+1, 3, 3) and ``y`` (..., N+1, 12); the integral is
+    the trapezoid rule summed from the clamped end.  Both outputs are
+    (..., N+1, 3).
+    """
+    tangent = np.einsum("...nij,...nj->...ni", rot, y[..., 6:9] + E1)
+    seg = 0.5 * dx * (tangent[..., 1:, :] + tangent[..., :-1, :])
+    tail = np.zeros_like(tangent)
+    tail[..., :-1, :] = np.cumsum(seg[..., ::-1, :], axis=-2)[..., ::-1, :]
+    return tangent, h_p - tail
+
+
 def reconstruct_centerline(
     states: list[StateField],
     pose: PoseField,
@@ -267,18 +285,51 @@ def reconstruct_centerline(
     increments = 0.5 * dt * (vel[1:] + vel[:-1])
     p[1:] = p0[None, :, :] + np.cumsum(increments, axis=0)
 
-    tangent = np.einsum("tnij,tnj->tni", pose.R, y[:, :, 6:9] + E1)  # R (y3 + e1)
-    seg = 0.5 * dx * (tangent[:, 1:, :] + tangent[:, :-1, :])
-    tail = np.concatenate(
-        [np.cumsum(seg[:, ::-1, :], axis=1)[:, ::-1, :], np.zeros((len(times), 1, 3))], axis=1
-    )
-    p2 = h_p[None, None, :] - tail
+    tangent, p2 = _from_clamp(pose.R, y, h_p, dx)
     route_gap = float(np.abs(p - p2).max())
 
     mixed = diff1(vel, dx, axis=1) - diff1(tangent, dt, axis=0)
     residual = np.abs(mixed).max(axis=(1, 2))
 
     return replace(pose, p=p, residual_centerline=residual, route_gap=route_gap)
+
+
+def run_pipeline(
+    config: solver.SimConfig,
+    matrices: BeamMatrices,
+    reference: PrecurvedReference,
+    datum: StateField,
+    cert=None,
+    max_records: int | None = None,
+):
+    """Simulate with stored records, then rebuild the pose from the clamped end.
+
+    The stride ``config.output_stride`` is raised when needed to keep at
+    most ``max_records`` records after t = 0.  A ragged final record is
+    dropped (the quaternion sweeps need a uniform time lattice), and the
+    initial shape is the quadrature from the clamp.  Returns (trajectory,
+    physical states, pose); raises :class:`ValidationError` when fewer than
+    three evenly spaced records would remain.
+    """
+    _, n_steps = solver.time_step(config, matrices)
+    stride = config.output_stride
+    if max_records is not None:
+        stride = max(stride, math.ceil(n_steps / max_records))
+    if n_steps // stride < 2:
+        raise ValidationError(
+            [f"reconstruction needs at least 3 evenly spaced records, the run gives "
+             f"{n_steps // stride + 1}: raise sim.t_end or lower sim.output_stride"]
+        )
+    config = replace(config, store_snapshots=True, output_stride=stride)
+    traj = solver.simulate(config, matrices, reference, datum, cert=cert, lyap_order=1)
+
+    snaps = traj.snapshots[:-1] if n_steps % stride else traj.snapshots
+    states = [model.to_physical(s, matrices) for s in snaps]
+    pose = reconstruct_rotation(states, reference, reference.rotation[-1])
+    h_p = model.reference_centerline(reference)[-1]
+    _, p0 = _from_clamp(pose.R[0], states[0].values, h_p, reference.dx)
+    pose = reconstruct_centerline(states, pose, p0, h_p)
+    return traj, states, pose
 
 
 def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndarray, np.ndarray]:

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import __version__
 from .errors import ScenarioError
 from .model import PrecurvedReference, curved_reference, straight_reference
 from .params import BeamParams, derive_matrices, optimal_feedback
-from .solver import SimConfig
+from .solver import SimConfig, round_trip_time
 
 __all__ = [
     "ReferenceSpec",
@@ -101,8 +102,8 @@ def _steel_params() -> BeamParams:
 def _presets() -> dict[str, Scenario]:
     toy = _toy_params()
     steel = _steel_params()
-    toy_round_trip = float(2.0 * toy.length / np.sqrt(toy.young / toy.rho))
-    steel_round_trip = float(2.0 * steel.length / np.sqrt(steel.young / steel.rho))
+    toy_round_trip = round_trip_time(toy)
+    steel_round_trip = round_trip_time(steel)
     return {
         "straight-toy": Scenario(
             name="straight-toy",
@@ -266,7 +267,7 @@ def build_reference(scenario: Scenario) -> PrecurvedReference:
 
 def header_echo(scenario: Scenario) -> dict:
     """Flat key=value view of a scenario for CSV headers (full reproducibility)."""
-    out = {"name": scenario.name, "version": "0.1.0"}
+    out = {"name": scenario.name, "version": __version__}
     data = scenario_to_dict(scenario)
     for section, content in data.items():
         if section == "name":

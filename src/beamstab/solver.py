@@ -10,10 +10,12 @@ r+(0) = kappa r-(0) and r-(L) = -r+(L).  Components 1..6 move left,
 the source -B r + g(r) are advanced together by Heun's two-stage method,
 with the boundary relations re-imposed after every stage (incoming
 characteristics overwritten, outgoing ones left to the interior update).
-The shared time step comes from the largest speed, dt = cfl dx / max|D|.
+The shared time step comes from the largest speed, dt = cfl dx / max|D|
+(:func:`time_step`).
 
-The first-order scheme is the default; `upwind2` applies minmod-limited
-MUSCL face values with linearly extrapolated ghost nodes at the ends.
+The first-order scheme is the default; `upwind2` reconstructs face values
+with unlimited centered (Fromm) slopes and linearly extrapolated ghost
+nodes at the ends.
 A dissipative scheme is deliberate here: observed energy decay then
 always under-reports, never fabricates, the continuous-level decay.
 """
@@ -48,6 +50,8 @@ __all__ = [
     "CompatibilityReport",
     "check_compatibility",
     "generate_initial_datum",
+    "time_step",
+    "round_trip_time",
     "simulate",
     "energies",
     "sobolev_norms",
@@ -118,6 +122,11 @@ class CompatibilityReport:
         return max(vals)
 
 
+def _couple(coupling: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per-node coupling product B(x) r on (N+1, 12) samples."""
+    return np.einsum("nij,nj->ni", coupling, r)
+
+
 def _feedback_residual(matrices: BeamMatrices, v0: np.ndarray, s0: np.ndarray) -> float:
     cinv = 1.0 / np.diag(matrices.flexibility)
     return float(np.abs(cinv * s0 - matrices.mu * v0).max())
@@ -141,11 +150,9 @@ def check_compatibility(
 
     dx = float(y0.grid[1] - y0.grid[0])
     dy = diff1(vals, dx, axis=0)
-    y1 = (
-        -dy @ matrices.flux.T
-        - np.einsum("nij,nj->ni", reference.coupling_phys, vals)
-        + gbar(matrices, vals)
-    )
+    # Bbar y = L^{-1} B L y
+    coupled = _couple(reference.coupling_char, vals @ matrices.to_char.T) @ matrices.from_char.T
+    y1 = -dy @ matrices.flux.T - coupled + gbar(matrices, vals)
     return CompatibilityReport(
         1,
         res_clamped,
@@ -262,7 +269,7 @@ def _char_time_derivative(
     """dt r from the PDE right side with the shared centered stencils."""
     speeds = matrices.wave_speeds
     out = -speeds[None, :] * diff1(r, dx, axis=0)
-    out -= np.einsum("nij,nj->ni", reference.coupling_char, r)
+    out -= _couple(reference.coupling_char, r)
     if include_nonlinearity:
         out += g_diag(matrices, r)
     return out
@@ -294,7 +301,7 @@ def lyapunov_value(
     if k == 2:
         speeds = matrices.wave_speeds
         rtt = -speeds[None, :] * diff1(rt, dx, axis=0)
-        rtt -= np.einsum("nij,nj->ni", reference.coupling_char, rt)
+        rtt -= _couple(reference.coupling_char, rt)
         rtt += g_diag_pair(matrices, r, rt) + g_diag_pair(matrices, rt, r)
         total += float(trapezoid((rtt**2 * q).sum(axis=1), dx))
     return total
@@ -329,6 +336,25 @@ def _upwind_gradient(r: np.ndarray, dx: float, scheme: str) -> np.ndarray:
     return out
 
 
+def time_step(config: SimConfig, matrices: BeamMatrices) -> tuple[float, int]:
+    """(dt, n_steps): the fewest steps with dt <= cfl dx / max|D|, dx = L / n_cells.
+
+    Raises :class:`CFLViolation` for an invalid config or a run over ``step_cap``.
+    """
+    config.validate()
+    dx = matrices.params.length / config.n_cells
+    dt_max = config.cfl * dx / float(np.abs(matrices.wave_speeds).max())
+    n_steps = max(1, math.ceil(config.t_end / dt_max))
+    if n_steps > config.step_cap:
+        raise CFLViolation(f"run needs {n_steps} steps, cap is {config.step_cap}")
+    return config.t_end / n_steps, n_steps
+
+
+def round_trip_time(params) -> float:
+    """Time 2 L / sqrt(E / rho) for an extensional wave to cross the beam and back."""
+    return 2.0 * params.length / math.sqrt(params.young / params.rho)
+
+
 def simulate(
     config: SimConfig,
     matrices: BeamMatrices,
@@ -346,10 +372,14 @@ def simulate(
     :class:`BlowupDetected` as soon as any node magnitude crosses the
     configured threshold.
     """
-    config.validate()
+    dt, n_steps = time_step(config, matrices)
     if len(y0.grid) != config.n_cells + 1:
         raise ValidationError(
             [f"datum has {len(y0.grid) - 1} cells, config wants {config.n_cells}"]
+        )
+    if not math.isclose(y0.grid[-1], matrices.params.length, rel_tol=1e-12):
+        raise ValidationError(
+            [f"datum grid ends at {y0.grid[-1]!r}, the beam length is {matrices.params.length!r}"]
         )
     compat = check_compatibility(y0, matrices, reference, order=0)
     if compat.max_residual() > 1e-8:
@@ -360,12 +390,6 @@ def simulate(
     grid = y0.grid
     dx = float(grid[1] - grid[0])
     speeds = matrices.wave_speeds
-    lam_max = float(np.abs(speeds).max())
-    dt_max = config.cfl * dx / lam_max
-    n_steps = max(1, math.ceil(config.t_end / dt_max))
-    if n_steps > config.step_cap:
-        raise CFLViolation(f"run needs {n_steps} steps, cap is {config.step_cap}")
-    dt = config.t_end / n_steps
 
     kappa_diag = np.diag(matrices.kappa)
     coupling = reference.coupling_char
@@ -376,7 +400,7 @@ def simulate(
 
     def rhs(state: np.ndarray) -> np.ndarray:
         out = -speeds[None, :] * _upwind_gradient(state, dx, config.scheme)
-        out -= np.einsum("nij,nj->ni", coupling, state)
+        out -= _couple(coupling, state)
         if include_nonlinearity:
             out += g_diag(matrices, state)
         # hook: external body forces/moments would be added here, as

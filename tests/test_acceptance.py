@@ -14,19 +14,14 @@ from beamstab.fd import diff1, trapezoid
 from beamstab.model import (
     PrecurvedReference,
     StateField,
+    _strain_matrix,
     curved_reference,
     gbar,
-    reference_centerline,
     straight_reference,
     strains_velocities_from_pose,
-    to_physical,
 )
 from beamstab.params import derive_matrices, optimal_feedback, with_reflection
-from beamstab.reconstruct import (
-    decay_observable,
-    reconstruct_centerline,
-    reconstruct_rotation,
-)
+from beamstab.reconstruct import decay_observable, run_pipeline
 from beamstab.scenarios import PRESETS, build_reference
 from beamstab.solver import (
     SimConfig,
@@ -35,7 +30,6 @@ from beamstab.solver import (
     simulate,
     sobolev_norms,
 )
-from beamstab.model import E1
 from conftest import random_params
 
 
@@ -101,7 +95,7 @@ def test_criterion_1_algebraic_identities():
         dm = np.diag(m.mass) * np.diag(m.speed)
         prod = np.einsum("ij,njk->nik", qd, ref.coupling_char)
         assert np.abs(prod + np.swapaxes(prod, 1, 2)).max() < 1e-12
-        quarter = 0.25 * ref.strain_matrix * dm[None, None, :]
+        quarter = 0.25 * _strain_matrix(ref.curvature) * dm[None, None, :]
         sym = quarter + np.swapaxes(quarter, 1, 2)
         skew = quarter - np.swapaxes(quarter, 1, 2)
         pattern = np.block([[-skew, sym], [-sym, skew]])
@@ -261,21 +255,8 @@ def test_criterion_7_convergence_orders(toy_setup):
 def _reconstruct_run(params, matrices, n, t_end, seed=5, stride=1):
     ref = straight_reference(params, n)
     datum = generate_initial_datum(matrices, ref, 1e-2, seed=seed, order=1)
-    cfg = SimConfig(n_cells=n, cfl=0.9, t_end=t_end, output_stride=stride,
-                    store_snapshots=True)
-    traj = simulate(cfg, matrices, ref, datum)
-    snaps = traj.snapshots
-    if len(snaps) >= 3:
-        dt0 = snaps[1].time - snaps[0].time
-        if abs((snaps[-1].time - snaps[-2].time) - dt0) > 1e-12:
-            snaps = snaps[:-1]
-    states = [to_physical(s, matrices) for s in snaps]
-    pose = reconstruct_rotation(states, ref, ref.rotation[-1])
-    tangent0 = np.einsum("nij,nj->ni", pose.R[0], states[0].values[:, 6:9] + E1)
-    seg = 0.5 * ref.dx * (tangent0[1:] + tangent0[:-1])
-    tail = np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1], np.zeros((1, 3))], axis=0)
-    h_p = reference_centerline(ref)[-1]
-    pose = reconstruct_centerline(states, pose, h_p[None, :] - tail, h_p)
+    cfg = SimConfig(n_cells=n, cfl=0.9, t_end=t_end, output_stride=stride)
+    _, states, pose = run_pipeline(cfg, matrices, ref, datum)
     return ref, states, pose
 
 
@@ -315,8 +296,6 @@ def test_criterion_9_transport_oracle(toy_setup):
         grid=base.grid,
         rotation=base.rotation,
         curvature=np.zeros_like(base.curvature),
-        strain_matrix=np.zeros_like(base.strain_matrix),
-        coupling_phys=np.zeros_like(base.coupling_phys),
         coupling_char=np.zeros_like(base.coupling_char),
     )
     x = ref.grid

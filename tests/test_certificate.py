@@ -17,7 +17,7 @@ from beamstab.certificate import (
     certificate_to_csv,
 )
 from beamstab.errors import CkappaDegenerate, ValidationError, WindowViolation
-from beamstab.model import StateField, curved_reference, straight_reference
+from beamstab.model import StateField, _strain_matrix, curved_reference, straight_reference
 from beamstab.params import derive_matrices
 from beamstab.solver import generate_initial_datum, lyapunov_value, sobolev_norms
 
@@ -83,8 +83,6 @@ def test_theta_toy_value(toy_matrices):
 
 def test_theta_matches_row_sum_construction(asym_matrices):
     # independent route: weighted absolute row sums of E D M + (E D M)^T
-    from beamstab.model import _strain_matrix
-
     rng = np.random.default_rng(11)
     for _ in range(20):
         curv = rng.normal(size=3)
@@ -248,7 +246,7 @@ def test_product_identity_two_routes(toy_params):
         q = cert.q_diag[k]
         qb = q[:, None] * ref.coupling_char[k]
         dense = qb + qb.T
-        quarter = 0.25 * ref.strain_matrix[k] * dm[None, :]
+        quarter = 0.25 * _strain_matrix(ref.curvature[k]) * dm[None, :]
         sym = quarter + quarter.T
         gap_w = cert.w_plus[k] - cert.w_minus[k]
         expected = np.zeros((12, 12))
@@ -344,9 +342,27 @@ def test_lyapunov_equivalence_constants(toy_params):
 
 
 def test_lipschitz_bound_dominates_samples(toy_matrices):
-    from beamstab.certificate import lipschitz_coefficient
+    # oracle: sampled K with ||Jac g(u)||_2 <= K |u| over random unit states
+    from beamstab.model import g_diag_pair
 
-    assert lipschitz_bound(toy_matrices) >= lipschitz_coefficient(toy_matrices, samples=64)
+    rng = np.random.default_rng(20240)
+    eye = np.eye(12)
+    sampled = 0.0
+    for _ in range(64):
+        u = rng.normal(size=12)
+        u /= np.linalg.norm(u)
+        jac = (g_diag_pair(toy_matrices, u, eye) + g_diag_pair(toy_matrices, eye, u)).T
+        sampled = max(sampled, float(np.linalg.norm(jac, 2)))
+    assert lipschitz_bound(toy_matrices) >= sampled
+
+
+def test_certificate_carries_theta_bounds(toy_params):
+    m = derive_matrices(toy_params)
+    ref = curved_reference(toy_params, 16, lambda x: np.array([0.5, -0.2, 0.3 * x]))
+    cert = build_certificate(m, ref, m=2, phi0=1.0, phiL=None)
+    _, q1, q2 = theta_functions(m, ref.curvature)
+    assert np.array_equal(cert.q1, q1) and np.array_equal(cert.q2, q2)
+    assert cert.c == float(np.max(q2))
 
 
 def test_certificate_csv_contains_summary(toy_params):

@@ -1,18 +1,46 @@
+import importlib
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
+import beamstab
+from beamstab import cli
 from beamstab.cli import EXIT_BLOWUP, EXIT_CERTIFICATE, EXIT_OK, EXIT_VALIDATION, main
 from beamstab.errors import ScenarioError
+from beamstab.params import derive_matrices
 from beamstab.scenarios import (
     PRESETS,
     apply_override,
+    header_echo,
     load_scenario,
     preset,
     scenario_from_dict,
     scenario_to_dict,
     scenario_to_yaml,
 )
+from beamstab.solver import time_step
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracing():
+    """The benchmark's span recorder, loaded from perfbench/tracing.py."""
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _header_value(text, key):
+    for line in text.splitlines():
+        if line.startswith(f"# {key} = "):
+            return line.split(" = ", 1)[1]
+    raise KeyError(key)
 
 
 @pytest.fixture()
@@ -154,6 +182,42 @@ class TestReconstructCommand:
         poses = list(tmp_path.glob("straight-toy-pose-0*.csv"))
         assert 2 <= len(poses) <= 24
 
+    def test_short_run_is_a_validation_error(self, tmp_path, capsys):
+        rc = main(["reconstruct", "--scenario", "helical", "--out", str(tmp_path),
+                   "--override", "sim.t_end=0.001"])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "sim.t_end" in err and "sim.output_stride" in err
+
+    def test_stride_uses_the_solver_step_count(self, tmp_path, monkeypatch):
+        # k2 shear = 9 > young = 4: the fastest wave is a shear wave, so a
+        # step count from sqrt(young / rho) would undercount by a third
+        scenario = apply_override(preset("straight-toy"), "params.shear=9")
+        assert time_step(scenario.sim, derive_matrices(scenario.params))[1] == 8534
+
+        cap = 40
+        monkeypatch.setattr(cli, "MAX_RECONSTRUCT_RECORDS", cap)
+        rc = main(["reconstruct", "--scenario", "straight-toy", "--out", str(tmp_path),
+                   "--override", "params.shear=9", "--override", "sim.n_cells=32",
+                   "--override", "sim.t_end=2.0"])
+        assert rc == EXIT_OK
+        traj = (tmp_path / "straight-toy-trajectory.csv").read_text()
+        steps = int(_header_value(traj, "steps"))
+        stride = int(_header_value(traj, "output_stride"))
+        assert stride == math.ceil(steps / cap)
+        rows = [ln for ln in traj.splitlines() if ln and not ln.startswith(("#", "t,"))]
+        assert len(rows) <= cap + 2  # t = 0, the strided records, a ragged final one
+
+    def test_pipeline_calls_are_traced(self, tmp_path):
+        trace = _tracing().Trace()
+        with trace.installed():
+            rc = main(["reconstruct", "--scenario", "helical", "--out", str(tmp_path),
+                       "--override", "sim.n_cells=32", "--override", "sim.t_end=0.5"])
+        assert rc == EXIT_OK
+        for name in ("solver.simulate", "model.to_physical", "model.reference_centerline",
+                     "reconstruct.reconstruct_rotation", "reconstruct.reconstruct_centerline"):
+            assert name in trace.names, name
+
 
 class TestSweepCommand:
     def test_sweep_rows_ordered_and_failures_recorded(self, tmp_path, fast_overrides):
@@ -235,6 +299,20 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     rc = main(["dump-matrices", "--scenario", "straight-toy"])
     assert rc == EXIT_OK
     assert (tmp_path / "envdir" / "straight-toy-matrices.csv").exists()
+
+
+def test_traced_attributes_resolve():
+    for module_name, attr, _ in _tracing().TRACED:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), attr
+
+
+def test_version_defined_once():
+    tomllib = pytest.importorskip("tomllib")
+    data = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in data["project"]
+    assert "version" in data["project"]["dynamic"]
+    assert data["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "beamstab.__version__"}
+    assert header_echo(preset("helical"))["version"] == beamstab.__version__
 
 
 def test_scenario_yaml_is_hierarchical():

@@ -6,7 +6,7 @@ from beamstab.errors import NotARotation, ValidationError
 from beamstab.model import (
     E1,
     StateField,
-    assemble_coupling_physical,
+    _strain_matrix,
     coupling_pattern_blocks,
     curved_reference,
     dissipative_boundary,
@@ -27,6 +27,17 @@ from beamstab.params import derive_matrices
 from conftest import random_params
 
 
+def physical_coupling(matrices, strain_matrix):
+    """Oracle: Bbar = [0, -M^{-1} E C^{-1}; E^T, 0] at one or many nodes."""
+    eb = np.asarray(strain_matrix, dtype=float)
+    minv = 1.0 / np.diag(matrices.mass)
+    cinv = 1.0 / np.diag(matrices.flexibility)
+    out = np.zeros(eb.shape[:-2] + (12, 12))
+    out[..., :6, 6:] = -(minv[:, None] * eb * cinv[None, :])
+    out[..., 6:, :6] = np.swapaxes(eb, -1, -2)
+    return out
+
+
 def expected_coupling_norm(params):
     lam8 = np.sqrt(params.k2 * params.shear / params.rho)
     lam9 = np.sqrt(params.k3 * params.shear / params.rho)
@@ -41,7 +52,7 @@ def test_straight_reference_fields(toy_params):
     # strain matrix reduces to [0, 0; hat(e1), 0]
     expected = np.zeros((6, 6))
     expected[3:, :3] = hat(E1)
-    assert np.abs(ref.strain_matrix - expected).max() == 0.0
+    assert np.abs(_strain_matrix(ref.curvature) - expected).max() == 0.0
 
 
 def test_straight_coupling_norm(toy_params, asym_params):
@@ -57,7 +68,7 @@ def test_coupling_skew_product_and_pattern(asym_params):
     ref = curved_reference(asym_params, 12, lambda x: np.array([0.7 * x, -0.3, 0.4 * x * x]))
     qd = matrices.energy_char
     dm = np.diag(matrices.mass) * np.diag(matrices.speed)
-    for eb, b in zip(ref.strain_matrix, ref.coupling_char):
+    for eb, b in zip(_strain_matrix(ref.curvature), ref.coupling_char):
         prod = qd @ b
         assert np.abs(prod + prod.T).max() < 1e-12
         quarter = 0.25 * eb * dm[None, :]
@@ -122,26 +133,28 @@ def test_curved_rejects_nonfinite():
 
 
 def test_coupling_zero_strain(toy_matrices):
-    assert np.all(assemble_coupling_physical(toy_matrices, np.zeros((6, 6))) == 0.0)
+    assert np.all(coupling_pattern_blocks(toy_matrices, np.zeros((6, 6))) == 0.0)
 
 
 def test_coupling_block_layout_straight(toy_params):
     ref = straight_reference(toy_params, 4)
     m = derive_matrices(toy_params)
-    bbar = ref.coupling_phys[0]
-    assert np.all(bbar[6:, :6] == ref.strain_matrix[0].T)
+    eb = _strain_matrix(ref.curvature[0])
+    bbar = physical_coupling(m, eb)
+    assert np.all(bbar[6:, :6] == eb.T)
     assert np.all(bbar[:6, :6] == 0.0) and np.all(bbar[6:, 6:] == 0.0)
-    # closed block formula agrees with the similarity transform route
+    # the stored closed-form table agrees with the similarity transform route
     direct = m.to_char @ bbar @ m.from_char
-    assert np.abs(direct - coupling_pattern_blocks(m, ref.strain_matrix[0])).max() < 1e-12
+    assert np.abs(direct - ref.coupling_char[0]).max() < 1e-12
 
 
 def test_coupling_two_routes_random_curvature(asym_params):
     m = derive_matrices(asym_params)
     rng = np.random.default_rng(7)
     ref = curved_reference(asym_params, 8, lambda x: rng.normal(size=3) * 0 + np.array([0.3, -1.1, 0.6]))
-    route1 = np.einsum("ij,njk,kl->nil", m.to_char, ref.coupling_phys, m.from_char)
-    route2 = coupling_pattern_blocks(m, ref.strain_matrix)
+    bbar = physical_coupling(m, _strain_matrix(ref.curvature))
+    route1 = np.einsum("ij,njk,kl->nil", m.to_char, bbar, m.from_char)
+    route2 = ref.coupling_char
     assert np.abs(route1 - route2).max() < 1e-12
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from beamstab.errors import EndpointMismatch, NonUnitInput, NotARotation, ZeroQuaternion
 from beamstab.model import (
-    E1,
     StateField,
     curved_reference,
     reference_centerline,
@@ -21,6 +20,7 @@ from beamstab.reconstruct import (
     reconstruct_centerline,
     reconstruct_rotation,
     rotation_from_quaternion,
+    run_pipeline,
     umap,
 )
 from beamstab.solver import SimConfig, fit_decay, generate_initial_datum, simulate
@@ -190,15 +190,8 @@ class TestReconstructCenterline:
 def simulate_and_reconstruct(params, matrices, n, t_end=0.5, seed=5):
     ref = straight_reference(params, n)
     datum = generate_initial_datum(matrices, ref, 1e-2, seed=seed, order=1)
-    cfg = SimConfig(n_cells=n, cfl=0.9, t_end=t_end, output_stride=1, store_snapshots=True)
-    traj = simulate(cfg, matrices, ref, datum)
-    states = [to_physical(s, matrices) for s in traj.snapshots]
-    pose = reconstruct_rotation(states, ref, ref.rotation[-1])
-    tangent0 = np.einsum("nij,nj->ni", pose.R[0], states[0].values[:, 6:9] + E1)
-    seg = 0.5 * ref.dx * (tangent0[1:] + tangent0[:-1])
-    tail = np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1], np.zeros((1, 3))], axis=0)
-    h_p = reference_centerline(ref)[-1]
-    pose = reconstruct_centerline(states, pose, h_p[None, :] - tail, h_p)
+    cfg = SimConfig(n_cells=n, cfl=0.9, t_end=t_end, output_stride=1)
+    _, states, pose = run_pipeline(cfg, matrices, ref, datum)
     return ref, states, pose
 
 

@@ -30,8 +30,6 @@ def null_coupling_reference(ref: PrecurvedReference) -> PrecurvedReference:
         grid=ref.grid,
         rotation=ref.rotation,
         curvature=np.zeros_like(ref.curvature),
-        strain_matrix=np.zeros_like(ref.strain_matrix),
-        coupling_phys=np.zeros_like(ref.coupling_phys),
         coupling_char=np.zeros_like(ref.coupling_char),
     )
 
@@ -188,6 +186,13 @@ class TestSimulate:
                           np.zeros((len(toy_reference.grid), 12)), 0.0)
         with pytest.raises(ValidationError):
             simulate(SimConfig(n_cells=64), toy_matrices, toy_reference, zero)
+
+    def test_grid_must_span_the_beam(self, toy_matrices, toy_reference):
+        # the step count assumes dx = L / n_cells
+        n = toy_reference.n_cells
+        zero = StateField(2.0 * toy_reference.grid, "physical", np.zeros((n + 1, 12)), 0.0)
+        with pytest.raises(ValidationError, match="beam length"):
+            simulate(SimConfig(n_cells=n), toy_matrices, toy_reference, zero)
 
 
 def test_transport_pulse_method_of_characteristics(toy_params):
