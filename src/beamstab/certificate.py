@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CkappaDegenerate, ValidationError, WindowViolation
 from .model import PrecurvedReference, _strain_matrix
-from .params import BeamMatrices
+from .params import BeamMatrices, BeamParams
 
 __all__ = [
     "LyapunovCertificate",
@@ -71,6 +71,8 @@ class LyapunovCertificate:
     phi0: float
     phiL: float
     grid: np.ndarray             # (N+1,)
+    params: BeamParams           # parameters the bounds q_1, q_2 were computed from
+    curvature: np.ndarray        # (N+1, 3) reference curvature of the same
     phi: np.ndarray              # (N+1,)
     dphi: np.ndarray             # (N+1,) analytic derivative
     gap: np.ndarray              # (N+1,) analytic phi(L) - phi(x)
@@ -253,6 +255,8 @@ def build_certificate(
         phi0=float(phi0),
         phiL=float(phiL),
         grid=grid,
+        params=matrices.params,
+        curvature=reference.curvature,
         phi=phi,
         dphi=dphi,
         gap=gap,
@@ -302,11 +306,21 @@ def verify_certificate(
     Failures are reported, never raised.  The interior matrix is eigensolved
     node by node; the two sufficient slacks
     min(|w-'|, |w+'|) - (w+ - w-) q_m for m = 1, 2 are reported alongside.
+
+    The slacks use the bounds q_1, q_2 carried on ``cert``, so ``matrices``
+    and ``reference`` must be the ones the certificate was built from; other
+    parameters or another curvature raise :class:`ValidationError`.
     """
     if len(cert.grid) != len(reference.grid) or not np.allclose(
         cert.grid, reference.grid
     ):
         raise ValidationError(["certificate and reference grids differ"])
+    if cert.params != matrices.params or not np.array_equal(
+        cert.curvature, reference.curvature
+    ):
+        raise ValidationError(
+            ["certificate was built from other beam parameters or another curvature"]
+        )
 
     kd = np.diag(matrices.kappa)
     mass = np.diag(matrices.mass)

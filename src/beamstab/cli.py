@@ -42,7 +42,6 @@ EXIT_CERTIFICATE = 3
 EXIT_BLOWUP = 4
 
 MAX_POSE_SNAPSHOTS = 24
-MAX_RECONSTRUCT_RECORDS = 1200
 
 
 def _out_dir(args) -> Path:
@@ -106,7 +105,7 @@ def _prepare_run(scenario):
         seed=scenario.datum.seed,
         order=scenario.datum.order,
     )
-    return matrices, reference, cert, datum, scenario.sim
+    return matrices, reference, cert, datum
 
 
 def _fit_summary(scenario, traj, extra=None) -> str:
@@ -135,10 +134,10 @@ def _fit_summary(scenario, traj, extra=None) -> str:
 def cmd_simulate(args) -> int:
     scenario = _load(args)
     out = _out_dir(args)
-    matrices, reference, cert, datum, cfg = _prepare_run(scenario)
+    matrices, reference, cert, datum = _prepare_run(scenario)
     lyap_order = scenario.datum.order + 1
     traj = solver.simulate(
-        cfg, matrices, reference, datum, cert=cert, lyap_order=lyap_order
+        scenario.sim, matrices, reference, datum, cert=cert, lyap_order=lyap_order
     )
     prefix = _echo_prefix(scenario)
     _write(out / f"{scenario.name}-trajectory.csv", prefix + solver.trajectory_to_csv(traj))
@@ -153,10 +152,9 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     scenario = _load(args)
     out = _out_dir(args)
-    matrices, reference, cert, datum, cfg = _prepare_run(scenario)
-    # keep the reconstruction lattice bounded; stride stays deterministic
+    matrices, reference, cert, datum = _prepare_run(scenario)
     traj, states, pose = reconstruct.run_pipeline(
-        cfg, matrices, reference, datum, cert=cert, max_records=MAX_RECONSTRUCT_RECORDS
+        scenario.sim, matrices, reference, datum, cert=cert
     )
     back = model.strains_velocities_from_pose(pose, reference)
     round_trip = max(
@@ -209,14 +207,14 @@ def _sweep_row(payload):
     try:
         scenario = scenarios.scenario_from_dict(scenario_dict)
         scenario = scenarios.apply_override(scenario, f"{_SWEEP_PATHS[axis]}={value!r}")
-        matrices, reference, cert, datum, cfg = _prepare_run(scenario)
+        matrices, reference, cert, datum = _prepare_run(scenario)
         row["C_kappa"] = matrices.reflection_bound
         row["cert_valid"] = int(cert.valid)
-        traj = solver.simulate(cfg, matrices, reference, datum, cert=cert, lyap_order=1)
+        traj = solver.simulate(scenario.sim, matrices, reference, datum, cert=cert, lyap_order=1)
         series = traj.lyap if traj.lyap is not None else traj.h1**2
         # fit after the first round trip when the run is long enough,
         # otherwise over whatever trailing window still has 10 samples
-        t_min = min(solver.round_trip_time(scenario.params), 0.5 * cfg.t_end)
+        t_min = min(solver.round_trip_time(scenario.params), 0.5 * scenario.sim.t_end)
         if np.count_nonzero(traj.times >= t_min) < 10:
             t_min = traj.times[-min(10, len(traj.times))]
         alpha, _, _ = solver.fit_decay(traj.times, series, t_min=t_min)

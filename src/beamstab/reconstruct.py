@@ -50,6 +50,9 @@ __all__ = [
     "pose_residuals_to_csv",
 ]
 
+# keeps the reconstruction lattice bounded; the stride stays deterministic
+MAX_RECONSTRUCT_RECORDS = 1200
+
 
 @dataclass(frozen=True)
 class PoseField:
@@ -300,21 +303,18 @@ def run_pipeline(
     reference: PrecurvedReference,
     datum: StateField,
     cert=None,
-    max_records: int | None = None,
 ):
     """Simulate with stored records, then rebuild the pose from the clamped end.
 
     The stride ``config.output_stride`` is raised when needed to keep at
-    most ``max_records`` records after t = 0.  A ragged final record is
-    dropped (the quaternion sweeps need a uniform time lattice), and the
-    initial shape is the quadrature from the clamp.  Returns (trajectory,
-    physical states, pose); raises :class:`ValidationError` when fewer than
-    three evenly spaced records would remain.
+    most ``MAX_RECONSTRUCT_RECORDS`` records after t = 0.  A ragged final
+    record is dropped (the quaternion sweeps need a uniform time lattice),
+    and the initial shape is the quadrature from the clamp.  Returns
+    (trajectory, physical states, pose); raises :class:`ValidationError`
+    when fewer than three evenly spaced records would remain.
     """
     _, n_steps = solver.time_step(config, matrices)
-    stride = config.output_stride
-    if max_records is not None:
-        stride = max(stride, math.ceil(n_steps / max_records))
+    stride = max(config.output_stride, math.ceil(n_steps / MAX_RECONSTRUCT_RECORDS))
     if n_steps // stride < 2:
         raise ValidationError(
             [f"reconstruction needs at least 3 evenly spaced records, the run gives "

@@ -276,6 +276,21 @@ def test_verify_grid_mismatch(toy_params):
         verify_certificate(cert, m, ref32)
 
 
+def test_verify_rejects_other_geometry_or_params(toy_params, asym_params):
+    # the certificate carries its q bounds, so verifying it against another
+    # curvature or other parameters on the same grid must not mix the two
+    m = derive_matrices(toy_params)
+    ref = straight_reference(toy_params, 16)
+    cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
+    curved = curved_reference(toy_params, 16, lambda x: np.array([0.3, 0.0, 0.1]))
+    assert np.array_equal(curved.grid, ref.grid)
+    with pytest.raises(ValidationError):
+        verify_certificate(cert, m, curved)
+    with pytest.raises(ValidationError):
+        verify_certificate(cert, derive_matrices(asym_params), ref)
+    assert verify_certificate(cert, derive_matrices(toy_params), ref).valid
+
+
 def test_q_functions_continuity(toy_params):
     m = derive_matrices(toy_params)
     ref = curved_reference(toy_params, 200, lambda x: np.array([np.sin(x), 0.2, np.cos(2 * x)]))

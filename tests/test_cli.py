@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import beamstab
-from beamstab import cli
+from beamstab import reconstruct
 from beamstab.cli import EXIT_BLOWUP, EXIT_CERTIFICATE, EXIT_OK, EXIT_VALIDATION, main
 from beamstab.errors import ScenarioError
 from beamstab.params import derive_matrices
@@ -196,7 +196,7 @@ class TestReconstructCommand:
         assert time_step(scenario.sim, derive_matrices(scenario.params))[1] == 8534
 
         cap = 40
-        monkeypatch.setattr(cli, "MAX_RECONSTRUCT_RECORDS", cap)
+        monkeypatch.setattr(reconstruct, "MAX_RECONSTRUCT_RECORDS", cap)
         rc = main(["reconstruct", "--scenario", "straight-toy", "--out", str(tmp_path),
                    "--override", "params.shear=9", "--override", "sim.n_cells=32",
                    "--override", "sim.t_end=2.0"])
