@@ -108,8 +108,8 @@ class VerificationReport:
 def theta_matrix(matrices: BeamMatrices, curvature: np.ndarray) -> np.ndarray:
     """Symmetric indefinite coupling Theta(x) = -[[0, X], [X, 0]], X = EDM + (EDM)^T."""
     eb = _strain_matrix(np.asarray(curvature, dtype=float))
-    dm = np.diag(matrices.mass) * np.diag(matrices.speed)
-    x = eb * dm[None, :] if eb.ndim == 2 else eb * dm
+    dm = matrices.mass * matrices.speed
+    x = eb * dm
     x = x + np.swapaxes(x, -1, -2)
     lead = x.shape[:-2]
     out = np.zeros(lead + (12, 12))
@@ -131,7 +131,7 @@ def theta_functions(matrices: BeamMatrices, curvature: np.ndarray):
     u1, u2, u3 = (np.abs(curvature[..., i]) for i in range(3))
     lam = matrices.wave_speeds[6:]
     l7, l8, l9, l10 = lam[0], lam[1], lam[2], lam[3]
-    j1, j2, j3 = np.diag(matrices.inertia)
+    j1, j2, j3 = matrices.inertia
     a = matrices.params.area
 
     th1 = abs(1.0 - l8 / l7) * u3 + abs(1.0 - l9 / l7) * u2
@@ -155,7 +155,7 @@ def theta_functions(matrices: BeamMatrices, curvature: np.ndarray):
 
     big = theta_matrix(matrices, curvature)
     sigma = np.linalg.eigvalsh(big)[..., -1]
-    weights = np.diag(matrices.mass) * lam
+    weights = matrices.mass * lam
     q2 = sigma / weights.min()
     return theta, q1, q2
 
@@ -244,7 +244,7 @@ def build_certificate(
 
     w_minus = phi
     w_plus = phi[-1] + gap
-    half_mass = 0.5 * np.diag(matrices.mass)
+    half_mass = 0.5 * matrices.mass
     q_diag = np.concatenate(
         [w_minus[:, None] * half_mass[None, :], w_plus[:, None] * half_mass[None, :]],
         axis=1,
@@ -279,6 +279,16 @@ def build_certificate(
     )
 
 
+def _weighted_field(cert, matrices, reference, a: float, b: float) -> np.ndarray:
+    """Per-node a phi' Lambda + b gap Theta, with Lambda = diag(M D, M D)."""
+    theta = theta_matrix(matrices, reference.curvature)
+    lam = np.tile(matrices.mass * matrices.speed, 2)
+    out = b * cert.gap[:, None, None] * theta
+    idx = np.arange(12)
+    out[:, idx, idx] += a * cert.dphi[:, None] * lam[None, :]
+    return out
+
+
 def interior_matrices(
     cert: LyapunovCertificate, matrices: BeamMatrices, reference: PrecurvedReference
 ) -> np.ndarray:
@@ -290,12 +300,7 @@ def interior_matrices(
     assembly would subtract near-equal weights and lose the (relatively
     thin, absolutely tiny) margin on stiff beams.
     """
-    theta = theta_matrix(matrices, reference.curvature)
-    lam = np.diag(matrices.char_weight)
-    out = -0.5 * cert.gap[:, None, None] * theta
-    idx = np.arange(12)
-    out[:, idx, idx] += -0.5 * cert.dphi[:, None] * lam[None, :]
-    return out
+    return _weighted_field(cert, matrices, reference, -0.5, -0.5)
 
 
 def verify_certificate(
@@ -322,10 +327,8 @@ def verify_certificate(
             ["certificate was built from other beam parameters or another curvature"]
         )
 
-    kd = np.diag(matrices.kappa)
-    mass = np.diag(matrices.mass)
-    b0 = 0.5 * (cert.w_plus[0] * kd**2 - cert.w_minus[0]) * mass
-    bL = 0.5 * (cert.w_minus[-1] - cert.w_plus[-1]) * mass
+    b0 = 0.5 * (cert.w_plus[0] * matrices.kappa**2 - cert.w_minus[0]) * matrices.mass
+    bL = 0.5 * (cert.w_minus[-1] - cert.w_plus[-1]) * matrices.mass
 
     interior = interior_matrices(cert, matrices, reference)
     eigs = np.linalg.eigvalsh(interior)
@@ -362,12 +365,7 @@ def sigma_matrices(
     cert: LyapunovCertificate, matrices: BeamMatrices, reference: PrecurvedReference
 ) -> np.ndarray:
     """Per-node -phi' Lambda + 2 (phi(L) - phi) Theta (the decay-rate field)."""
-    theta = theta_matrix(matrices, reference.curvature)
-    lam = np.diag(matrices.char_weight)
-    out = 2.0 * cert.gap[:, None, None] * theta
-    idx = np.arange(12)
-    out[:, idx, idx] += -cert.dphi[:, None] * lam[None, :]
-    return out
+    return _weighted_field(cert, matrices, reference, -1.0, 2.0)
 
 
 def lipschitz_bound(matrices: BeamMatrices) -> float:
@@ -418,7 +416,7 @@ def equivalence_constants(
     qmin = float(cert.q_diag.min())
     qmax = float(cert.q_diag.max())
     lam_max = float(np.abs(matrices.wave_speeds).max())
-    lam_min = float(np.diag(matrices.speed).min())
+    lam_min = float(matrices.speed.min())
     bnorm = float(max(np.linalg.norm(b, 2) for b in reference.coupling_char))
     a = bnorm + lipschitz_bound(matrices) * delta
     c2 = qmax * max(1.0 + 2.0 * a * a, 2.0 * lam_max * lam_max)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certificate as cert_mod
-from . import model, reconstruct, scenarios, solver
+from . import reconstruct, scenarios, solver
 from .errors import (
     BeamstabError,
     BlowupDetected,
@@ -156,10 +156,7 @@ def cmd_reconstruct(args) -> int:
     traj, states, pose = reconstruct.run_pipeline(
         scenario.sim, matrices, reference, datum, cert=cert
     )
-    back = model.strains_velocities_from_pose(pose, reference)
-    round_trip = max(
-        float(np.abs(b.values - s.values).max()) for b, s in zip(back, states)
-    )
+    round_trip = reconstruct.roundtrip_error(pose, states, reference)
     obs_times, obs_values = reconstruct.decay_observable(pose, states)
 
     prefix = _echo_prefix(scenario)
@@ -235,7 +232,10 @@ def cmd_sweep(args) -> int:
         chunk = chunk.strip()
         if not chunk:
             continue
-        values.append(int(chunk) if args.axis == "N" else float(chunk))
+        try:
+            values.append(int(chunk) if args.axis == "N" else float(chunk))
+        except ValueError:
+            raise ScenarioError(f"bad {_SWEEP_PATHS[args.axis]} sweep value {chunk!r}") from None
     if not values:
         raise ScenarioError("no sweep values given")
     for v in values:

@@ -6,8 +6,8 @@ mass density, section area, elastic moduli, area moments and correction
 factors.  From those we assemble
 
 * the 6x6 mass matrix ``M`` and flexibility matrix ``C``,
-* the positive wave-speed matrix ``D = (M C)^{-1/2}`` and the signed
-  12x12 version ``diag(-D, D)``,
+* the positive wave-speed matrix ``D = (M C)^{-1/2}`` and the twelve
+  signed speeds ``(-D, D)``,
 * the characteristic transform ``L`` (and its inverse) that takes the
   physical state ``y = (velocities, strains)`` to Riemann invariants
   ``r = L y``, diagonalizing the flux matrix ``A = L^{-1} diag(-D, D) L``,
@@ -15,14 +15,15 @@ factors.  From those we assemble
 * the boundary reflection matrix ``kappa`` induced by the velocity
   feedback gains ``mu1, mu2`` applied at the controlled end ``x = 0``.
 
-Everything is a plain dense numpy array inside immutable dataclasses;
-sizes are tiny and fixed, so no sparsity or laziness is worth having.
+A diagonal matrix is stored as the 1-D array of its diagonal; only the
+transforms ``L``, ``L^{-1}`` and the flux ``A`` are dense 12x12 arrays.
+Sizes are tiny and fixed, so no laziness is worth having.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -77,29 +78,36 @@ class BeamParams:
 class BeamMatrices:
     """All constant matrices derived from a :class:`BeamParams`.
 
-    ``wave_speeds`` lists the twelve characteristic speeds with the fixed
-    ordering: entries 1..6 negative (left-moving), 7..12 positive, and
+    Diagonal matrices are stored as their diagonals.  ``wave_speeds``
+    lists the twelve characteristic speeds with the fixed ordering:
+    entries 1..6 negative (left-moving), 7..12 positive, and
     ``wave_speeds[i] = -wave_speeds[i+6]``.
     """
 
     params: BeamParams
-    inertia: np.ndarray          # 3x3, J
-    stiff_force: np.ndarray      # 3x3, S1 (shear/extension rigidity)
-    stiff_moment: np.ndarray     # 3x3, S2 (torsion/bending rigidity)
-    mass: np.ndarray             # 6x6, M
-    flexibility: np.ndarray      # 6x6, C
-    speed: np.ndarray            # 6x6, D = (M C)^{-1/2}
-    speed_signed: np.ndarray     # 12x12, diag(-D, D)
+    inertia: np.ndarray          # 3, diag of J
+    stiff_force: np.ndarray      # 3, diag of S1 (shear/extension rigidity)
+    stiff_moment: np.ndarray     # 3, diag of S2 (torsion/bending rigidity)
+    mass: np.ndarray             # 6, diag of M
+    flexibility: np.ndarray      # 6, diag of C
+    wave_speeds: np.ndarray      # 12, (-D, D) with D = (M C)^{-1/2}
     to_char: np.ndarray          # 12x12, L with r = L y
     from_char: np.ndarray        # 12x12, L^{-1}
     flux: np.ndarray             # 12x12, A
-    energy_phys: np.ndarray      # 12x12, diag(M, C^{-1})
-    energy_char: np.ndarray      # 12x12, (L^{-1})^T energy_phys L^{-1}
-    mu: np.ndarray               # 6-vector, diag of the feedback matrix
-    kappa: np.ndarray            # 6x6 diagonal reflection matrix
-    wave_speeds: np.ndarray      # 12-vector
-    char_weight: np.ndarray      # 12x12, diag(M D, M D)
-    reflection_bound: float      # C_kappa = max_i kappa_i^2
+    energy_phys: np.ndarray      # 12, diag of (M, C^{-1})
+    energy_char: np.ndarray      # 12, diag of (L^{-1})^T diag(energy_phys) L^{-1} = (M, M) / 2
+    mu: np.ndarray               # 6, diag of the feedback matrix
+    kappa: np.ndarray            # 6, diag of the reflection matrix
+
+    @property
+    def speed(self) -> np.ndarray:
+        """The six positive speeds, diag of D (a view of ``wave_speeds``)."""
+        return self.wave_speeds[6:]
+
+    @property
+    def reflection_bound(self) -> float:
+        """C_kappa = max_i kappa_i^2."""
+        return reflection_bound(self.kappa)
 
 
 def reflection_bound(kappa_diag: np.ndarray) -> float:
@@ -122,42 +130,28 @@ def derive_matrices(params: BeamParams) -> BeamMatrices:
     params.validate()
     p = params
 
-    inertia = np.diag([(p.moment2 + p.moment3) * p.k1, p.moment2, p.moment3])
-    stiff_force = p.area * np.diag([p.young, p.k2 * p.shear, p.k3 * p.shear])
-    stiff_moment = inertia @ np.diag([p.shear, p.young, p.young])
+    inertia = np.array([(p.moment2 + p.moment3) * p.k1, p.moment2, p.moment3])
+    stiff_force = p.area * np.array([p.young, p.k2 * p.shear, p.k3 * p.shear])
+    stiff_moment = inertia * np.array([p.shear, p.young, p.young])
 
-    mass = p.rho * np.diag(np.concatenate([p.area * np.ones(3), np.diag(inertia)]))
-    flexibility = np.diag(1.0 / np.concatenate([np.diag(stiff_force), np.diag(stiff_moment)]))
+    mass = p.rho * np.concatenate([p.area * np.ones(3), inertia])
+    flexibility = 1.0 / np.concatenate([stiff_force, stiff_moment])
 
-    speed_diag = 1.0 / np.sqrt(np.diag(mass) * np.diag(flexibility))
-    speed = np.diag(speed_diag)
-    speed_signed = np.diag(np.concatenate([-speed_diag, speed_diag]))
-    wave_speeds = np.concatenate([-speed_diag, speed_diag])
+    speed = 1.0 / np.sqrt(mass * flexibility)
+    wave_speeds = np.concatenate([-speed, speed])
 
     eye6 = np.eye(6)
-    to_char = np.block([[eye6, speed], [eye6, -speed]])
-    inv_speed = np.diag(1.0 / speed_diag)
+    to_char = np.block([[eye6, np.diag(speed)], [eye6, -np.diag(speed)]])
+    inv_speed = np.diag(1.0 / speed)
     from_char = 0.5 * np.block([[eye6, eye6], [inv_speed, -inv_speed]])
 
     zeros6 = np.zeros((6, 6))
     flux = np.block([
-        [zeros6, -np.diag(1.0 / (np.diag(mass) * np.diag(flexibility)))],
+        [zeros6, -np.diag(1.0 / (mass * flexibility))],
         [-eye6, zeros6],
     ])
 
-    energy_phys = np.block([
-        [mass, zeros6],
-        [zeros6, np.diag(1.0 / np.diag(flexibility))],
-    ])
-    energy_char = from_char.T @ energy_phys @ from_char
-
     mu = np.array([p.mu1, p.mu1, p.mu1, p.mu2, p.mu2, p.mu2])
-    md_diag = np.diag(mass) * speed_diag
-    kappa_diag = feedback_reflection(md_diag, mu)
-    kappa = np.diag(kappa_diag)
-
-    char_weight = np.diag(np.concatenate([md_diag, md_diag]))
-
     return BeamMatrices(
         params=params,
         inertia=inertia,
@@ -165,18 +159,14 @@ def derive_matrices(params: BeamParams) -> BeamMatrices:
         stiff_moment=stiff_moment,
         mass=mass,
         flexibility=flexibility,
-        speed=speed,
-        speed_signed=speed_signed,
+        wave_speeds=wave_speeds,
         to_char=to_char,
         from_char=from_char,
         flux=flux,
-        energy_phys=energy_phys,
-        energy_char=energy_char,
+        energy_phys=np.concatenate([mass, 1.0 / flexibility]),
+        energy_char=0.5 * np.concatenate([mass, mass]),
         mu=mu,
-        kappa=kappa,
-        wave_speeds=wave_speeds,
-        char_weight=char_weight,
-        reflection_bound=reflection_bound(kappa_diag),
+        kappa=feedback_reflection(mass * speed, mu),
     )
 
 
@@ -186,18 +176,12 @@ def with_reflection(matrices: BeamMatrices, kappa_diag: np.ndarray) -> BeamMatri
     Lets experiments impose reflections that no (mu1, mu2) pair realizes,
     e.g. the transparent condition kappa = 0 on an arbitrary beam.
     """
-    import dataclasses
-
-    kappa_diag = np.asarray(kappa_diag, dtype=float)
+    kappa_diag = np.array(kappa_diag, dtype=float)
     if kappa_diag.shape != (6,):
         raise ValueError("kappa_diag must be a 6-vector")
     if np.any(np.abs(kappa_diag) >= 1.0):
         raise ValueError("reflection entries must lie in (-1, 1)")
-    return dataclasses.replace(
-        matrices,
-        kappa=np.diag(kappa_diag),
-        reflection_bound=reflection_bound(kappa_diag),
-    )
+    return replace(matrices, kappa=kappa_diag)
 
 
 def optimal_feedback(params: BeamParams) -> tuple[float, float]:
@@ -209,7 +193,7 @@ def optimal_feedback(params: BeamParams) -> tuple[float, float]:
     Existing mu1/mu2 in ``params`` are ignored.
     """
     m = derive_matrices(params)
-    b = np.diag(m.mass) * np.diag(m.speed)
+    b = m.mass * m.speed
     mu1 = float(np.sqrt(b[:3].min() * b[:3].max()))
     mu2 = float(np.sqrt(b[3:].min() * b[3:].max()))
     return mu1, mu2
@@ -217,20 +201,22 @@ def optimal_feedback(params: BeamParams) -> tuple[float, float]:
 
 def stresses_from_strains(matrices: BeamMatrices, s: np.ndarray) -> np.ndarray:
     """Internal forces and moments F = C^{-1} s for a 6-vector of strains."""
-    return np.asarray(s, dtype=float) / np.diag(matrices.flexibility)
+    return np.asarray(s, dtype=float) / matrices.flexibility
 
 
 _DUMP_BLOCKS = (
-    "inertia", "stiff_force", "stiff_moment", "mass", "flexibility", "speed", "speed_signed",
-    "to_char", "from_char", "flux", "energy_phys", "energy_char", "kappa", "char_weight",
+    "inertia", "stiff_force", "stiff_moment", "mass", "flexibility", "speed",
+    "to_char", "from_char", "flux", "energy_phys", "energy_char", "kappa",
 )
 
 
 def dump_matrices(matrices: BeamMatrices) -> str:
-    """All derived matrices as labelled CSV blocks (debug aid)."""
+    """All derived matrices as labelled CSV blocks, diagonals written out in full (debug aid)."""
     out = io.StringIO()
     for name in _DUMP_BLOCKS:
         mat = getattr(matrices, name)
+        if mat.ndim == 1:
+            mat = np.diag(mat)
         n = mat.shape[1]
         out.write(f"# {name} ({mat.shape[0]}x{n})\n")
         out.write("row," + ",".join(f"c{j + 1}" for j in range(n)) + "\n")

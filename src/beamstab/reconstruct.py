@@ -45,6 +45,7 @@ __all__ = [
     "reconstruct_rotation",
     "reconstruct_centerline",
     "run_pipeline",
+    "roundtrip_error",
     "decay_observable",
     "pose_snapshot_to_csv",
     "pose_residuals_to_csv",
@@ -330,6 +331,12 @@ def run_pipeline(
     _, p0 = _from_clamp(pose.R[0], states[0].values, h_p, reference.dx)
     pose = reconstruct_centerline(states, pose, p0, h_p)
     return traj, states, pose
+
+
+def roundtrip_error(pose: PoseField, states, reference: PrecurvedReference) -> float:
+    """Sup |y - y_back| over the lattice, y_back the intrinsic variables of ``pose``."""
+    back = model.strains_velocities_from_pose(pose, reference)
+    return max(float(np.abs(b.values - s.values).max()) for b, s in zip(back, states))
 
 
 def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndarray, np.ndarray]:

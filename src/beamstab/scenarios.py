@@ -8,6 +8,8 @@ unknown keys are rejected so typos cannot silently change an experiment.
 
 from __future__ import annotations
 
+import numbers
+import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -144,19 +146,38 @@ def preset(name: str) -> Scenario:
         ) from None
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# annotation -> (what the error message asks for, check).  Values are checked,
+# not converted, so the scenario echo shows what was given (an int stays an int).
+_EXPECTED = {
+    float: ("a number", _is_number),
+    int: ("an integer", lambda v: _is_number(v) and isinstance(v, numbers.Integral)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of numbers",
+            lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+}
+
+
 def _from_mapping(cls, data, path):
+    """Build ``cls`` from ``data``, checking each value against its field annotation."""
     if not isinstance(data, dict):
         raise ScenarioError(f"{path} must be a mapping")
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
         raise ScenarioError(f"unknown keys under {path}: {', '.join(sorted(unknown))}")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if key == "curvature" and value is not None:
-            kwargs[key] = tuple(float(v) for v in value)
-        else:
-            kwargs[key] = value
+        options = typing.get_args(hints[key]) or (hints[key],)
+        what, check = _EXPECTED[options[0]]
+        if not (check(value) or (value is None and type(None) in options)):
+            raise ScenarioError(f"{path}.{key} must be {what}, got {value!r}")
+        kwargs[key] = tuple(float(v) for v in value) if key == "curvature" else value
     return cls(**kwargs)
 
 

@@ -40,7 +40,6 @@ from .model import (
     StateField,
     g_diag,
     g_diag_pair,
-    gbar,
 )
 from .params import BeamMatrices
 
@@ -78,8 +77,8 @@ class SimConfig:
             raise CFLViolation(f"n_cells must be >= 16, got {self.n_cells}")
         if not (0.0 < self.cfl <= 0.95):
             raise CFLViolation(f"cfl must lie in (0, 0.95], got {self.cfl}")
-        if self.t_end <= 0.0:
-            raise CFLViolation(f"t_end must be > 0, got {self.t_end}")
+        if not 0.0 < self.t_end < math.inf:
+            raise CFLViolation(f"t_end must be finite and > 0, got {self.t_end}")
         if self.output_stride < 1:
             raise CFLViolation(f"output_stride must be >= 1, got {self.output_stride}")
         if self.scheme not in ("upwind1", "upwind2"):
@@ -122,13 +121,8 @@ class CompatibilityReport:
         return max(vals)
 
 
-def _couple(coupling: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Per-node coupling product B(x) r on (N+1, 12) samples."""
-    return np.einsum("nij,nj->ni", coupling, r)
-
-
 def _feedback_residual(matrices: BeamMatrices, v0: np.ndarray, s0: np.ndarray) -> float:
-    cinv = 1.0 / np.diag(matrices.flexibility)
+    cinv = 1.0 / matrices.flexibility
     return float(np.abs(cinv * s0 - matrices.mu * v0).max())
 
 
@@ -138,7 +132,8 @@ def check_compatibility(
     """Boundary residuals of an initial datum at compatibility order 0 or 1.
 
     Order 1 differentiates the datum with the shared stencils and checks the
-    same two conditions on  y1 = -A dy0/dx - Bbar y0 + gbar(y0).
+    same two conditions on  y1 = L^{-1} (-diag(-D, D) dr0/dx - B r0 + g(r0))
+    with r0 = L y0, the PDE right side of :func:`_pde_rhs`.
     """
     if y0.repr != "physical":
         raise ValidationError(["check_compatibility expects a physical datum"])
@@ -149,10 +144,9 @@ def check_compatibility(
         return CompatibilityReport(0, res_clamped, res_feedback)
 
     dx = float(y0.grid[1] - y0.grid[0])
-    dy = diff1(vals, dx, axis=0)
-    # Bbar y = L^{-1} B L y
-    coupled = _couple(reference.coupling_char, vals @ matrices.to_char.T) @ matrices.from_char.T
-    y1 = -dy @ matrices.flux.T - coupled + gbar(matrices, vals)
+    r0 = vals @ matrices.to_char.T
+    rt = _pde_rhs(r0, diff1(r0, dx, axis=0), matrices, reference)
+    y1 = rt @ matrices.from_char.T
     return CompatibilityReport(
         1,
         res_clamped,
@@ -220,12 +214,12 @@ def generate_initial_datum(
         rampL = (grid - length) * np.exp(-(((length - grid) / width) ** 2))
         strains = values[:, 6:]
         strains += rampL[:, None] * (-edgeL(strains) / edgeL(rampL))[None, :]
-        target = np.diag(matrices.mass) / matrices.mu * edge0(values[:, :6])
+        target = matrices.mass / matrices.mu * edge0(values[:, :6])
         strains += ramp0[:, None] * ((target - edge0(strains)) / edge0(ramp0))[None, :]
     else:
         values = raw.copy()
         values[:, :6] *= (1.0 - xi)[:, None]
-        target0 = np.diag(matrices.flexibility) * (matrices.mu * values[0, :6])
+        target0 = matrices.flexibility * (matrices.mu * values[0, :6])
         values[:, 6:] += (1.0 - xi)[:, None] * (target0 - values[0, 6:])[None, :]
 
     norm = math.sqrt(
@@ -244,10 +238,8 @@ def energies(state: StateField, matrices: BeamMatrices) -> tuple[float, float]:
         r = state.values
         y = r @ matrices.from_char.T
     dx = float(state.grid[1] - state.grid[0])
-    qp = np.diag(matrices.energy_phys)
-    qd = np.diag(matrices.energy_char)
-    e_p = float(trapezoid((y**2 * qp).sum(axis=1), dx))
-    e_d = float(trapezoid((r**2 * qd).sum(axis=1), dx))
+    e_p = float(trapezoid((y**2 * matrices.energy_phys).sum(axis=1), dx))
+    e_d = float(trapezoid((r**2 * matrices.energy_char).sum(axis=1), dx))
     return e_p, e_d
 
 
@@ -259,19 +251,25 @@ def sobolev_norms(values: np.ndarray, dx: float, order: int = 1) -> float:
     return math.sqrt(float(trapezoid(total, dx)))
 
 
-def _char_time_derivative(
+def _pde_rhs(
     r: np.ndarray,
-    dx: float,
+    grad: np.ndarray,
     matrices: BeamMatrices,
     reference: PrecurvedReference,
     include_nonlinearity: bool = True,
 ) -> np.ndarray:
-    """dt r from the PDE right side with the shared centered stencils."""
-    speeds = matrices.wave_speeds
-    out = -speeds[None, :] * diff1(r, dx, axis=0)
-    out -= _couple(reference.coupling_char, r)
+    """Right side -diag(-D, D) grad - B r + g(r) of the characteristic system.
+
+    ``grad`` is dx r from whichever stencil the caller uses: the upwind one
+    when stepping, the shared centered one when reconstructing dt r.
+    """
+    out = -matrices.wave_speeds[None, :] * grad
+    out -= np.einsum("nij,nj->ni", reference.coupling_char, r)
     if include_nonlinearity:
         out += g_diag(matrices, r)
+    # hook: external body forces/moments would be added here, as
+    # L @ [M^{-1} load; 0] per node; only the freely vibrating beam
+    # is supported.
     return out
 
 
@@ -296,12 +294,10 @@ def lyapunov_value(
     dx = float(state.grid[1] - state.grid[0])
     q = cert.q_diag
     total = float(trapezoid((r**2 * q).sum(axis=1), dx))
-    rt = _char_time_derivative(r, dx, matrices, reference)
+    rt = _pde_rhs(r, diff1(r, dx, axis=0), matrices, reference)
     total += float(trapezoid((rt**2 * q).sum(axis=1), dx))
     if k == 2:
-        speeds = matrices.wave_speeds
-        rtt = -speeds[None, :] * diff1(rt, dx, axis=0)
-        rtt -= _couple(reference.coupling_char, rt)
+        rtt = _pde_rhs(rt, diff1(rt, dx, axis=0), matrices, reference, include_nonlinearity=False)
         rtt += g_diag_pair(matrices, r, rt) + g_diag_pair(matrices, rt, r)
         total += float(trapezoid((rtt**2 * q).sum(axis=1), dx))
     return total
@@ -389,30 +385,17 @@ def simulate(
 
     grid = y0.grid
     dx = float(grid[1] - grid[0])
-    speeds = matrices.wave_speeds
-
-    kappa_diag = np.diag(matrices.kappa)
-    coupling = reference.coupling_char
 
     def apply_bc(state: np.ndarray) -> None:
-        state[0, 6:] = kappa_diag * state[0, :6]
+        state[0, 6:] = matrices.kappa * state[0, :6]
         state[-1, :6] = -state[-1, 6:]
 
     def rhs(state: np.ndarray) -> np.ndarray:
-        out = -speeds[None, :] * _upwind_gradient(state, dx, config.scheme)
-        out -= _couple(coupling, state)
-        if include_nonlinearity:
-            out += g_diag(matrices, state)
-        # hook: external body forces/moments would be added here, as
-        # L @ [M^{-1} load; 0] per node; only the freely vibrating beam
-        # is supported.
-        return out
+        grad = _upwind_gradient(state, dx, config.scheme)
+        return _pde_rhs(state, grad, matrices, reference, include_nonlinearity)
 
     r = y0.values @ matrices.to_char.T
     apply_bc(r)
-
-    qp = np.diag(matrices.energy_phys)
-    qd = np.diag(matrices.energy_char)
 
     rec_times, rec_ep, rec_ed, rec_lyap, rec_h1, rec_h2 = [], [], [], [], [], []
     tr_m0, tr_p0, tr_mL, tr_pL = [], [], [], []
@@ -420,15 +403,16 @@ def simulate(
 
     def record(step: int) -> None:
         t = step * dt
+        state = StateField(grid, "diagonal", r, t)
+        e_p, e_d = energies(state, matrices)
         y = r @ matrices.from_char.T
         rec_times.append(t)
-        rec_ep.append(float(trapezoid((y**2 * qp).sum(axis=1), dx)))
-        rec_ed.append(float(trapezoid((r**2 * qd).sum(axis=1), dx)))
+        rec_ep.append(e_p)
+        rec_ed.append(e_d)
         rec_h1.append(sobolev_norms(y, dx, 1))
         if lyap_order == 2:
             rec_h2.append(sobolev_norms(y, dx, 2))
         if cert is not None:
-            state = StateField(grid, "diagonal", r, t)
             rec_lyap.append(lyapunov_value(state, cert, matrices, reference, k=lyap_order))
         tr_m0.append(r[0, :6].copy())
         tr_p0.append(r[0, 6:].copy())

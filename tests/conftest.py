@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,6 +40,18 @@ def asym_params():
 @pytest.fixture(scope="session")
 def asym_matrices(asym_params):
     return derive_matrices(asym_params)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, timeout=300) -> subprocess.CompletedProcess:
+    """Run ``python <args>`` in a fresh interpreter that imports beamstab from src/."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 def random_params(rng) -> BeamParams:

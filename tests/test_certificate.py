@@ -63,7 +63,7 @@ def test_theta_straight_beam_closed_forms(toy_params, asym_params):
         m = derive_matrices(params)
         theta, q1, q2 = theta_functions(m, np.zeros(3))
         lam = m.wave_speeds[6:]
-        j = np.diag(m.inertia)
+        j = m.inertia
         assert theta[0] == 0.0 and theta[3] == 0.0
         assert theta[1] == 1.0 and theta[2] == 1.0
         assert theta[4] == pytest.approx(params.area * lam[2] / (lam[0] * j[1]), rel=1e-14)
@@ -88,7 +88,7 @@ def test_theta_matches_row_sum_construction(asym_matrices):
         curv = rng.normal(size=3)
         theta, q1, _ = theta_functions(asym_matrices, curv)
         eb = _strain_matrix(curv)
-        dm = np.diag(asym_matrices.mass) * np.diag(asym_matrices.speed)
+        dm = asym_matrices.mass * asym_matrices.speed
         x = eb * dm[None, :]
         x = x + x.T
         rows = np.abs(x).sum(axis=1) / dm
@@ -98,7 +98,7 @@ def test_theta_matches_row_sum_construction(asym_matrices):
 
 def test_q2_against_bisection_oracle(asym_matrices):
     rng = np.random.default_rng(12)
-    dm = np.diag(asym_matrices.mass) * np.diag(asym_matrices.speed)
+    dm = asym_matrices.mass * asym_matrices.speed
     for _ in range(5):
         curv = rng.normal(size=3)
         _, _, q2 = theta_functions(asym_matrices, curv)
@@ -209,8 +209,8 @@ def test_boundary_matrix_entries(toy_params):
     m = derive_matrices(toy_params)
     ref = straight_reference(toy_params, 16)
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
-    kd = np.diag(m.kappa)
-    mass = np.diag(m.mass)
+    kd = m.kappa
+    mass = m.mass
     expected0 = 0.5 * (cert.w_plus[0] * kd**2 - cert.w_minus[0]) * mass
     assert np.abs(cert.boundary_margins_0 - expected0).max() < 1e-14
     expectedL = 0.5 * (cert.w_minus[-1] - cert.w_plus[-1]) * mass
@@ -224,8 +224,8 @@ def test_interior_matrix_matches_dense_assembly(toy_params):
     ref = curved_reference(toy_params, 24, lambda x: np.array([0.5, -0.2, 0.3 * x]))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=1.2)
     structured = interior_matrices(cert, m, ref)
-    dd = np.diag(m.speed_signed)
-    half_mass = 0.5 * np.diag(m.mass)
+    dd = m.wave_speeds
+    half_mass = 0.5 * m.mass
     for k in range(len(ref.grid)):
         q = cert.q_diag[k]
         dq = np.concatenate(
@@ -241,7 +241,7 @@ def test_product_identity_two_routes(toy_params):
     m = derive_matrices(toy_params)
     ref = curved_reference(toy_params, 12, lambda x: np.array([-0.4, 0.7, 0.1]))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=1.3)
-    dm = np.diag(m.mass) * np.diag(m.speed)
+    dm = m.mass * m.speed
     for k in range(len(ref.grid)):
         q = cert.q_diag[k]
         qb = q[:, None] * ref.coupling_char[k]

@@ -23,6 +23,7 @@ from beamstab.scenarios import (
     scenario_to_yaml,
 )
 from beamstab.solver import time_step
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -93,6 +94,18 @@ class TestScenarioFiles:
             apply_override(sc, "params.nonsense=1")
         with pytest.raises(ScenarioError):
             apply_override(sc, "no-equals-sign")
+
+    def test_override_values_checked_not_converted(self):
+        sc = apply_override(preset("straight-toy"), "params.rho=2")
+        assert type(sc.params.rho) is int
+        assert header_echo(sc)["params.rho"] == 2
+        for item, field in (("params.rho=true", "params.rho"),
+                            ("sim.store_snapshots=1", "sim.store_snapshots"),
+                            ("certificate.phiL=[1]", "certificate.phiL"),
+                            ("reference.curvature=[1, a, 2]", "reference.curvature")):
+            with pytest.raises(ScenarioError, match=field):
+                apply_override(sc, item)
+        assert apply_override(sc, "certificate.phiL=null").certificate.phiL is None
 
 
 class TestExitCodes:
@@ -215,7 +228,8 @@ class TestReconstructCommand:
                        "--override", "sim.n_cells=32", "--override", "sim.t_end=0.5"])
         assert rc == EXIT_OK
         for name in ("solver.simulate", "model.to_physical", "model.reference_centerline",
-                     "reconstruct.reconstruct_rotation", "reconstruct.reconstruct_centerline"):
+                     "reconstruct.reconstruct_rotation", "reconstruct.reconstruct_centerline",
+                     "model.strains_velocities_from_pose"):
             assert name in trace.names, name
 
 
@@ -284,6 +298,21 @@ class TestSweepCommand:
         rows = [ln for ln in text.splitlines() if ln and not ln.startswith(("#", "value,"))]
         assert rows[0].endswith("ok")
         assert "BlowupDetected" in rows[1]
+
+
+@pytest.mark.parametrize("args, field", [
+    (["certify", "--override", "sim.n_cells=abc"], "sim.n_cells"),
+    (["certify", "--override", "params.rho=abc"], "params.rho"),
+    (["certify", "--override", "sim.output_stride=1.5"], "sim.output_stride"),
+    (["simulate", "--override", "sim.t_end=nan"], "t_end"),
+    (["sweep", "--axis", "N", "--values", "1e3"], "sim.n_cells"),
+])
+def test_bad_value_exits_2_naming_the_field(tmp_path, args, field):
+    proc = run_python(["-m", "beamstab.cli", args[0], "--scenario", "straight-toy",
+                       "--out", str(tmp_path), *args[1:]])
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert field in proc.stderr
 
 
 def test_dump_matrices_command(tmp_path):

@@ -30,8 +30,8 @@ from conftest import random_params
 def physical_coupling(matrices, strain_matrix):
     """Oracle: Bbar = [0, -M^{-1} E C^{-1}; E^T, 0] at one or many nodes."""
     eb = np.asarray(strain_matrix, dtype=float)
-    minv = 1.0 / np.diag(matrices.mass)
-    cinv = 1.0 / np.diag(matrices.flexibility)
+    minv = 1.0 / matrices.mass
+    cinv = 1.0 / matrices.flexibility
     out = np.zeros(eb.shape[:-2] + (12, 12))
     out[..., :6, 6:] = -(minv[:, None] * eb * cinv[None, :])
     out[..., 6:, :6] = np.swapaxes(eb, -1, -2)
@@ -66,8 +66,8 @@ def test_straight_coupling_norm(toy_params, asym_params):
 def test_coupling_skew_product_and_pattern(asym_params):
     matrices = derive_matrices(asym_params)
     ref = curved_reference(asym_params, 12, lambda x: np.array([0.7 * x, -0.3, 0.4 * x * x]))
-    qd = matrices.energy_char
-    dm = np.diag(matrices.mass) * np.diag(matrices.speed)
+    qd = np.diag(matrices.energy_char)
+    dm = matrices.mass * matrices.speed
     for eb, b in zip(_strain_matrix(ref.curvature), ref.coupling_char):
         prod = qd @ b
         assert np.abs(prod + prod.T).max() < 1e-12
@@ -170,7 +170,7 @@ def test_gbar_zero_and_jacobian(toy_matrices):
 
 def test_gbar_energy_neutral(asym_matrices):
     rng = np.random.default_rng(1)
-    qp = np.diag(asym_matrices.energy_phys)
+    qp = asym_matrices.energy_phys
     for _ in range(200):
         y = rng.normal(size=12)
         inner = float(np.dot(y * qp, gbar(asym_matrices, y)))
@@ -218,7 +218,7 @@ def test_gbar_jacobian_apply_matches_fd(asym_matrices):
 def test_g_diag_consistency(asym_matrices):
     assert np.all(g_diag(asym_matrices, np.zeros(12)) == 0.0)
     rng = np.random.default_rng(5)
-    qd = np.diag(asym_matrices.energy_char)
+    qd = asym_matrices.energy_char
     for _ in range(50):
         y = rng.normal(size=12)
         r = y @ asym_matrices.to_char.T
@@ -313,7 +313,7 @@ def test_dissipative_boundary_predicate(toy_matrices):
     # closed form of the scaled row sums: max((1+eps) max|kappa|, 1/(1+eps))
     for eps in (1e-3, 0.5):
         _, val = dissipative_boundary(toy_matrices, eps=eps)
-        kmax = np.abs(np.diag(toy_matrices.kappa)).max()
+        kmax = np.abs(toy_matrices.kappa).max()
         assert val == pytest.approx(max((1 + eps) * kmax, 1.0 / (1 + eps)), rel=1e-12)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,9 +49,9 @@ def test_transparent_feedback_gives_zero_reflection():
         k1=0.5, k2=1.0, k3=1.0, length=1.0, mu1=1.0, mu2=1.0,
     )
     m = derive_matrices(p)
-    b = np.diag(m.mass) * np.diag(m.speed)
+    b = m.mass * m.speed
     assert np.allclose(b, 1.0, atol=1e-14)
-    assert np.allclose(np.diag(m.kappa), 0.0, atol=1e-14)
+    assert np.allclose(m.kappa, 0.0, atol=1e-14)
     assert m.reflection_bound == 0.0
 
 
@@ -61,7 +63,8 @@ def test_flux_diagonalization_random_params():
     rng = np.random.default_rng(101)
     for _ in range(50):
         m = derive_matrices(random_params(rng))
-        residual = np.abs(m.flux - m.from_char @ m.speed_signed @ m.to_char).max()
+        signed_speed = np.diag(m.wave_speeds)
+        residual = np.abs(m.flux - m.from_char @ signed_speed @ m.to_char).max()
         assert residual < 1e-12
         assert np.abs(m.to_char @ m.from_char - np.eye(12)).max() < 1e-12
 
@@ -70,10 +73,10 @@ def test_energy_weight_identity_random_params():
     rng = np.random.default_rng(102)
     for _ in range(50):
         m = derive_matrices(random_params(rng))
-        half_mass = 0.5 * np.block(
-            [[m.mass, np.zeros((6, 6))], [np.zeros((6, 6)), m.mass]]
-        )
-        assert np.abs(m.energy_char - half_mass).max() < 1e-12
+        product = m.from_char.T @ np.diag(m.energy_phys) @ m.from_char
+        half_mass = 0.5 * np.diag(np.concatenate([m.mass, m.mass]))
+        assert np.abs(product - half_mass).max() < 1e-12
+        assert np.abs(np.diag(m.energy_char) - product).max() < 1e-12
 
 
 def test_reflection_strictly_inside_unit_interval():
@@ -91,7 +94,7 @@ def test_optimal_feedback_equal_block():
         k1=0.5, k2=1.0, k3=1.0, length=1.0, mu1=9.0, mu2=9.0,
     )
     m = derive_matrices(p)
-    b = np.diag(m.mass) * np.diag(m.speed)
+    b = m.mass * m.speed
     assert np.allclose(b[:3], b[0])
     mu1, mu2 = optimal_feedback(p)
     assert mu1 == pytest.approx(b[0], rel=1e-14)
@@ -103,7 +106,7 @@ def test_optimal_feedback_equal_block():
 def test_optimal_feedback_toy_values(toy_params):
     # diag(M D) evaluates to (2, 1, 1, 2, 2, 2) for the toy constants
     m = derive_matrices(toy_params)
-    b = np.diag(m.mass) * np.diag(m.speed)
+    b = m.mass * m.speed
     assert np.allclose(b, [2.0, 1.0, 1.0, 2.0, 2.0, 2.0], atol=1e-14)
     mu1, mu2 = optimal_feedback(toy_params)
     assert mu1 == pytest.approx(np.sqrt(2.0), rel=1e-14)
@@ -116,7 +119,7 @@ def _ckappa(md, mu1, mu2):
 
 def test_optimal_feedback_beats_log_grid(asym_params):
     m = derive_matrices(asym_params)
-    b = np.diag(m.mass) * np.diag(m.speed)
+    b = m.mass * m.speed
     mu1, mu2 = optimal_feedback(asym_params)
     best = _ckappa(b, mu1, mu2)
     scale1 = np.sqrt(b[:3].min() * b[:3].max())
@@ -129,7 +132,7 @@ def test_optimal_feedback_beats_log_grid(asym_params):
 
 def test_optimal_feedback_is_stationary_on_refinement(asym_params):
     m = derive_matrices(asym_params)
-    b = np.diag(m.mass) * np.diag(m.speed)
+    b = m.mass * m.speed
     mu1, mu2 = optimal_feedback(asym_params)
     best = _ckappa(b, mu1, mu2)
     for f1 in (0.999, 1.0, 1.001):
@@ -140,19 +143,19 @@ def test_optimal_feedback_is_stationary_on_refinement(asym_params):
 def test_stresses_from_strains(toy_matrices, asym_matrices):
     assert np.all(stresses_from_strains(toy_matrices, np.zeros(6)) == 0.0)
     e1 = np.eye(6)[0]
-    expected = asym_matrices.stiff_force[0, 0]
+    expected = asym_matrices.stiff_force[0]
     assert stresses_from_strains(asym_matrices, e1)[0] == pytest.approx(expected, rel=1e-14)
     rng = np.random.default_rng(5)
     s = rng.normal(size=6)
     forces = stresses_from_strains(asym_matrices, s)
-    assert np.abs(np.diag(asym_matrices.flexibility) * forces - s).max() < 1e-14
+    assert np.abs(asym_matrices.flexibility * forces - s).max() < 1e-14
 
 
 @settings(max_examples=30, deadline=None)
 @given(kd=st.lists(st.floats(min_value=-0.99, max_value=0.99), min_size=6, max_size=6))
 def test_with_reflection_roundtrip(toy_matrices, kd):
     m2 = with_reflection(toy_matrices, np.array(kd))
-    assert np.allclose(np.diag(m2.kappa), kd)
+    assert np.allclose(m2.kappa, kd)
     assert m2.reflection_bound == pytest.approx(max(v * v for v in kd), abs=1e-15)
 
 
@@ -161,9 +164,21 @@ def test_with_reflection_rejects_unit_entries(toy_matrices):
         with_reflection(toy_matrices, np.array([1.0, 0, 0, 0, 0, 0]))
 
 
+def test_diagonal_fields_are_vectors(toy_matrices):
+    m = toy_matrices
+    for name, n in (("inertia", 3), ("stiff_force", 3), ("stiff_moment", 3), ("mass", 6),
+                    ("flexibility", 6), ("speed", 6), ("kappa", 6), ("mu", 6),
+                    ("wave_speeds", 12), ("energy_phys", 12), ("energy_char", 12)):
+        assert getattr(m, name).shape == (n,), name
+    assert np.array_equal(m.wave_speeds, np.concatenate([-m.speed, m.speed]))
+    stored = {f.name for f in dataclasses.fields(m)}
+    assert not stored & {"speed", "speed_signed", "char_weight", "reflection_bound"}
+
+
 def test_dump_matrices_blocks(toy_matrices):
     text = dump_matrices(toy_matrices)
-    for title in ("# mass", "# flexibility", "# flux", "# kappa", "# wave_speeds"):
+    for title in ("# mass (6x6)", "# flexibility (6x6)", "# flux (12x12)", "# kappa (6x6)",
+                  "# energy_char (12x12)", "# wave_speeds"):
         assert title in text
     # labelled rows and 17-digit floats survive a parse
     line = next(ln for ln in text.splitlines() if ln.startswith("r1,"))

@@ -7,7 +7,6 @@ from beamstab.model import (
     curved_reference,
     reference_centerline,
     straight_reference,
-    strains_velocities_from_pose,
     to_physical,
 )
 from beamstab.params import derive_matrices
@@ -20,6 +19,7 @@ from beamstab.reconstruct import (
     reconstruct_centerline,
     reconstruct_rotation,
     rotation_from_quaternion,
+    roundtrip_error,
     run_pipeline,
     umap,
 )
@@ -205,11 +205,8 @@ def test_roundtrip_first_order_convergence(toy_params, toy_matrices):
         ).max()
         assert defect < 1e-9
 
-    def sup_err(states, pose, ref):
-        back = strains_velocities_from_pose(pose, ref)
-        return max(np.abs(b.values - s.values).max() for b, s in zip(back, states))
-
-    e1, e2 = sup_err(states1, pose1, ref1), sup_err(states2, pose2, ref2)
+    e1 = roundtrip_error(pose1, states1, ref1)
+    e2 = roundtrip_error(pose2, states2, ref2)
     assert 1.7 <= e1 / e2 <= 2.3
     rr1, rr2 = pose1.residual_rotation.max(), pose2.residual_rotation.max()
     assert 1.7 <= rr1 / rr2 <= 2.3

@@ -1,0 +1,21 @@
+"""Smoke runs of the experiment scripts on small grids."""
+
+from pathlib import Path
+
+import pytest
+
+from conftest import run_python
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script, args, tables", [
+    ("run_decay_study.py", ["--n-cells", "16", "--t-end", "3"],
+     ["decay-vs-mu1.csv", "decay-vs-phiL.csv"]),
+    ("run_convergence.py", ["--grids", "16,32", "--t-end", "0.05"], ["convergence.csv"]),
+])
+def test_script_writes_its_tables(tmp_path, script, args, tables):
+    proc = run_python([str(SCRIPTS / script), "--out", str(tmp_path), *args])
+    assert proc.returncode == 0, proc.stderr
+    for name in tables:
+        assert (tmp_path / name).stat().st_size > 0, name

@@ -156,7 +156,7 @@ class TestSimulate:
         datum = generate_initial_datum(toy_matrices, toy_reference, 1e-2, seed=8, order=1)
         cfg = SimConfig(n_cells=32, cfl=0.9, t_end=1.0, output_stride=3)
         traj = simulate(cfg, toy_matrices, toy_reference, datum)
-        kd = np.diag(toy_matrices.kappa)
+        kd = toy_matrices.kappa
         assert np.abs(traj.trace_plus_0 - kd[None, :] * traj.trace_minus_0).max() < 1e-12
         assert np.abs(traj.trace_minus_L + traj.trace_plus_L).max() < 1e-12
 
