@@ -132,8 +132,8 @@ def check_compatibility(
     """Boundary residuals of an initial datum at compatibility order 0 or 1.
 
     Order 1 differentiates the datum with the shared stencils and checks the
-    same two conditions on  y1 = L^{-1} (-diag(-D, D) dr0/dx - B r0 + g(r0))
-    with r0 = L y0, the PDE right side of :func:`_pde_rhs`.
+    same two conditions on  y1 = L^{-1} f(L y0),  f the PDE right side
+    :func:`_pde_rhs` with the centered gradient.
     """
     if y0.repr != "physical":
         raise ValidationError(["check_compatibility expects a physical datum"])
