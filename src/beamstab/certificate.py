@@ -19,11 +19,13 @@ phi(L) in [phi(0), (1 + 1/C_kappa)/2 * phi(0)].  The generator
 satisfies all three strictly (its slack is exp(-2cx) (phiL - phi0) / L).
 
 Two sufficient per-node margins are reported alongside the directly
-eigensolved interior condition: a diagonal-dominance slack built from the
-closed-form row sums q_1, and a Weyl-bound slack built from the largest
-eigenvalue of the symmetric coupling Theta(x) via q_2.  Either margin
-being positive implies the interior matrix is negative definite; the
-eigensolve is the ground truth either way.
+eigensolved interior condition: a diagonal-dominance slack built from
+q_1, the largest weighted absolute row sum of the symmetric coupling
+Theta(x), and a Weyl-bound slack built from its largest eigenvalue via
+q_2.  Either margin being positive implies the interior matrix is
+negative definite; the eigensolve is the ground truth either way.
+:func:`verify_certificate` returns the certificate with these margins
+and its validity filled in.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .params import BeamMatrices, BeamParams
 
 __all__ = [
     "LyapunovCertificate",
-    "VerificationReport",
     "theta_matrix",
     "theta_functions",
     "build_phi",
@@ -73,7 +74,6 @@ class LyapunovCertificate:
     grid: np.ndarray             # (N+1,)
     params: BeamParams           # parameters the bounds q_1, q_2 were computed from
     curvature: np.ndarray        # (N+1, 3) reference curvature of the same
-    phi: np.ndarray              # (N+1,)
     dphi: np.ndarray             # (N+1,) analytic derivative
     gap: np.ndarray              # (N+1,) analytic phi(L) - phi(x)
     w_minus: np.ndarray          # (N+1,)
@@ -88,21 +88,6 @@ class LyapunovCertificate:
     dominance_slack: np.ndarray | None = None      # (N+1,)
     weyl_slack: np.ndarray | None = None           # (N+1,)
     valid: bool = False
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    boundary_margins_0: np.ndarray
-    boundary_margins_L: np.ndarray
-    interior_margins: np.ndarray
-    dominance_slack: np.ndarray
-    weyl_slack: np.ndarray
-    boundary_ok: bool
-    interior_ok: bool
-
-    @property
-    def valid(self) -> bool:
-        return self.boundary_ok and self.interior_ok
 
 
 def theta_matrix(matrices: BeamMatrices, curvature: np.ndarray) -> np.ndarray:
@@ -122,41 +107,17 @@ def theta_functions(matrices: BeamMatrices, curvature: np.ndarray):
     """Row-sum functions theta_1..theta_6 and the bounds q_1, q_2.
 
     ``curvature`` is a 3-vector or a batch (..., 3).  Returns
-    (theta (..., 6), q1 (...), q2 (...)).  The thetas are the weighted
-    absolute row sums of the coupling relative to the characteristic
-    weights M_i lambda_{i+6}; q2 uses the largest eigenvalue of Theta(x)
-    over the smallest of the six weights.
+    (theta (..., 6), q1 (...), q2 (...)).  The thetas are the absolute row
+    sums of the off-diagonal block of Theta(x) relative to the
+    characteristic weights M_i lambda_{i+6}, and q1 is their maximum; q2
+    uses the largest eigenvalue of Theta(x) over the smallest of the six
+    weights.
     """
-    curvature = np.asarray(curvature, dtype=float)
-    u1, u2, u3 = (np.abs(curvature[..., i]) for i in range(3))
-    lam = matrices.wave_speeds[6:]
-    l7, l8, l9, l10 = lam[0], lam[1], lam[2], lam[3]
-    j1, j2, j3 = matrices.inertia
-    a = matrices.params.area
-
-    th1 = abs(1.0 - l8 / l7) * u3 + abs(1.0 - l9 / l7) * u2
-    th2 = abs(1.0 - l7 / l8) * u3 + abs(1.0 - l9 / l8) * u1 + 1.0
-    th3 = abs(1.0 - l7 / l9) * u2 + abs(1.0 - l8 / l9) * u1 + 1.0
-    th4 = abs(1.0 - l7 * j2 / (l10 * j1)) * u3 + abs(1.0 - l7 * j3 / (l10 * j1)) * u2
-    th5 = (
-        a * l9 / (l7 * j2)
-        + abs(1.0 - l10 * j1 / (l7 * j2)) * u3
-        + abs(1.0 - j3 / j2) * u1
-    )
-    th6 = (
-        a * l8 / (l7 * j3)
-        + abs(1.0 - l10 * j1 / (l7 * j3)) * u2
-        + abs(1.0 - j2 / j3) * u1
-    )
-    theta = np.stack(
-        [th1, th2 * np.ones_like(th1), th3 * np.ones_like(th1), th4, th5, th6], axis=-1
-    )
-    q1 = theta.max(axis=-1)
-
     big = theta_matrix(matrices, curvature)
-    sigma = np.linalg.eigvalsh(big)[..., -1]
-    weights = matrices.mass * lam
-    q2 = sigma / weights.min()
+    weights = matrices.mass * matrices.speed
+    theta = np.abs(big[..., :6, 6:]).sum(axis=-1) / weights
+    q1 = theta.max(axis=-1)
+    q2 = np.linalg.eigvalsh(big)[..., -1] / weights.min()
     return theta, q1, q2
 
 
@@ -236,14 +197,12 @@ def build_certificate(
 
     grid = reference.grid
     if phiL == phi0:
-        phi = np.full_like(grid, float(phiL))
+        w_minus = np.full_like(grid, float(phiL))
         dphi = np.zeros_like(grid)
         gap = np.zeros_like(grid)
     else:
-        phi, dphi, gap = build_phi(c, phi0, phiL, grid)
-
-    w_minus = phi
-    w_plus = phi[-1] + gap
+        w_minus, dphi, gap = build_phi(c, phi0, phiL, grid)
+    w_plus = w_minus[-1] + gap
     half_mass = 0.5 * matrices.mass
     q_diag = np.concatenate(
         [w_minus[:, None] * half_mass[None, :], w_plus[:, None] * half_mass[None, :]],
@@ -257,7 +216,6 @@ def build_certificate(
         grid=grid,
         params=matrices.params,
         curvature=reference.curvature,
-        phi=phi,
         dphi=dphi,
         gap=gap,
         w_minus=w_minus,
@@ -267,16 +225,7 @@ def build_certificate(
         q2=q2,
         reflection_bound=matrices.reflection_bound,
     )
-    report = verify_certificate(cert, matrices, reference)
-    return replace(
-        cert,
-        boundary_margins_0=report.boundary_margins_0,
-        boundary_margins_L=report.boundary_margins_L,
-        interior_margins=report.interior_margins,
-        dominance_slack=report.dominance_slack,
-        weyl_slack=report.weyl_slack,
-        valid=report.valid,
-    )
+    return verify_certificate(cert, matrices, reference)
 
 
 def _weighted_field(cert, matrices, reference, a: float, b: float) -> np.ndarray:
@@ -305,11 +254,12 @@ def interior_matrices(
 
 def verify_certificate(
     cert: LyapunovCertificate, matrices: BeamMatrices, reference: PrecurvedReference
-) -> VerificationReport:
+) -> LyapunovCertificate:
     """Eigenvalue margins of the boundary and interior matrix conditions.
 
-    Failures are reported, never raised.  The interior matrix is eigensolved
-    node by node; the two sufficient slacks
+    Returns ``cert`` with the five margin arrays and ``valid`` filled in;
+    failed conditions are reported through them, never raised.  The
+    interior matrix is eigensolved node by node; the two sufficient slacks
     min(|w-'|, |w+'|) - (w+ - w-) q_m for m = 1, 2 are reported alongside.
 
     The slacks use the bounds q_1, q_2 carried on ``cert``, so ``matrices``
@@ -350,14 +300,14 @@ def verify_certificate(
     dominance = min_dw - gap * cert.q1
     weyl = min_dw - gap * cert.q2
 
-    return VerificationReport(
+    return replace(
+        cert,
         boundary_margins_0=b0,
         boundary_margins_L=bL,
         interior_margins=margins,
         dominance_slack=dominance,
         weyl_slack=weyl,
-        boundary_ok=boundary_ok,
-        interior_ok=interior_ok,
+        valid=boundary_ok and interior_ok,
     )
 
 

@@ -7,8 +7,10 @@ significant digits, and every file embeds the full scenario echo, so any
 output can be regenerated bit-identically from its scenario; the sole
 exception is the wall-clock runtime column of sweep summaries.
 
-Exit codes: 0 success, 2 validation/scenario problems, 3 certificate
-failure, 4 blow-up during simulation.
+Exit codes: 0 success, 3 certificate failure (an invalid certificate, an
+empty weight window or phiL outside it), 4 blow-up during simulation, and
+2 for every other package error (validation and scenario problems,
+reconstruction and fitting failures).
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from .errors import (
     BeamstabError,
     BlowupDetected,
     CkappaDegenerate,
+    NonPositiveValues,
     ScenarioError,
     ValidationError,
     WindowViolation,
-    CFLViolation,
-    NonPositiveValues,
 )
 from .params import derive_matrices, dump_matrices
 
@@ -309,15 +310,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ScenarioError, ValidationError, CFLViolation) as exc:
+    except BeamstabError as exc:
+        if isinstance(exc, (WindowViolation, CkappaDegenerate)):
+            print(f"certificate error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_CERTIFICATE
+        if isinstance(exc, BlowupDetected):
+            print(f"blow-up: {exc}", file=sys.stderr)
+            return EXIT_BLOWUP
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (WindowViolation, CkappaDegenerate) as exc:
-        print(f"certificate error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
-    except BlowupDetected as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
 
 
 if __name__ == "__main__":

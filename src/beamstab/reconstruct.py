@@ -340,14 +340,17 @@ def roundtrip_error(pose: PoseField, states, reference: PrecurvedReference) -> f
 
 
 def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-time sup of |R y1| + ||R hat(y2)|| + |y3| + |y4| (the pose decay witness)."""
+    """Per-time sup of |R y1| + ||R hat(y2)|| + |y3| + |y4| (the pose decay witness).
+
+    R is a rotation, so it is an isometry: |R y1| = |y1| and
+    ||R hat(y2)||_2 = ||hat(y2)||_2 = |y2|.  The witness is therefore the
+    sup over x of the four block norms of y; ``pose`` supplies the times.
+    R's orthogonality is reported in ``pose.norm_defect`` and audited by
+    :func:`model.strains_velocities_from_pose`.
+    """
     y = np.stack([s.values for s in states])
-    vel = np.linalg.norm(np.einsum("tnij,tnj->tni", pose.R, y[:, :, 0:3]), axis=-1)
-    spin = np.linalg.norm(pose.R @ hat(y[:, :, 3:6]), ord=2, axis=(-2, -1))
-    strain = np.linalg.norm(y[:, :, 6:9], axis=-1)
-    curv = np.linalg.norm(y[:, :, 9:12], axis=-1)
-    values = (vel + spin + strain + curv).max(axis=1)
-    return pose.times.copy(), values
+    blocks = np.linalg.norm(y.reshape(y.shape[:2] + (4, 3)), axis=-1)
+    return pose.times.copy(), blocks.sum(axis=-1).max(axis=1)
 
 
 def pose_snapshot_to_csv(pose: PoseField, index: int) -> str:

@@ -233,12 +233,16 @@ def scenario_to_yaml(scenario: Scenario) -> str:
 
 
 def load_scenario(source: str) -> Scenario:
-    """Scenario from a YAML file path, or a preset name if no such file exists."""
+    """Scenario from a YAML file path, or a preset name if no such file exists.
+
+    Only a regular file is read, so a directory named like a preset (which
+    ``--out <preset>`` creates) does not hide the preset.
+    """
     path = Path(source)
-    if path.exists():
+    if path.is_file():
         try:
             data = yaml.safe_load(path.read_text())
-        except yaml.YAMLError as exc:
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
             raise ScenarioError(f"cannot parse {source}: {exc}") from exc
         return scenario_from_dict(data)
     if source in PRESETS:

@@ -60,6 +60,10 @@ __all__ = [
     "snapshot_to_csv",
 ]
 
+# Largest accepted sim.n_cells: the per-node coupling table is then 75 MB,
+# and larger grids would exhaust memory in the reference tables.
+MAX_CELLS = 2**16
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -73,8 +77,8 @@ class SimConfig:
     store_snapshots: bool = False
 
     def validate(self) -> "SimConfig":
-        if self.n_cells < 16:
-            raise CFLViolation(f"n_cells must be >= 16, got {self.n_cells}")
+        if not 16 <= self.n_cells <= MAX_CELLS:
+            raise CFLViolation(f"n_cells must lie in [16, {MAX_CELLS}], got {self.n_cells}")
         if not (0.0 < self.cfl <= 0.95):
             raise CFLViolation(f"cfl must lie in (0, 0.95], got {self.cfl}")
         if not 0.0 < self.t_end < math.inf:
@@ -83,6 +87,10 @@ class SimConfig:
             raise CFLViolation(f"output_stride must be >= 1, got {self.output_stride}")
         if self.scheme not in ("upwind1", "upwind2"):
             raise CFLViolation(f"unknown scheme {self.scheme!r}")
+        if not 0.0 < self.blowup_threshold < math.inf:
+            raise CFLViolation(
+                f"blowup_threshold must be finite and > 0, got {self.blowup_threshold}"
+            )
         return self
 
 
@@ -185,8 +193,8 @@ def generate_initial_datum(
     survive scaling (they are linear, and the quadratic term vanishes at
     the ends regardless).  Amplitude 0 yields the zero field.
     """
-    if amplitude < 0.0:
-        raise ValidationError([f"amplitude must be >= 0, got {amplitude!r}"])
+    if not 0.0 <= amplitude < math.inf:
+        raise ValidationError([f"amplitude must be finite and >= 0, got {amplitude!r}"])
     if order not in (0, 1):
         raise ValidationError([f"order must be 0 or 1, got {order!r}"])
     grid = reference.grid
@@ -222,10 +230,7 @@ def generate_initial_datum(
         target0 = matrices.flexibility * (matrices.mu * values[0, :6])
         values[:, 6:] += (1.0 - xi)[:, None] * (target0 - values[0, 6:])[None, :]
 
-    norm = math.sqrt(
-        float(trapezoid((values**2).sum(axis=1) + (diff1(values, dx, axis=0) ** 2).sum(axis=1), dx))
-    )
-    values *= amplitude / norm
+    values *= amplitude / sobolev_norms(values, dx, 1)
     return StateField(grid, "physical", values, 0.0)
 
 

@@ -76,6 +76,32 @@ def test_theta_straight_beam_closed_forms(toy_params, asym_params):
         assert q1 == pytest.approx(expected_cq1, abs=1e-12)
 
 
+def paper_theta(matrices, curvature):
+    """The paper's per-component closed form of theta_1..theta_6 at one curvature."""
+    u1, u2, u3 = np.abs(curvature)
+    l7, l8, l9, l10 = matrices.wave_speeds[6:10]
+    j1, j2, j3 = matrices.inertia
+    a = matrices.params.area
+    return np.array([
+        abs(1.0 - l8 / l7) * u3 + abs(1.0 - l9 / l7) * u2,
+        abs(1.0 - l7 / l8) * u3 + abs(1.0 - l9 / l8) * u1 + 1.0,
+        abs(1.0 - l7 / l9) * u2 + abs(1.0 - l8 / l9) * u1 + 1.0,
+        abs(1.0 - l7 * j2 / (l10 * j1)) * u3 + abs(1.0 - l7 * j3 / (l10 * j1)) * u2,
+        a * l9 / (l7 * j2) + abs(1.0 - l10 * j1 / (l7 * j2)) * u3 + abs(1.0 - j3 / j2) * u1,
+        a * l8 / (l7 * j3) + abs(1.0 - l10 * j1 / (l7 * j3)) * u2 + abs(1.0 - j2 / j3) * u1,
+    ])
+
+
+def test_theta_matches_paper_closed_form(asym_matrices):
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        curv = rng.normal(size=3)
+        theta, q1, _ = theta_functions(asym_matrices, curv)
+        expected = paper_theta(asym_matrices, curv)
+        np.testing.assert_allclose(theta, expected, rtol=1e-13, atol=0.0)
+        assert q1 == pytest.approx(expected.max(), rel=1e-13)
+
+
 def test_theta_toy_value(toy_matrices):
     _, q1, _ = theta_functions(toy_matrices, np.zeros(3))
     assert q1 == pytest.approx(1.0, abs=0)  # max{1, 1/2, 1/2}
@@ -289,6 +315,18 @@ def test_verify_rejects_other_geometry_or_params(toy_params, asym_params):
     with pytest.raises(ValidationError):
         verify_certificate(cert, derive_matrices(asym_params), ref)
     assert verify_certificate(cert, derive_matrices(toy_params), ref).valid
+
+
+def test_verify_returns_the_built_margins(asym_params):
+    m = derive_matrices(asym_params)
+    ref = curved_reference(asym_params, 20, lambda x: np.array([0.8, 0.3, -0.5]))
+    for phiL in (None, 1.0):  # a valid certificate, and constant weights (invalid)
+        cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=phiL)
+        again = verify_certificate(cert, m, ref)
+        for name in ("boundary_margins_0", "boundary_margins_L", "interior_margins",
+                     "dominance_slack", "weyl_slack"):
+            assert np.array_equal(getattr(again, name), getattr(cert, name)), name
+        assert again.valid == cert.valid == (phiL is None)
 
 
 def test_q_functions_continuity(toy_params):

@@ -8,9 +8,16 @@ import pytest
 import yaml
 
 import beamstab
-from beamstab import reconstruct
+from beamstab import cli, reconstruct
 from beamstab.cli import EXIT_BLOWUP, EXIT_CERTIFICATE, EXIT_OK, EXIT_VALIDATION, main
-from beamstab.errors import ScenarioError
+from beamstab.errors import (
+    BeamstabError,
+    BlowupDetected,
+    CkappaDegenerate,
+    ScenarioError,
+    ValidationError,
+    WindowViolation,
+)
 from beamstab.params import derive_matrices
 from beamstab.scenarios import (
     PRESETS,
@@ -22,7 +29,7 @@ from beamstab.scenarios import (
     scenario_to_dict,
     scenario_to_yaml,
 )
-from beamstab.solver import time_step
+from beamstab.solver import MAX_CELLS, time_step
 from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,6 +141,42 @@ class TestExitCodes:
     def test_unknown_scenario(self, tmp_path):
         rc = main(["certify", "--scenario", "missing.yaml", "--out", str(tmp_path)])
         assert rc == EXIT_VALIDATION
+
+    def test_directory_is_not_a_scenario_file(self, tmp_path, monkeypatch):
+        # `--out straight-toy` leaves a directory named like the preset
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "straight-toy").mkdir()
+        (tmp_path / "not-a-preset").mkdir()
+        out = str(tmp_path / "out")
+        assert main(["certify", "--scenario", "straight-toy", "--out", out,
+                     "--override", "sim.n_cells=32"]) == EXIT_OK
+        assert main(["certify", "--scenario", "not-a-preset", "--out", out]) == EXIT_VALIDATION
+
+    def test_undecodable_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "binary.yaml"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["certify", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "cannot parse" in capsys.readouterr().err
+
+
+_DOCUMENTED_EXIT = {
+    WindowViolation: EXIT_CERTIFICATE,
+    CkappaDegenerate: EXIT_CERTIFICATE,
+    BlowupDetected: EXIT_BLOWUP,
+}
+
+
+@pytest.mark.parametrize("cls", BeamstabError.__subclasses__(), ids=lambda c: c.__name__)
+def test_every_package_error_has_an_exit_code(cls, monkeypatch, capsys):
+    args = {ValidationError: (["bad field"],), BlowupDetected: (0.5, 7.0)}.get(cls, ("boom",))
+
+    def command(_):
+        raise cls(*args)
+
+    monkeypatch.setitem(cli._COMMANDS, "certify", command)
+    rc = main(["certify", "--scenario", "straight-toy"])
+    assert rc == _DOCUMENTED_EXIT.get(cls, EXIT_VALIDATION)
+    assert str(cls(*args)) in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -306,6 +349,17 @@ class TestSweepCommand:
     (["certify", "--override", "sim.output_stride=1.5"], "sim.output_stride"),
     (["simulate", "--override", "sim.t_end=nan"], "t_end"),
     (["sweep", "--axis", "N", "--values", "1e3"], "sim.n_cells"),
+    (["simulate", "--override", "sim.n_cells=32", "--override", "sim.t_end=0.5",
+      "--override", "datum.amplitude=10", "--override", "sim.blowup_threshold=nan"],
+     "blowup_threshold"),
+    (["simulate", "--override", "sim.n_cells=32", "--override", "sim.t_end=0.5",
+      "--override", "datum.amplitude=10", "--override", "sim.blowup_threshold=-1"],
+     "blowup_threshold"),
+    (["simulate", "--override", "sim.n_cells=32", "--override", "datum.amplitude=nan"],
+     "amplitude"),
+    (["simulate", "--override", "sim.n_cells=32", "--override", "datum.amplitude=inf"],
+     "amplitude"),
+    (["certify", "--override", f"sim.n_cells={MAX_CELLS + 1}"], "n_cells"),
 ])
 def test_bad_value_exits_2_naming_the_field(tmp_path, args, field):
     proc = run_python(["-m", "beamstab.cli", args[0], "--scenario", "straight-toy",

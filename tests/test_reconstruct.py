@@ -5,6 +5,7 @@ from beamstab.errors import EndpointMismatch, NonUnitInput, NotARotation, ZeroQu
 from beamstab.model import (
     StateField,
     curved_reference,
+    hat,
     reference_centerline,
     straight_reference,
     to_physical,
@@ -229,9 +230,10 @@ def test_decay_observable(toy_params, toy_matrices):
     pose2 = reconstruct_rotation(rich, ref, np.eye(3))
     _, obs = decay_observable(pose2, rich)
     y = np.stack([s.values for s in rich])
+    # oracle: the pose form of the witness, with the rotations applied
     expected = (
-        np.linalg.norm(y[:, :, 0:3], axis=-1)
-        + np.linalg.norm(y[:, :, 3:6], axis=-1)
+        np.linalg.norm(np.einsum("tnij,tnj->tni", pose2.R, y[:, :, 0:3]), axis=-1)
+        + np.linalg.norm(pose2.R @ hat(y[:, :, 3:6]), ord=2, axis=(-2, -1))
         + np.linalg.norm(y[:, :, 6:9], axis=-1)
         + np.linalg.norm(y[:, :, 9:12], axis=-1)
     ).max(axis=1)
