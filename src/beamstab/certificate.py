@@ -145,11 +145,12 @@ def build_phi(c: float, phi0: float, phiL: float, grid: np.ndarray):
     phi = phiL - gap
     dphi = damp * span * (alpha * (1.0 - grid / length) + 1.0 / length)
     slack = damp * span / length
-    ok = (phi > 0.0) & (dphi > 0.0) & (slack > 0.0)
+    ok = (phi > 0.0) & (dphi > 0.0) & (dphi < np.inf) & (slack > 0.0)
     if not np.all(ok):
         raise ValidationError(
             ["generator conditions failed (likely exp(-2 c x) underflow: "
-             f"2 c L = {alpha * length:.3g} exceeds the double range)"]
+             f"2 c L = {alpha * length:.3g} exceeds the double range, "
+             f"or phi' overflow: L = {length:.3g})"]
         )
     return phi, dphi, gap
 
@@ -180,8 +181,8 @@ def build_certificate(
     """
     if m not in (1, 2):
         raise ValidationError([f"m must be 1 or 2, got {m!r}"])
-    if phi0 <= 0.0:
-        raise ValidationError([f"phi0 must be > 0, got {phi0!r}"])
+    if not 0.0 < phi0 < np.inf:
+        raise ValidationError([f"phi0 must be finite and > 0, got {phi0!r}"])
     lo, hi = phi_window(matrices.reflection_bound, phi0)
     if phiL is None:
         midpoint = 0.5 * (lo + hi) if np.isfinite(hi) else np.inf
@@ -319,10 +320,16 @@ def sigma_matrices(
 
 
 def lipschitz_bound(matrices: BeamMatrices) -> float:
-    """Provable coefficient: ||Jac g(r)||_2 <= 2 sqrt(sum_i ||Gc_i||_2^2) |r|."""
-    from .model import quadratic_forms
+    """Provable coefficient: ||Jac g(r)||_2 <= 2 sqrt(sum_i ||Gc_i||_2^2) |r|.
 
-    _, gc = quadratic_forms(matrices)
+    g_i(r) = <r, Gc_i r>: the symmetrized ``matrices.quadratic`` conjugated
+    with L and L^{-1}.
+    """
+    q = matrices.quadratic
+    gp = 0.5 * (q + np.swapaxes(q, 1, 2))
+    linv = matrices.from_char
+    mixed = np.einsum("ij,jkl->ikl", matrices.to_char, gp)
+    gc = np.einsum("jk,ijl,lm->ikm", linv, mixed, linv)
     norms = np.linalg.norm(gc, 2, axis=(1, 2))
     return float(2.0 * np.sqrt(np.sum(norms**2)))
 

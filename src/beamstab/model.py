@@ -15,6 +15,8 @@ characteristic variables ``r = L y`` the same dynamics read
 This module assembles the per-node coefficient tables for a given reference
 shape, evaluates the quadratic nonlinearity in both representations, and
 implements the map from a pose history ``(p, R)`` to intrinsic variables.
+The nonlinearity is read from its coefficient tensor
+``BeamMatrices.quadratic``, its one definition.
 
 Coefficient tables are immutable after assembly; all evaluation functions
 are pure and accept batched inputs (leading axes broadcast).
@@ -41,10 +43,8 @@ __all__ = [
     "coupling_pattern_blocks",
     "gbar",
     "gbar_pair",
-    "gbar_jacobian_apply",
     "g_diag",
     "g_diag_pair",
-    "quadratic_forms",
     "to_diagonal",
     "to_physical",
     "strains_velocities_from_pose",
@@ -223,35 +223,21 @@ def curved_reference(params, n_cells: int, curvature_fn) -> PrecurvedReference:
 
 
 def gbar_pair(matrices: BeamMatrices, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bilinear map whose diagonal is the physical nonlinearity: gbar(y) = gbar_pair(y, y)."""
+    """Bilinear map whose diagonal is the physical nonlinearity: gbar(y) = gbar_pair(y, y).
+
+    One contraction with ``matrices.quadratic``: sum_jk Q[i, j, k] u_j v_k.
+    Leading axes of ``u`` and ``v`` broadcast.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    u1, u2, u3, u4 = (u[..., 3 * i : 3 * i + 3] for i in range(4))
-    v1, v2, v3, v4 = (v[..., 3 * i : 3 * i + 3] for i in range(4))
-    p = matrices.params
-    s1 = matrices.stiff_force
-    s2 = matrices.stiff_moment
-    jd = matrices.inertia
-
-    g1 = -(np.cross(u2, v1) + np.cross(s1 * u3, v4) / (p.rho * p.area))
-    g2 = -(
-        p.rho * np.cross(u2, jd * v2)
-        + np.cross(s1 * u3, v3)
-        + np.cross(s2 * u4, v4)
-    ) / (p.rho * jd)
-    g3 = -(np.cross(u2, v3) + np.cross(u1, v4))
-    g4 = -np.cross(u2, v4)
-    return np.concatenate([g1, g2, g3, g4], axis=-1)
+    q = matrices.quadratic.transpose(1, 0, 2).reshape(12, 144)
+    coeffs = (u @ q).reshape(u.shape[:-1] + (12, 12))
+    return (coeffs @ v[..., None])[..., 0]
 
 
 def gbar(matrices: BeamMatrices, y: np.ndarray) -> np.ndarray:
     """Quadratic nonlinearity in physical variables; vanishes with its Jacobian at 0."""
     return gbar_pair(matrices, y, y)
-
-
-def gbar_jacobian_apply(matrices: BeamMatrices, y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Directional derivative (Jac gbar)(y) h, exact by bilinearity."""
-    return gbar_pair(matrices, y, h) + gbar_pair(matrices, h, y)
 
 
 def g_diag(matrices: BeamMatrices, r: np.ndarray) -> np.ndarray:
@@ -261,28 +247,10 @@ def g_diag(matrices: BeamMatrices, r: np.ndarray) -> np.ndarray:
 
 
 def g_diag_pair(matrices: BeamMatrices, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bilinear version of g_diag, used for exact Jacobian products."""
+    """Bilinear version of g_diag; g_diag_pair(r, h) + g_diag_pair(h, r) = (Jac g)(r) h."""
     yu = np.asarray(u, dtype=float) @ matrices.from_char.T
     yv = np.asarray(v, dtype=float) @ matrices.from_char.T
     return gbar_pair(matrices, yu, yv) @ matrices.to_char.T
-
-
-def quadratic_forms(matrices: BeamMatrices) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric coefficient matrices of both nonlinearities.
-
-    Returns stacks (12, 12, 12) ``Gp`` and ``Gc`` with
-    gbar_i(y) = <y, Gp[i] y> and g_i(r) = <r, Gc[i] r>.  Each Gp[i] is
-    symmetric with zero diagonal.
-    """
-    eye = np.eye(12)
-    raw = np.empty((12, 12, 12))
-    for j in range(12):
-        raw[:, j, :] = gbar_pair(matrices, eye[j], eye).T  # raw[i, j, k] = pair(e_j, e_k)_i
-    gp = 0.5 * (raw + np.swapaxes(raw, 1, 2))
-    linv = matrices.from_char
-    mixed = np.einsum("ij,jkl->ikl", matrices.to_char, gp)
-    gc = np.einsum("jk,ijl,lm->ikm", linv, mixed, linv)
-    return gp, gc
 
 
 # --- representation changes -------------------------------------------------

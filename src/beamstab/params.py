@@ -13,10 +13,13 @@ factors.  From those we assemble
   ``r = L y``, diagonalizing the flux matrix ``A = L^{-1} diag(-D, D) L``,
 * the energy weights for both representations,
 * the boundary reflection matrix ``kappa`` induced by the velocity
-  feedback gains ``mu1, mu2`` applied at the controlled end ``x = 0``.
+  feedback gains ``mu1, mu2`` applied at the controlled end ``x = 0``,
+* the coefficient tensor ``quadratic`` of the model's one nonlinearity,
+  the bilinear map of cross products gbar(y) = gbar_pair(y, y).
 
 A diagonal matrix is stored as the 1-D array of its diagonal; only the
-transforms ``L``, ``L^{-1}`` and the flux ``A`` are dense 12x12 arrays.
+transforms ``L``, ``L^{-1}`` and the flux ``A`` are dense 12x12 arrays,
+and ``quadratic`` is a dense (12, 12, 12) array with 48 nonzero entries.
 Sizes are tiny and fixed, so no laziness is worth having.
 """
 
@@ -98,6 +101,7 @@ class BeamMatrices:
     energy_char: np.ndarray      # 12, diag of (L^{-1})^T diag(energy_phys) L^{-1} = (M, M) / 2
     mu: np.ndarray               # 6, diag of the feedback matrix
     kappa: np.ndarray            # 6, diag of the reflection matrix
+    quadratic: np.ndarray        # 12x12x12, gbar_pair(u, v)_i = sum_jk Q[i, j, k] u_j v_k
 
     @property
     def speed(self) -> np.ndarray:
@@ -122,10 +126,33 @@ def feedback_reflection(md_diag: np.ndarray, mu_diag: np.ndarray) -> np.ndarray:
     return (md - mu) / (md + mu)
 
 
+def _quadratic_tensor(p: BeamParams, inertia, stiff_force, stiff_moment) -> np.ndarray:
+    """Coefficients of the intrinsic nonlinearity (Hodges, AIAA J. 2003).
+
+    Blocks y = (v, w, gamma, upsilon); the left factor of each cross
+    product is read from u and the right one from v:
+    g1 = -(w x v) - (S1 gamma) x upsilon / (rho A),
+    g2 = -(rho w x (J w) + (S1 gamma) x gamma + (S2 upsilon) x upsilon) / (rho J),
+    g3 = -(w x gamma) - (v x upsilon),  g4 = -(w x upsilon).
+    """
+    i, j, k = np.ogrid[:3, :3, :3]
+    eps = (i - j) * (j - k) * (k - i) / 2.0     # Levi-Civita: (a x b)_i = eps_ijk a_j b_k
+    v, w, gamma, upsilon = (slice(3 * b, 3 * b + 3) for b in range(4))
+    rho_j = p.rho * inertia
+    q = np.zeros((12, 12, 12))
+    q[v, w, v] = q[gamma, w, gamma] = q[gamma, v, upsilon] = q[upsilon, w, upsilon] = -eps
+    q[v, gamma, upsilon] = -eps * stiff_force[:, None] / (p.rho * p.area)
+    q[w, w, w] = -eps * rho_j / rho_j[:, None, None]
+    q[w, gamma, gamma] = -eps * stiff_force[:, None] / rho_j[:, None, None]
+    q[w, upsilon, upsilon] = -eps * stiff_moment[:, None] / rho_j[:, None, None]
+    return q
+
+
 def derive_matrices(params: BeamParams) -> BeamMatrices:
     """Build every derived matrix for a validated parameter set.
 
-    Raises :class:`ValidationError` naming each non-positive field.
+    Raises :class:`ValidationError` naming each non-positive field, or
+    the derived matrices that overflow double precision.
     """
     params.validate()
     p = params
@@ -152,7 +179,7 @@ def derive_matrices(params: BeamParams) -> BeamMatrices:
     ])
 
     mu = np.array([p.mu1, p.mu1, p.mu1, p.mu2, p.mu2, p.mu2])
-    return BeamMatrices(
+    matrices = BeamMatrices(
         params=params,
         inertia=inertia,
         stiff_force=stiff_force,
@@ -167,7 +194,15 @@ def derive_matrices(params: BeamParams) -> BeamMatrices:
         energy_char=0.5 * np.concatenate([mass, mass]),
         mu=mu,
         kappa=feedback_reflection(mass * speed, mu),
+        quadratic=_quadratic_tensor(p, inertia, stiff_force, stiff_moment),
     )
+    overflowed = [f.name for f in fields(matrices) if f.name != "params"
+                  and not np.all(np.isfinite(getattr(matrices, f.name)))]
+    if overflowed:
+        raise ValidationError(
+            [f"params overflow double precision: {', '.join(overflowed)} not finite"]
+        )
+    return matrices
 
 
 def with_reflection(matrices: BeamMatrices, kappa_diag: np.ndarray) -> BeamMatrices:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +147,9 @@ def preset(name: str) -> Scenario:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # numpy reads a Python int as a number only within the int64 range
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, numbers.Integral) and abs(value) >= 2**63))
 
 
 # annotation -> (what the error message asks for, check).  Values are checked,
@@ -170,6 +172,10 @@ def _from_mapping(cls, data, path):
     unknown = set(data) - known
     if unknown:
         raise ScenarioError(f"unknown keys under {path}: {', '.join(sorted(unknown))}")
+    missing = {f.name for f in fields(cls)
+               if f.default is MISSING and f.default_factory is MISSING} - set(data)
+    if missing:
+        raise ScenarioError(f"missing keys under {path}: {', '.join(sorted(missing))}")
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
@@ -198,7 +204,13 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
     if "name" not in data or "params" not in data:
         raise ScenarioError("scenario needs at least 'name' and 'params'")
-    kwargs = {"name": str(data["name"])}
+    name = str(data["name"])
+    # the name is the stem of every output file
+    if not 0 < len(name) <= 200 or any(c in name for c in "/\\\0"):
+        raise ScenarioError(
+            f"name must be 1 to 200 characters without / \\ or NUL, got {name!r}"
+        )
+    kwargs = {"name": name}
     for key, cls in _SECTIONS.items():
         if key in data:
             kwargs[key] = _from_mapping(cls, data[key], key)
@@ -250,26 +262,33 @@ def load_scenario(source: str) -> Scenario:
     raise ScenarioError(f"{source!r} is neither a scenario file nor a preset")
 
 
+def _number(value):
+    """``value`` as an int or float when it is a string spelling one."""
+    if isinstance(value, str):
+        for convert in (int, float):
+            try:
+                return convert(value)
+            except ValueError:
+                pass
+    return value
+
+
 def apply_override(scenario: Scenario, dotted: str) -> Scenario:
     """Apply one 'section.key=value' override, value parsed as YAML.
 
     Bare scientific notation like 1e-9 is not a YAML 1.1 float; strings
-    that parse as Python numbers are converted so overrides behave the way
-    a command line user expects.
+    that parse as Python numbers, alone or as list items, are converted so
+    overrides behave the way a command line user expects.
     """
     if "=" not in dotted:
         raise ScenarioError(f"override must look like section.key=value, got {dotted!r}")
     target, raw_value = dotted.split("=", 1)
     parts = target.strip().split(".")
-    value = yaml.safe_load(raw_value)
-    if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            try:
-                value = float(value)
-            except ValueError:
-                pass
+    try:
+        value = yaml.safe_load(raw_value)
+    except yaml.YAMLError:
+        raise ScenarioError(f"cannot parse the value of {target!r} as YAML: {raw_value!r}") from None
+    value = [_number(v) for v in value] if isinstance(value, list) else _number(value)
     data = scenario_to_dict(scenario)
     node = data
     for part in parts[:-1]:

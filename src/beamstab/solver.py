@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,6 +196,8 @@ def generate_initial_datum(
     """
     if not 0.0 <= amplitude < math.inf:
         raise ValidationError([f"amplitude must be finite and >= 0, got {amplitude!r}"])
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError([f"seed must be an integer >= 0, got {seed!r}"])
     if order not in (0, 1):
         raise ValidationError([f"order must be 0 or 1, got {order!r}"])
     grid = reference.grid
@@ -345,9 +348,11 @@ def time_step(config: SimConfig, matrices: BeamMatrices) -> tuple[float, int]:
     config.validate()
     dx = matrices.params.length / config.n_cells
     dt_max = config.cfl * dx / float(np.abs(matrices.wave_speeds).max())
-    n_steps = max(1, math.ceil(config.t_end / dt_max))
+    # a dt_max that underflows to 0 (a subnormal cfl) needs unboundedly many steps
+    needed = config.t_end / dt_max if dt_max > 0.0 else math.inf
+    n_steps = max(1, math.ceil(needed)) if needed < math.inf else needed
     if n_steps > config.step_cap:
-        raise CFLViolation(f"run needs {n_steps} steps, cap is {config.step_cap}")
+        raise CFLViolation(f"run needs {n_steps} steps, step_cap is {config.step_cap}")
     return config.t_end / n_steps, n_steps
 
 

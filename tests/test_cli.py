@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import beamstab
 from beamstab import cli, reconstruct
@@ -360,6 +361,12 @@ class TestSweepCommand:
     (["simulate", "--override", "sim.n_cells=32", "--override", "datum.amplitude=inf"],
      "amplitude"),
     (["certify", "--override", f"sim.n_cells={MAX_CELLS + 1}"], "n_cells"),
+    (["simulate", "--override", "sim.n_cells=32", "--override", "datum.seed=-1"], "seed"),
+    (["certify", "--override", "sim.n_cells=32", "--override", "certificate.phi0=inf"], "phi0"),
+    (["simulate", "--override", "sim.n_cells=32", "--override", "sim.t_end=0.2",
+      "--override", "certificate.phi0=inf"], "phi0"),
+    (["simulate", "--override", "sim.n_cells=32", "--override", "sim.t_end=0.05",
+      "--override", "sim.cfl=5e-324"], "step_cap"),
 ])
 def test_bad_value_exits_2_naming_the_field(tmp_path, args, field):
     proc = run_python(["-m", "beamstab.cli", args[0], "--scenario", "straight-toy",
@@ -367,6 +374,61 @@ def test_bad_value_exits_2_naming_the_field(tmp_path, args, field):
     assert proc.returncode == EXIT_VALIDATION, proc.stderr
     assert "Traceback" not in proc.stderr
     assert field in proc.stderr
+
+
+def test_list_override_converts_scientific_notation(tmp_path):
+    texts = []
+    for spelling in ("[1e-1,0,0.5]", "[0.1,0,0.5]"):
+        out = tmp_path / spelling
+        rc = main(["certify", "--scenario", "helical", "--out", str(out),
+                   "--override", "sim.n_cells=32",
+                   "--override", f"reference.curvature={spelling}"])
+        assert rc == EXIT_OK
+        texts.append((out / "helical-certificate.csv").read_text())
+    assert texts[0] == texts[1]
+
+
+def _override_paths():
+    data = scenario_to_dict(preset("straight-toy"))
+    known = ["name"] + [f"{section}.{key}" for section, content in data.items()
+                        if isinstance(content, dict) for key in content]
+    return known + ["sim", "params", "sim.nope", "nope.n_cells", "sim.n_cells.x", "", "."]
+
+
+_YAML_TOKENS = [
+    "~", "null", "true", "no", ".nan", ".inf", "-.inf", "abc", "'1'", "0x10", "1_000",
+    "1e400", "-0", "[]", "{}", "[1, 2]", "[1e-1,0,0.5]", "[1, a, 2]", "{a: 1}", "[",
+    "'", "&a 1", "*a", "!!binary aGk=", "2001-01-01", "upwind2", "curved", "a/b",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    path=st.sampled_from(_override_paths()),
+    value=st.one_of(
+        st.integers().map(str),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(repr),
+        st.sampled_from(_YAML_TOKENS),
+    ),
+)
+@example(path="datum.seed", value="-1")
+@example(path="sim.cfl", value="5e-324")
+@example(path="params", value="{}")
+@example(path="name", value="a/b")
+@example(path="sim.n_cells", value="[")
+@example(path="params.rho", value="-9223372036854775809")
+@example(path="params.rho", value="8.98846567431158e+307")
+@example(path="params.length", value="2.225073858507e-311")
+def test_any_override_ends_in_an_exit_code(tmp_path_factory, path, value):
+    out = tmp_path_factory.mktemp("contract")
+    argv = ["simulate", "--scenario", "straight-toy", "--out", str(out),
+            "--override", f"{path}={value}", "--override", "sim.n_cells=32",
+            "--override", "sim.t_end=0.05", "--override", "sim.step_cap=400"]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse
+        rc = exc.code
+    assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_CERTIFICATE, EXIT_BLOWUP)
 
 
 def test_dump_matrices_command(tmp_path):

@@ -11,10 +11,10 @@ from beamstab.model import (
     curved_reference,
     dissipative_boundary,
     g_diag,
+    g_diag_pair,
     gbar,
-    gbar_jacobian_apply,
+    gbar_pair,
     hat,
-    quadratic_forms,
     reference_from_csv,
     reference_to_csv,
     straight_reference,
@@ -24,6 +24,7 @@ from beamstab.model import (
     vec,
 )
 from beamstab.params import derive_matrices
+from beamstab.scenarios import PRESETS
 from conftest import random_params
 
 
@@ -36,6 +37,28 @@ def physical_coupling(matrices, strain_matrix):
     out[..., :6, 6:] = -(minv[:, None] * eb * cinv[None, :])
     out[..., 6:, :6] = np.swapaxes(eb, -1, -2)
     return out
+
+
+def paper_gbar_pair(matrices, u, v):
+    """Oracle: the intrinsic nonlinearity as its eight cross products (Hodges 2003)."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    u1, u2, u3, u4 = (u[..., 3 * i : 3 * i + 3] for i in range(4))
+    v1, v2, v3, v4 = (v[..., 3 * i : 3 * i + 3] for i in range(4))
+    p = matrices.params
+    s1 = matrices.stiff_force
+    s2 = matrices.stiff_moment
+    jd = matrices.inertia
+
+    g1 = -(np.cross(u2, v1) + np.cross(s1 * u3, v4) / (p.rho * p.area))
+    g2 = -(
+        p.rho * np.cross(u2, jd * v2)
+        + np.cross(s1 * u3, v3)
+        + np.cross(s2 * u4, v4)
+    ) / (p.rho * jd)
+    g3 = -(np.cross(u2, v3) + np.cross(u1, v4))
+    g4 = -np.cross(u2, v4)
+    return np.concatenate([g1, g2, g3, g4], axis=-1)
 
 
 def expected_coupling_norm(params):
@@ -196,7 +219,8 @@ def test_gbar_quadratic_forms_against_difference_oracle(asym_matrices):
                 - gbar(asym_matrices, eye[j])
                 - gbar(asym_matrices, eye[k])
             )
-    gp, _ = quadratic_forms(asym_matrices)
+    q = asym_matrices.quadratic
+    gp = 0.5 * (q + np.swapaxes(q, 1, 2))
     assert np.abs(gp - oracle).max() < 1e-12
     assert np.abs(np.diagonal(gp, axis1=1, axis2=2)).max() == 0.0
     assert np.abs(gp - np.swapaxes(gp, 1, 2)).max() == 0.0
@@ -211,8 +235,29 @@ def test_gbar_jacobian_apply_matches_fd(asym_matrices):
     y = rng.normal(size=12)
     h = rng.normal(size=12)
     eps = 1e-6
-    fd = (gbar(asym_matrices, y + eps * h) - gbar(asym_matrices, y - eps * h)) / (2 * eps)
-    assert np.abs(gbar_jacobian_apply(asym_matrices, y, h) - fd).max() < 1e-8
+    jac = g_diag_pair(asym_matrices, y, h) + g_diag_pair(asym_matrices, h, y)
+    fd = (g_diag(asym_matrices, y + eps * h) - g_diag(asym_matrices, y - eps * h)) / (2 * eps)
+    assert np.abs(jac - fd).max() < 1e-8
+
+
+def test_gbar_pair_matches_cross_products(asym_params):
+    # the coefficient tensor against the eight cross products it replaces,
+    # on the presets, a fixed asymmetric beam and random beams
+    rng = np.random.default_rng(11)
+    beams = [asym_params] + [s.params for s in PRESETS.values()]
+    beams += [random_params(rng) for _ in range(20)]
+    for params in beams:
+        m = derive_matrices(params)
+        assert np.count_nonzero(m.quadratic) == 48
+        for u, v in (
+            (rng.normal(size=12), rng.normal(size=12)),
+            (rng.normal(size=(257, 12)), rng.normal(size=(257, 12))),
+            (rng.normal(size=12), rng.normal(size=(12, 12))),
+        ):
+            oracle = paper_gbar_pair(m, u, v)
+            got = gbar_pair(m, u, v)
+            assert got.shape == oracle.shape
+            assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 def test_g_diag_consistency(asym_matrices):
