@@ -43,7 +43,7 @@ def main():
     for scheme in ("upwind1", "upwind2"):
         terminal = {}
         for n in grids:
-            ref = straight_reference(params, n)
+            ref = straight_reference(params, n, matrices)
             cfg = SimConfig(n_cells=n, cfl=0.9, t_end=args.t_end,
                             output_stride=10**9, store_snapshots=True, scheme=scheme)
             terminal[n] = simulate(cfg, matrices, ref, smooth_datum(ref)).snapshots[-1].values

@@ -19,7 +19,7 @@ from beamstab.solver import SimConfig, fit_decay, generate_initial_datum, simula
 
 def run_case(scenario, phiL=None):
     matrices = derive_matrices(scenario.params)
-    reference = build_reference(scenario)
+    reference = build_reference(scenario, matrices)
     cert = build_certificate(matrices, reference, m=1, phi0=1.0, phiL=phiL)
     datum = generate_initial_datum(matrices, reference, scenario.datum.amplitude,
                                    seed=scenario.datum.seed, order=1)

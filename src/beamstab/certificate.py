@@ -48,7 +48,6 @@ __all__ = [
     "build_certificate",
     "verify_certificate",
     "decay_rate_estimate",
-    "equivalence_constants",
     "certificate_to_csv",
 ]
 
@@ -356,29 +355,6 @@ def decay_rate_estimate(
     c_q = float(cert.q_diag.max() / cert.q_diag.min())
     c_g = lipschitz_bound(matrices)
     return max(0.0, 0.5 * c_q * (-c_s - 4.0 * c_q * c_g * delta))
-
-
-def equivalence_constants(
-    cert: LyapunovCertificate,
-    matrices: BeamMatrices,
-    reference: PrecurvedReference,
-    delta: float,
-) -> tuple[float, float]:
-    """Constants with c1 ||r||_H1^2 <= L(r) <= c2 ||r||_H1^2 on the delta-ball.
-
-    Exact for the discrete operators: the time derivative inside the
-    functional is computed from the same spatial stencil that defines the
-    discrete H1 norm, so the chain of pointwise bounds holds sample-wise.
-    """
-    qmin = float(cert.q_diag.min())
-    qmax = float(cert.q_diag.max())
-    lam_max = float(np.abs(matrices.wave_speeds).max())
-    lam_min = float(matrices.speed.min())
-    bnorm = float(max(np.linalg.norm(b, 2) for b in reference.coupling_char))
-    a = bnorm + lipschitz_bound(matrices) * delta
-    c2 = qmax * max(1.0 + 2.0 * a * a, 2.0 * lam_max * lam_max)
-    c1 = qmin / max(2.0 / lam_min**2, 1.0 + 2.0 * a * a / lam_min**2)
-    return c1, c2
 
 
 def certificate_to_csv(

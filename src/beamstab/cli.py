@@ -19,7 +19,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +72,7 @@ def cmd_certify(args) -> int:
     scenario = _load(args)
     out = _out_dir(args)
     matrices = derive_matrices(scenario.params)
-    reference = scenarios.build_reference(scenario)
+    reference = scenarios.build_reference(scenario, matrices)
     spec = scenario.certificate
     cert = cert_mod.build_certificate(
         matrices, reference, m=spec.m, phi0=spec.phi0, phiL=spec.phiL
@@ -94,7 +93,7 @@ def cmd_certify(args) -> int:
 
 def _prepare_run(scenario):
     matrices = derive_matrices(scenario.params)
-    reference = scenarios.build_reference(scenario)
+    reference = scenarios.build_reference(scenario, matrices)
     spec = scenario.certificate
     cert = cert_mod.build_certificate(
         matrices, reference, m=spec.m, phi0=spec.phi0, phiL=spec.phiL
@@ -245,6 +244,9 @@ def cmd_sweep(args) -> int:
 
     payloads = [(scenarios.scenario_to_dict(scenario), args.axis, v) for v in values]
     if args.workers > 1:
+        # imported here: the process pool machinery costs every other command ~20 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_row, payloads))
     else:

