@@ -16,6 +16,7 @@ from beamstab.model import StateField, straight_reference
 from beamstab.params import derive_matrices
 from beamstab.scenarios import PRESETS
 from beamstab.solver import SimConfig, simulate
+from beamstab.table import csv_table
 
 
 def smooth_datum(ref, amplitude=1e-2, seed=11):
@@ -56,10 +57,7 @@ def main():
                 print(f"{scheme}: order({c1}->{c2}) = {np.log2(e1 / e2):.3f}")
 
     path = args.out / "convergence.csv"
-    with path.open("w") as fh:
-        fh.write("scheme,n_coarse,n_fine,rms_difference\n")
-        for scheme, coarse, fine, err in rows:
-            fh.write(f"{scheme},{coarse},{fine},{err:.17g}\n")
+    path.write_text(csv_table(["scheme", "n_coarse", "n_fine", "rms_difference"], rows))
     print(f"wrote {path}")
 
 

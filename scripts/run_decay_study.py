@@ -15,6 +15,7 @@ from beamstab.certificate import build_certificate, decay_rate_estimate, phi_win
 from beamstab.params import derive_matrices
 from beamstab.scenarios import PRESETS, apply_override, build_reference
 from beamstab.solver import SimConfig, fit_decay, generate_initial_datum, simulate
+from beamstab.table import csv_table
 
 
 def run_case(scenario, phiL=None):
@@ -51,10 +52,7 @@ def main():
         print(f"mu1 = {mu_star * factor:8.4f}  C_kappa = {rows[-1][1]:.4f}  "
               f"alpha_fit = {alpha:.4f}  alpha_est = {est:.4f}")
     path = args.out / "decay-vs-mu1.csv"
-    with path.open("w") as fh:
-        fh.write("mu1,C_kappa,alpha_fit,r_squared,alpha_estimate\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    path.write_text(csv_table(["mu1", "C_kappa", "alpha_fit", "r_squared", "alpha_estimate"], rows))
     print(f"wrote {path}")
 
     matrices = derive_matrices(base.params)
@@ -66,10 +64,7 @@ def main():
         rows.append((phiL, cert.c, alpha, r2))
         print(f"phiL = {phiL:6.3f}  alpha_fit = {alpha:.4f}  (r2 = {r2:.4f})")
     path = args.out / "decay-vs-phiL.csv"
-    with path.open("w") as fh:
-        fh.write("phiL,C_q1,alpha_fit,r_squared\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    path.write_text(csv_table(["phiL", "C_q1", "alpha_fit", "r_squared"], rows))
     print(f"wrote {path}")
 
 

@@ -30,7 +30,6 @@ and its validity filled in.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +37,7 @@ import numpy as np
 from .errors import CkappaDegenerate, ValidationError, WindowViolation
 from .model import PrecurvedReference, _strain_matrix
 from .params import BeamMatrices, BeamParams
+from .table import csv_table
 
 __all__ = [
     "LyapunovCertificate",
@@ -364,31 +364,25 @@ def certificate_to_csv(
     alpha_estimate: float | None = None,
 ) -> str:
     """Report CSV: per-node margins plus a scalar summary block, all read from ``cert``."""
-    out = io.StringIO()
-    out.write("# certificate report\n")
-    out.write("x,w_minus,w_plus,interior_max_eig,dominance_slack,weyl_slack\n")
-    for k, x in enumerate(cert.grid):
-        row = [
-            x,
-            cert.w_minus[k],
-            cert.w_plus[k],
-            cert.interior_margins[k],
-            cert.dominance_slack[k],
-            cert.weyl_slack[k],
-        ]
-        out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    out.write("\n# summary\nname,value\n")
-    out.write(f"valid,{int(cert.valid)}\n")
-    out.write(f"m,{cert.m}\n")
-    out.write(f"C_kappa,{cert.reflection_bound:.17g}\n")
-    out.write(f"C_q1,{float(np.max(cert.q1)):.17g}\n")
-    out.write(f"C_q2,{float(np.max(cert.q2)):.17g}\n")
-    out.write(f"phi0,{cert.phi0:.17g}\n")
-    out.write(f"phiL,{cert.phiL:.17g}\n")
-    for i, v in enumerate(cert.boundary_margins_0):
-        out.write(f"boundary0_eig_{i + 1},{v:.17g}\n")
-    for i, v in enumerate(cert.boundary_margins_L):
-        out.write(f"boundaryL_eig_{i + 1},{v:.17g}\n")
+    margins = np.column_stack([
+        cert.grid, cert.w_minus, cert.w_plus,
+        cert.interior_margins, cert.dominance_slack, cert.weyl_slack,
+    ])
+    summary = [
+        ("valid", int(cert.valid)),
+        ("m", cert.m),
+        ("C_kappa", cert.reflection_bound),
+        ("C_q1", float(np.max(cert.q1))),
+        ("C_q2", float(np.max(cert.q2))),
+        ("phi0", cert.phi0),
+        ("phiL", cert.phiL),
+    ]
+    summary += [(f"boundary0_eig_{i + 1}", v) for i, v in enumerate(cert.boundary_margins_0)]
+    summary += [(f"boundaryL_eig_{i + 1}", v) for i, v in enumerate(cert.boundary_margins_L)]
     if alpha_estimate is not None:
-        out.write(f"alpha_estimate_heuristic,{alpha_estimate:.17g}\n")
-    return out.getvalue()
+        summary.append(("alpha_estimate_heuristic", alpha_estimate))
+    header = ["x", "w_minus", "w_plus", "interior_max_eig", "dominance_slack", "weyl_slack"]
+    return (
+        "# certificate report\n" + csv_table(header, margins.tolist())
+        + "\n# summary\n" + csv_table(["name", "value"], summary)
+    )

@@ -1,11 +1,14 @@
 """Command-line harness: certify, simulate, reconstruct, sweep, dump-matrices.
 
-All commands take a scenario (YAML file or preset name), optional dot-path
-overrides, and write CSV reports into the output directory (flag --out,
-else $BEAMSTAB_OUT, else ./beamstab-out).  Floating-point output uses 17
-significant digits, and every file embeds the full scenario echo, so any
-output can be regenerated bit-identically from its scenario; the sole
-exception is the wall-clock runtime column of sweep summaries.
+All commands take a scenario (YAML file or preset name) and optional
+dot-path overrides.  ``main`` does all of the I/O: it loads the scenario,
+makes the output directory (flag --out, else $BEAMSTAB_OUT, else
+./beamstab-out), runs the command, and writes each CSV text the command
+returns to ``<scenario name>-<suffix>.csv`` with the full scenario echo in
+front.  Tables are formatted by :func:`beamstab.table.csv_table` (17
+significant digits), so any output can be regenerated bit-identically
+from its scenario; the sole exception is the wall-clock runtime column of
+sweep summaries.
 
 Exit codes: 0 success, 3 certificate failure (an invalid certificate, an
 empty weight window or phiL outside it), 4 blow-up during simulation, and
@@ -35,6 +38,7 @@ from .errors import (
     WindowViolation,
 )
 from .params import derive_matrices, dump_matrices
+from .table import csv_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -44,33 +48,7 @@ EXIT_BLOWUP = 4
 MAX_POSE_SNAPSHOTS = 24
 
 
-def _out_dir(args) -> Path:
-    base = args.out or os.environ.get("BEAMSTAB_OUT") or "beamstab-out"
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _load(args) -> scenarios.Scenario:
-    scenario = scenarios.load_scenario(args.scenario)
-    for item in args.override or []:
-        scenario = scenarios.apply_override(scenario, item)
-    return scenario
-
-
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
-    print(f"wrote {path}")
-
-
-def _echo_prefix(scenario) -> str:
-    lines = [f"# {k} = {v}" for k, v in scenarios.header_echo(scenario).items()]
-    return "\n".join(lines) + "\n"
-
-
-def cmd_certify(args) -> int:
-    scenario = _load(args)
-    out = _out_dir(args)
+def cmd_certify(scenario, args) -> tuple[int, dict[str, str]]:
     matrices = derive_matrices(scenario.params)
     reference = scenarios.build_reference(scenario, matrices)
     spec = scenario.certificate
@@ -78,17 +56,14 @@ def cmd_certify(args) -> int:
         matrices, reference, m=spec.m, phi0=spec.phi0, phiL=spec.phiL
     )
     alpha = cert_mod.decay_rate_estimate(cert, matrices, reference, delta=0.0) if cert.valid else 0.0
-    text = _echo_prefix(scenario) + cert_mod.certificate_to_csv(
-        cert, matrices, reference, alpha_estimate=alpha
-    )
-    _write(out / f"{scenario.name}-certificate.csv", text)
+    text = cert_mod.certificate_to_csv(cert, matrices, reference, alpha_estimate=alpha)
     status = "valid" if cert.valid else "INVALID"
     print(
         f"certificate {status}: C_kappa={cert.reflection_bound:.6g} "
         f"C_q{cert.m}={cert.c:.6g} phiL={cert.phiL:.6g} "
         f"worst interior eig={cert.interior_margins.max():.6g}"
     )
-    return EXIT_OK if cert.valid else EXIT_CERTIFICATE
+    return (EXIT_OK if cert.valid else EXIT_CERTIFICATE), {"certificate": text}
 
 
 def _prepare_run(scenario):
@@ -110,48 +85,33 @@ def _prepare_run(scenario):
 
 def _fit_summary(scenario, traj, extra=None) -> str:
     t_min = solver.round_trip_time(scenario.params)
+    nan = float("nan")
     rows = []
-
-    def try_fit(label, values):
+    for label, values in (("lyapunov", traj.lyap), ("h1_sq", traj.h1**2)):
+        if values is None:
+            continue
         try:
-            alpha, eta, r2 = solver.fit_decay(traj.times, values, t_min=t_min)
-            rows.append((label, alpha, eta, r2))
+            rows.append((label, *solver.fit_decay(traj.times, values, t_min=t_min)))
         except (NonPositiveValues, ValidationError):
-            rows.append((label, float("nan"), float("nan"), float("nan")))
-
-    if traj.lyap is not None:
-        try_fit("lyapunov", traj.lyap)
-    try_fit("h1_sq", traj.h1**2)
-    out = [_echo_prefix(scenario)]
-    out.append("series,alpha,eta,r_squared\n")
-    for label, alpha, eta, r2 in rows:
-        out.append(f"{label},{alpha:.17g},{eta:.17g},{r2:.17g}\n")
-    for key, value in (extra or {}).items():
-        out.append(f"{key},{value:.17g},nan,nan\n")
-    return "".join(out)
+            rows.append((label, nan, nan, nan))
+    rows += [(key, value, nan, nan) for key, value in (extra or {}).items()]
+    return csv_table(["series", "alpha", "eta", "r_squared"], rows)
 
 
-def cmd_simulate(args) -> int:
-    scenario = _load(args)
-    out = _out_dir(args)
+def cmd_simulate(scenario, args) -> tuple[int, dict[str, str]]:
     matrices, reference, cert, datum = _prepare_run(scenario)
     lyap_order = scenario.datum.order + 1
     traj = solver.simulate(
         scenario.sim, matrices, reference, datum, cert=cert, lyap_order=lyap_order
     )
-    prefix = _echo_prefix(scenario)
-    _write(out / f"{scenario.name}-trajectory.csv", prefix + solver.trajectory_to_csv(traj))
-    _write(
-        out / f"{scenario.name}-final-state.csv",
-        prefix + solver.snapshot_to_csv(traj.final_state, matrices),
-    )
-    _write(out / f"{scenario.name}-decay.csv", _fit_summary(scenario, traj))
-    return EXIT_OK
+    return EXIT_OK, {
+        "trajectory": solver.trajectory_to_csv(traj),
+        "final-state": solver.snapshot_to_csv(traj.final_state, matrices),
+        "decay": _fit_summary(scenario, traj),
+    }
 
 
-def cmd_reconstruct(args) -> int:
-    scenario = _load(args)
-    out = _out_dir(args)
+def cmd_reconstruct(scenario, args) -> tuple[int, dict[str, str]]:
     matrices, reference, cert, datum = _prepare_run(scenario)
     traj, states, pose = reconstruct.run_pipeline(
         scenario.sim, matrices, reference, datum, cert=cert
@@ -159,18 +119,13 @@ def cmd_reconstruct(args) -> int:
     round_trip = reconstruct.roundtrip_error(pose, states, reference)
     obs_times, obs_values = reconstruct.decay_observable(pose, states)
 
-    prefix = _echo_prefix(scenario)
-    _write(out / f"{scenario.name}-trajectory.csv", prefix + solver.trajectory_to_csv(traj))
-    _write(
-        out / f"{scenario.name}-pose-residuals.csv",
-        prefix + reconstruct.pose_residuals_to_csv(pose),
-    )
+    files = {
+        "trajectory": solver.trajectory_to_csv(traj),
+        "pose-residuals": reconstruct.pose_residuals_to_csv(pose),
+    }
     indices = sorted(set(np.linspace(0, len(states) - 1, MAX_POSE_SNAPSHOTS).astype(int)))
     for idx in indices:
-        _write(
-            out / f"{scenario.name}-pose-{idx:05d}.csv",
-            prefix + reconstruct.pose_snapshot_to_csv(pose, idx),
-        )
+        files[f"pose-{idx:05d}"] = reconstruct.pose_snapshot_to_csv(pose, idx)
     extra = {
         "roundtrip_sup_error": round_trip,
         "quaternion_norm_defect": pose.norm_defect,
@@ -184,8 +139,8 @@ def cmd_reconstruct(args) -> int:
         extra["observable_fit_r2"] = r2_obs
     except (NonPositiveValues, ValidationError):
         pass
-    _write(out / f"{scenario.name}-reconstruction.csv", _fit_summary(scenario, traj, extra))
-    return EXIT_OK
+    files["reconstruction"] = _fit_summary(scenario, traj, extra)
+    return EXIT_OK, files
 
 
 _SWEEP_PATHS = {
@@ -222,9 +177,9 @@ def _sweep_row(payload):
     return row
 
 
-def cmd_sweep(args) -> int:
-    scenario = _load(args)
-    out = _out_dir(args)
+def cmd_sweep(scenario, args) -> tuple[int, dict[str, str]]:
+    if args.workers < 1:
+        raise ScenarioError(f"--workers must be at least 1, got {args.workers}")
     if args.axis not in _SWEEP_PATHS:
         raise ScenarioError(f"axis must be one of {', '.join(_SWEEP_PATHS)}")
     values = []
@@ -243,33 +198,27 @@ def cmd_sweep(args) -> int:
             raise ScenarioError(f"sweep values must be finite, got {v}")
 
     payloads = [(scenarios.scenario_to_dict(scenario), args.axis, v) for v in values]
-    if args.workers > 1:
+    # the pool starts all of its workers at once, so ask for no more than can run
+    workers = min(args.workers, len(values), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the process pool machinery costs every other command ~20 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, payloads))
     else:
         rows = [_sweep_row(p) for p in payloads]
 
-    text = [_echo_prefix(scenario)]
-    text.append(f"# axis = {args.axis}\n")
-    text.append("value,C_kappa,cert_valid,alpha,runtime_s,status\n")
-    for row in rows:
-        text.append(
-            f"{row['value']:.17g},{row['C_kappa']:.17g},{row['cert_valid']},"
-            f"{row['alpha']:.17g},{row['runtime_s']:.3f},{row['status']}\n"
-        )
-    _write(out / f"{scenario.name}-sweep-{args.axis}.csv", "".join(text))
-    return EXIT_OK
+    table = csv_table(
+        ["value", "C_kappa", "cert_valid", "alpha", "runtime_s", "status"],
+        [(row["value"], row["C_kappa"], row["cert_valid"], row["alpha"],
+          f"{row['runtime_s']:.3f}", row["status"]) for row in rows],
+    )
+    return EXIT_OK, {f"sweep-{args.axis}": f"# axis = {args.axis}\n" + table}
 
 
-def cmd_dump_matrices(args) -> int:
-    scenario = _load(args)
-    out = _out_dir(args)
-    matrices = derive_matrices(scenario.params)
-    _write(out / f"{scenario.name}-matrices.csv", _echo_prefix(scenario) + dump_matrices(matrices))
-    return EXIT_OK
+def cmd_dump_matrices(scenario, args) -> tuple[int, dict[str, str]]:
+    return EXIT_OK, {"matrices": dump_matrices(derive_matrices(scenario.params))}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -311,7 +260,22 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        scenario = scenarios.load_scenario(args.scenario)
+        for item in args.override:
+            scenario = scenarios.apply_override(scenario, item)
+        out = Path(args.out or os.environ.get("BEAMSTAB_OUT") or "beamstab-out")
+        out.mkdir(parents=True, exist_ok=True)
+        code, files = _COMMANDS[args.command](scenario, args)
+        echo = "".join(f"# {k} = {v}\n" for k, v in scenarios.header_echo(scenario).items())
+        for suffix, text in files.items():
+            path = out / f"{scenario.name}-{suffix}.csv"
+            # two writes: echo + text would copy the table once more, 0.5 MB of
+            # peak memory for certify at N=8192
+            with path.open("w") as fh:
+                fh.write(echo)
+                fh.write(text)
+            print(f"wrote {path}")
+        return code
     except BeamstabError as exc:
         if isinstance(exc, (WindowViolation, CkappaDegenerate)):
             print(f"certificate error: {type(exc).__name__}: {exc}", file=sys.stderr)

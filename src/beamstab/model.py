@@ -49,10 +49,8 @@ __all__ = [
     "gbar_pair",
     "g_diag",
     "g_diag_pair",
-    "to_diagonal",
     "to_physical",
     "strains_velocities_from_pose",
-    "dissipative_boundary",
     "reference_centerline",
 ]
 
@@ -255,13 +253,6 @@ def g_diag_pair(matrices: BeamMatrices, u: np.ndarray, v: np.ndarray) -> np.ndar
 # --- representation changes -------------------------------------------------
 
 
-def to_diagonal(state: StateField, matrices: BeamMatrices) -> StateField:
-    """Node-wise change to characteristic variables r = L y."""
-    if state.repr != "physical":
-        raise ValueError(f"expected a physical state, got {state.repr!r}")
-    return StateField(state.grid, "diagonal", state.values @ matrices.to_char.T, state.time)
-
-
 def to_physical(state: StateField, matrices: BeamMatrices) -> StateField:
     """Node-wise change back to physical variables y = L^{-1} r."""
     if state.repr != "diagonal":
@@ -310,22 +301,6 @@ def strains_velocities_from_pose(pose, reference: PrecurvedReference, grid=None,
     return [
         StateField(grid, "physical", values[k], float(times[k])) for k in range(len(times))
     ]
-
-
-def dissipative_boundary(matrices: BeamMatrices, eps: float = 1e-3) -> tuple[bool, float]:
-    """Weighted row-sum check of boundary dissipativity.
-
-    Evaluates R_inf(S K S^{-1}) for K = [0, -I; kappa, 0] and the scaling
-    S = diag(s, I), s = (1+eps) |kappa|; returns (value < 1, value).  Each
-    row of S K S^{-1} has one nonzero entry, so its absolute row sums are
-    s_i and |kappa_i| / s_i.  Entries of |kappa| are floored at 1e-9 so the
-    scaling stays invertible when some reflection vanishes (the infimum
-    over positive scalings is unchanged).
-    """
-    kd = np.abs(matrices.kappa)
-    s = (1.0 + eps) * np.maximum(kd, 1e-9)
-    value = float(max(s.max(), (kd / s).max()))
-    return value < 1.0, value
 
 
 def reference_centerline(reference: PrecurvedReference) -> np.ndarray:

@@ -25,22 +25,20 @@ Sizes are tiny and fixed, so no laziness is worth having.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ValidationError
+from .table import csv_table
 
 __all__ = [
     "BeamParams",
     "BeamMatrices",
     "derive_matrices",
     "optimal_feedback",
-    "stresses_from_strains",
     "feedback_reflection",
     "reflection_bound",
-    "with_reflection",
     "dump_matrices",
 ]
 
@@ -205,20 +203,6 @@ def derive_matrices(params: BeamParams) -> BeamMatrices:
     return matrices
 
 
-def with_reflection(matrices: BeamMatrices, kappa_diag: np.ndarray) -> BeamMatrices:
-    """Copy of ``matrices`` with the boundary reflection replaced.
-
-    Lets experiments impose reflections that no (mu1, mu2) pair realizes,
-    e.g. the transparent condition kappa = 0 on an arbitrary beam.
-    """
-    kappa_diag = np.array(kappa_diag, dtype=float)
-    if kappa_diag.shape != (6,):
-        raise ValueError("kappa_diag must be a 6-vector")
-    if np.any(np.abs(kappa_diag) >= 1.0):
-        raise ValueError("reflection entries must lie in (-1, 1)")
-    return replace(matrices, kappa=kappa_diag)
-
-
 def optimal_feedback(params: BeamParams) -> tuple[float, float]:
     """Gains minimizing the reflection bound C_kappa.
 
@@ -234,11 +218,6 @@ def optimal_feedback(params: BeamParams) -> tuple[float, float]:
     return mu1, mu2
 
 
-def stresses_from_strains(matrices: BeamMatrices, s: np.ndarray) -> np.ndarray:
-    """Internal forces and moments F = C^{-1} s for a 6-vector of strains."""
-    return np.asarray(s, dtype=float) / matrices.flexibility
-
-
 _DUMP_BLOCKS = (
     "inertia", "stiff_force", "stiff_moment", "mass", "flexibility", "speed",
     "to_char", "from_char", "flux", "energy_phys", "energy_char", "kappa",
@@ -247,23 +226,17 @@ _DUMP_BLOCKS = (
 
 def dump_matrices(matrices: BeamMatrices) -> str:
     """All derived matrices as labelled CSV blocks, diagonals written out in full (debug aid)."""
-    out = io.StringIO()
+    blocks = []
     for name in _DUMP_BLOCKS:
         mat = getattr(matrices, name)
         if mat.ndim == 1:
             mat = np.diag(mat)
-        n = mat.shape[1]
-        out.write(f"# {name} ({mat.shape[0]}x{n})\n")
-        out.write("row," + ",".join(f"c{j + 1}" for j in range(n)) + "\n")
-        for i, row in enumerate(mat):
-            out.write(f"r{i + 1}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-        out.write("\n")
-    out.write("# wave_speeds\n")
-    out.write("index,value\n")
-    for i, v in enumerate(matrices.wave_speeds):
-        out.write(f"{i + 1},{v:.17g}\n")
-    out.write("\n# scalars\nname,value\n")
-    out.write(f"reflection_bound,{matrices.reflection_bound:.17g}\n")
-    for i, v in enumerate(matrices.mu):
-        out.write(f"mu_{i + 1},{v:.17g}\n")
-    return out.getvalue()
+        header = ["row"] + [f"c{j + 1}" for j in range(mat.shape[1])]
+        rows = [(f"r{i + 1}", *row) for i, row in enumerate(mat.tolist())]
+        blocks.append(f"# {name} ({mat.shape[0]}x{mat.shape[1]})\n" + csv_table(header, rows))
+    speeds = [(i + 1, v) for i, v in enumerate(matrices.wave_speeds)]
+    blocks.append("# wave_speeds\n" + csv_table(["index", "value"], speeds))
+    scalars = [("reflection_bound", matrices.reflection_bound)]
+    scalars += [(f"mu_{i + 1}", v) for i, v in enumerate(matrices.mu)]
+    blocks.append("# scalars\n" + csv_table(["name", "value"], scalars))
+    return "\n".join(blocks)

@@ -25,7 +25,6 @@ C^1 regularity statement that cannot be checked discretely.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -36,6 +35,7 @@ from .errors import EndpointMismatch, NonUnitInput, NotARotation, ValidationErro
 from .fd import diff1
 from .model import E1, PrecurvedReference, StateField, hat
 from .params import BeamMatrices
+from .table import csv_table
 
 __all__ = [
     "PoseField",
@@ -355,25 +355,20 @@ def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndar
 
 def pose_snapshot_to_csv(pose: PoseField, index: int) -> str:
     """One time sample of the pose: x, centerline, quaternion."""
-    out = io.StringIO()
-    out.write(f"# t = {pose.times[index]:.17g}\n")
-    out.write("x,p1,p2,p3,q0,q1,q2,q3\n")
-    p = pose.p if pose.p is not None else np.full((len(pose.times), len(pose.grid), 3), np.nan)
-    for k, x in enumerate(pose.grid):
-        row = [x, *p[index, k], *pose.q[index, k]]
-        out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return out.getvalue()
+    p = pose.p[index] if pose.p is not None else np.full((len(pose.grid), 3), np.nan)
+    rows = np.column_stack([pose.grid, p, pose.q[index]]).tolist()
+    return f"# t = {pose.times[index]:.17g}\n" + csv_table(
+        ["x", "p1", "p2", "p3", "q0", "q1", "q2", "q3"], rows
+    )
 
 
 def pose_residuals_to_csv(pose: PoseField) -> str:
     """Residual summary over time: rotation audit, centerline compatibility."""
-    out = io.StringIO()
-    out.write(f"# norm_defect = {pose.norm_defect:.17g}\n")
+    missing = np.full(len(pose.times), np.nan)
+    rr = pose.residual_rotation if pose.residual_rotation is not None else missing
+    rc = pose.residual_centerline if pose.residual_centerline is not None else missing
+    out = f"# norm_defect = {pose.norm_defect:.17g}\n"
     if pose.route_gap is not None:
-        out.write(f"# route_gap = {pose.route_gap:.17g}\n")
-    out.write("t,residual_rotation,residual_centerline\n")
-    for k, t in enumerate(pose.times):
-        rr = pose.residual_rotation[k] if pose.residual_rotation is not None else float("nan")
-        rc = pose.residual_centerline[k] if pose.residual_centerline is not None else float("nan")
-        out.write(f"{t:.17g},{rr:.17g},{rc:.17g}\n")
-    return out.getvalue()
+        out += f"# route_gap = {pose.route_gap:.17g}\n"
+    rows = np.column_stack([pose.times, rr, rc]).tolist()
+    return out + csv_table(["t", "residual_rotation", "residual_centerline"], rows)

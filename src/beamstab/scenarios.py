@@ -49,6 +49,8 @@ class ReferenceSpec:
             raise ScenarioError(f"reference.kind must be straight|curved, got {self.kind!r}")
         if self.kind == "curved" and len(self.curvature) != 3:
             raise ScenarioError("reference.curvature must be a 3-vector for curved beams")
+        if self.kind == "straight" and len(self.curvature) != 0:
+            raise ScenarioError("reference.curvature must be empty for straight beams")
         return self
 
 

@@ -22,7 +22,6 @@ always under-reports, never fabricates, the continuous-level decay.
 
 from __future__ import annotations
 
-import io
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -43,6 +42,7 @@ from .model import (
     g_diag_pair,
 )
 from .params import BeamMatrices
+from .table import csv_table
 
 __all__ = [
     "SimConfig",
@@ -488,16 +488,14 @@ def fit_decay(times, values, t_min: float = 0.0):
     return float(-slope), float(math.exp(intercept)), r2
 
 
-def trajectory_to_csv(traj: Trajectory, header: dict | None = None) -> str:
-    """Time-series CSV with a config echo header.
+def trajectory_to_csv(traj: Trajectory) -> str:
+    """Time-series CSV headed by the run's own config echo.
 
     Boundary columns carry the outgoing traces r-(0) and r+(L); the
     incoming ones follow from the boundary relations exactly.
     """
-    out = io.StringIO()
-    echo = dict(header or {})
     cfg = traj.config
-    echo.update(
+    echo = dict(
         n_cells=cfg.n_cells,
         cfl=cfg.cfl,
         t_end=cfg.t_end,
@@ -505,26 +503,17 @@ def trajectory_to_csv(traj: Trajectory, header: dict | None = None) -> str:
         scheme=cfg.scheme,
         steps=traj.steps,
     )
-    for key, value in echo.items():
-        out.write(f"# {key} = {value}\n")
     cols = ["t", "energy_phys", "energy_char", "lyapunov", "h1"]
+    lyap = traj.lyap if traj.lyap is not None else np.full(len(traj.times), np.nan)
+    series = [traj.times, traj.energy_phys, traj.energy_char, lyap, traj.h1]
     if traj.h2 is not None:
         cols.append("h2")
+        series.append(traj.h2)
     cols += [f"out0_{i + 1}" for i in range(6)] + [f"outL_{i + 7}" for i in range(6)]
-    out.write(",".join(cols) + "\n")
-    for k, t in enumerate(traj.times):
-        row = [
-            t,
-            traj.energy_phys[k],
-            traj.energy_char[k],
-            traj.lyap[k] if traj.lyap is not None else float("nan"),
-            traj.h1[k],
-        ]
-        if traj.h2 is not None:
-            row.append(traj.h2[k])
-        row += list(traj.trace_minus_0[k]) + list(traj.trace_plus_L[k])
-        out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return out.getvalue()
+    series += [traj.trace_minus_0, traj.trace_plus_L]
+    return "".join(f"# {key} = {value}\n" for key, value in echo.items()) + csv_table(
+        cols, np.column_stack(series).tolist()
+    )
 
 
 def snapshot_to_csv(state: StateField, matrices: BeamMatrices) -> str:
@@ -535,11 +524,6 @@ def snapshot_to_csv(state: StateField, matrices: BeamMatrices) -> str:
     else:
         y = state.values
         r = y @ matrices.to_char.T
-    out = io.StringIO()
-    out.write(f"# t = {state.time:.17g}\n")
     cols = ["x"] + [f"r{i + 1}" for i in range(12)] + [f"y{i + 1}" for i in range(12)]
-    out.write(",".join(cols) + "\n")
-    for k, x in enumerate(state.grid):
-        row = [x, *r[k], *y[k]]
-        out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return out.getvalue()
+    rows = np.column_stack([state.grid, r, y]).tolist()
+    return f"# t = {state.time:.17g}\n" + csv_table(cols, rows)

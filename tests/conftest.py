@@ -1,13 +1,28 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from beamstab.model import straight_reference
-from beamstab.params import BeamParams, derive_matrices
+from beamstab.params import BeamMatrices, BeamParams, derive_matrices
+
+
+def with_reflection(matrices: BeamMatrices, kappa_diag: np.ndarray) -> BeamMatrices:
+    """Copy of ``matrices`` with the boundary reflection replaced.
+
+    Lets a test impose reflections that no (mu1, mu2) pair realizes,
+    e.g. the transparent condition kappa = 0 on an arbitrary beam.
+    """
+    kappa_diag = np.array(kappa_diag, dtype=float)
+    if kappa_diag.shape != (6,):
+        raise ValueError("kappa_diag must be a 6-vector")
+    if np.any(np.abs(kappa_diag) >= 1.0):
+        raise ValueError("reflection entries must lie in (-1, 1)")
+    return replace(matrices, kappa=kappa_diag)
 
 
 @pytest.fixture(scope="session")

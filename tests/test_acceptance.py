@@ -19,7 +19,7 @@ from beamstab.model import (
     gbar,
     straight_reference,
 )
-from beamstab.params import derive_matrices, optimal_feedback, with_reflection
+from beamstab.params import derive_matrices, optimal_feedback
 from beamstab.reconstruct import decay_observable, roundtrip_error, run_pipeline
 from beamstab.scenarios import PRESETS, build_reference
 from beamstab.solver import (
@@ -29,7 +29,7 @@ from beamstab.solver import (
     simulate,
     sobolev_norms,
 )
-from conftest import random_params
+from conftest import random_params, with_reflection
 
 
 def criterion(num, label):

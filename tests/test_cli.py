@@ -169,14 +169,14 @@ _DOCUMENTED_EXIT = {
 
 
 @pytest.mark.parametrize("cls", BeamstabError.__subclasses__(), ids=lambda c: c.__name__)
-def test_every_package_error_has_an_exit_code(cls, monkeypatch, capsys):
+def test_every_package_error_has_an_exit_code(cls, tmp_path, monkeypatch, capsys):
     args = {ValidationError: (["bad field"],), BlowupDetected: (0.5, 7.0)}.get(cls, ("boom",))
 
-    def command(_):
+    def command(scenario, cli_args):
         raise cls(*args)
 
     monkeypatch.setitem(cli._COMMANDS, "certify", command)
-    rc = main(["certify", "--scenario", "straight-toy"])
+    rc = main(["certify", "--scenario", "straight-toy", "--out", str(tmp_path)])
     assert rc == _DOCUMENTED_EXIT.get(cls, EXIT_VALIDATION)
     assert str(cls(*args)) in capsys.readouterr().err
 
@@ -325,7 +325,61 @@ class TestWorkPerCommand:
         assert len(calls) == 32  # one RK4 step per cell
 
 
+class TestOutputFiles:
+    """``main`` writes every file a command returns, each headed by the scenario echo."""
+
+    SMALL = ["--override", "sim.n_cells=32", "--override", "sim.t_end=0.5",
+             "--override", "sim.output_stride=2"]
+
+    @pytest.mark.parametrize("command", [
+        ["certify"],
+        ["simulate"],
+        ["reconstruct"],
+        ["sweep", "--axis", "mu1", "--values", "0.5,2.0"],
+        ["dump-matrices"],
+    ], ids=lambda c: c[0])
+    def test_every_file_starts_with_the_echo(self, tmp_path, capsys, command):
+        argv = [command[0], "--scenario", "helical", *self.SMALL, *command[1:]]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        wrote = [ln.removeprefix("wrote ") for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("wrote ")]
+        assert sorted(wrote) == sorted(str(p) for p in tmp_path.iterdir())
+        scenario = load_scenario("helical")
+        for item in self.SMALL[1::2]:
+            scenario = apply_override(scenario, item)
+        echo = [f"# {k} = {v}" for k, v in header_echo(scenario).items()]
+        for path in wrote:
+            assert Path(path).read_text().splitlines()[:len(echo)] == echo, path
+
+
 class TestSweepCommand:
+    def test_pool_is_no_larger_than_the_work(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        rc = main(["sweep", "--scenario", "straight-toy", "--out", str(tmp_path),
+                   "--override", "sim.n_cells=32", "--override", "sim.t_end=0.5",
+                   "--override", "sim.output_stride=4",
+                   "--axis", "mu1", "--values", "0.5,2.0", "--workers", "64"])
+        assert rc == EXIT_OK
+        assert requested == [2]
+
     def test_sweep_rows_ordered_and_failures_recorded(self, tmp_path, fast_overrides):
         rc = main(["sweep", "--scenario", "straight-toy", "--out", str(tmp_path),
                    *fast_overrides, "--axis", "mu1",
@@ -415,6 +469,9 @@ class TestSweepCommand:
       "--override", "certificate.phi0=inf"], "phi0"),
     (["simulate", "--override", "sim.n_cells=32", "--override", "sim.t_end=0.05",
       "--override", "sim.cfl=5e-324"], "step_cap"),
+    (["sweep", "--axis", "mu1", "--values", "1", "--workers", "0"], "--workers"),
+    (["sweep", "--axis", "mu1", "--values", "1", "--workers", "-3"], "--workers"),
+    (["certify", "--override", "reference.curvature=[1,0,0.5]"], "reference.curvature"),
 ])
 def test_bad_value_exits_2_naming_the_field(tmp_path, args, field):
     proc = run_python(["-m", "beamstab.cli", args[0], "--scenario", "straight-toy",

@@ -13,7 +13,6 @@ from beamstab.model import (
     _strain_matrix,
     coupling_pattern_blocks,
     curved_reference,
-    dissipative_boundary,
     g_diag,
     g_diag_pair,
     gbar,
@@ -21,13 +20,35 @@ from beamstab.model import (
     hat,
     straight_reference,
     strains_velocities_from_pose,
-    to_diagonal,
     to_physical,
     vec,
 )
 from beamstab.params import derive_matrices
 from beamstab.scenarios import PRESETS, build_reference
 from conftest import random_params
+
+
+def to_diagonal(state, matrices):
+    """Node-wise change to characteristic variables r = L y."""
+    if state.repr != "physical":
+        raise ValueError(f"expected a physical state, got {state.repr!r}")
+    return StateField(state.grid, "diagonal", state.values @ matrices.to_char.T, state.time)
+
+
+def dissipative_boundary(matrices, eps=1e-3):
+    """Weighted row-sum check of boundary dissipativity.
+
+    Evaluates R_inf(S K S^{-1}) for K = [0, -I; kappa, 0] and the scaling
+    S = diag(s, I), s = (1+eps) |kappa|; returns (value < 1, value).  Each
+    row of S K S^{-1} has one nonzero entry, so its absolute row sums are
+    s_i and |kappa_i| / s_i.  Entries of |kappa| are floored at 1e-9 so the
+    scaling stays invertible when some reflection vanishes (the infimum
+    over positive scalings is unchanged).
+    """
+    kd = np.abs(matrices.kappa)
+    s = (1.0 + eps) * np.maximum(kd, 1e-9)
+    value = float(max(s.max(), (kd / s).max()))
+    return value < 1.0, value
 
 
 def physical_coupling(matrices, strain_matrix):

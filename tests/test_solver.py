@@ -9,7 +9,7 @@ from beamstab.errors import (
 )
 from beamstab.fd import diff1, trapezoid
 from beamstab.model import PrecurvedReference, StateField, straight_reference, to_physical
-from beamstab.params import derive_matrices, with_reflection
+from beamstab.params import derive_matrices
 from beamstab.solver import (
     SimConfig,
     check_compatibility,
@@ -22,6 +22,7 @@ from beamstab.solver import (
     sobolev_norms,
     trajectory_to_csv,
 )
+from conftest import with_reflection
 
 
 def null_coupling_reference(ref: PrecurvedReference) -> PrecurvedReference:
@@ -329,9 +330,11 @@ def test_csv_outputs(toy_matrices, toy_reference):
     datum = generate_initial_datum(toy_matrices, toy_reference, 1e-2, seed=8, order=1)
     cfg = SimConfig(n_cells=32, cfl=0.9, t_end=0.5, output_stride=4, store_snapshots=True)
     traj = simulate(cfg, toy_matrices, toy_reference, datum)
-    text = trajectory_to_csv(traj, header={"scenario": "unit-test"})
-    assert "# scenario = unit-test" in text
-    assert text.splitlines()[7].startswith("t,")
+    text = trajectory_to_csv(traj)
+    echo = ["# n_cells = 32", "# cfl = 0.9", "# t_end = 0.5", "# output_stride = 4",
+            f"# scheme = {cfg.scheme}", f"# steps = {traj.steps}"]
+    assert text.splitlines()[:6] == echo
+    assert text.splitlines()[6].startswith("t,")
     snap_text = snapshot_to_csv(traj.snapshots[-1], toy_matrices)
     header = snap_text.splitlines()[1].split(",")
     assert header[:2] == ["x", "r1"] and header[-1] == "y12"

@@ -1,0 +1,50 @@
+import numpy as np
+
+from beamstab.table import csv_table
+
+
+def _oracle(header, rows):
+    """The row format every writer used before: f"{v:.17g}" per number, str as is."""
+    out = [",".join(header) + "\n"]
+    for row in rows:
+        out.append(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+    return "".join(out)
+
+
+SPECIAL = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e17, 0.1,
+    1 / 3, -2.5e-300, 1.7976931348623157e308, 2.2250738585072014e-308,
+]
+
+
+def test_numbers_match_the_fstring_oracle_byte_for_byte():
+    rows = [(v, np.float64(v), -v) for v in SPECIAL]
+    header = ["a", "b", "c"]
+    assert csv_table(header, rows) == _oracle(header, rows)
+
+
+def test_ints_bools_and_numpy_scalars():
+    rows = [
+        (0, True, np.int64(7), np.float32(0.1), np.float64(1e-5)),
+        (2**53 + 1, False, np.int64(-(2**62)), np.float32(-3.5), np.float64(-0.0)),
+        (-(2**63) + 1, 1, np.int32(12), np.float32(np.inf), np.float64(np.nan)),
+    ]
+    header = ["int", "bool", "i64", "f32", "f64"]
+    assert csv_table(header, rows) == _oracle(header, rows)
+
+
+def test_string_cells_are_written_as_they_are():
+    rows = [("lyapunov", 0.5, "ok"), ("h1_sq", float("nan"), "Error: 50% off, twice")]
+    text = csv_table(["series", "alpha", "status"], rows)
+    assert text == _oracle(["series", "alpha", "status"], rows)
+    assert text.splitlines()[2] == "h1_sq,nan,Error: 50% off, twice"
+
+
+def test_array_rows_and_empty_tables():
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(17, 5)) * 10.0 ** rng.integers(-300, 300, size=(17, 5))
+    header = [f"c{j}" for j in range(5)]
+    assert csv_table(header, values) == _oracle(header, values)
+    assert csv_table(header, values.tolist()) == _oracle(header, values)
+    assert csv_table(header, []) == "c0,c1,c2,c3,c4\n"
+    assert csv_table(header, np.zeros((0, 5))) == "c0,c1,c2,c3,c4\n"
