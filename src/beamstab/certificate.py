@@ -361,7 +361,7 @@ def certificate_to_csv(
     cert: LyapunovCertificate,
     matrices: BeamMatrices,
     reference: PrecurvedReference,
-    alpha_estimate: float | None = None,
+    alpha_estimate: float,
 ) -> str:
     """Report CSV: per-node margins plus a scalar summary block, all read from ``cert``."""
     margins = np.column_stack([
@@ -379,8 +379,7 @@ def certificate_to_csv(
     ]
     summary += [(f"boundary0_eig_{i + 1}", v) for i, v in enumerate(cert.boundary_margins_0)]
     summary += [(f"boundaryL_eig_{i + 1}", v) for i, v in enumerate(cert.boundary_margins_L)]
-    if alpha_estimate is not None:
-        summary.append(("alpha_estimate_heuristic", alpha_estimate))
+    summary.append(("alpha_estimate_heuristic", alpha_estimate))
     header = ["x", "w_minus", "w_plus", "interior_max_eig", "dominance_slack", "weyl_slack"]
     return (
         "# certificate report\n" + csv_table(header, margins.tolist())

@@ -48,13 +48,20 @@ EXIT_BLOWUP = 4
 MAX_POSE_SNAPSHOTS = 24
 
 
-def cmd_certify(scenario, args) -> tuple[int, dict[str, str]]:
+def _certified(scenario):
+    """The scenario's matrices, reference and certificate."""
     matrices = derive_matrices(scenario.params)
     reference = scenarios.build_reference(scenario, matrices)
     spec = scenario.certificate
     cert = cert_mod.build_certificate(
         matrices, reference, m=spec.m, phi0=spec.phi0, phiL=spec.phiL
     )
+    return matrices, reference, cert
+
+
+def cmd_certify(scenario, args) -> tuple[int, dict[str, str]]:
+    # no datum is built, so datum.* overrides cannot change certify's outcome
+    matrices, reference, cert = _certified(scenario)
     alpha = cert_mod.decay_rate_estimate(cert, matrices, reference, delta=0.0) if cert.valid else 0.0
     text = cert_mod.certificate_to_csv(cert, matrices, reference, alpha_estimate=alpha)
     status = "valid" if cert.valid else "INVALID"
@@ -67,12 +74,7 @@ def cmd_certify(scenario, args) -> tuple[int, dict[str, str]]:
 
 
 def _prepare_run(scenario):
-    matrices = derive_matrices(scenario.params)
-    reference = scenarios.build_reference(scenario, matrices)
-    spec = scenario.certificate
-    cert = cert_mod.build_certificate(
-        matrices, reference, m=spec.m, phi0=spec.phi0, phiL=spec.phiL
-    )
+    matrices, reference, cert = _certified(scenario)
     datum = solver.generate_initial_datum(
         matrices,
         reference,

@@ -50,10 +50,6 @@ class NotARotation(BeamstabError):
     """Matrix is not orthogonal with determinant one within tolerance."""
 
 
-class NonUnitInput(BeamstabError):
-    """Seed quaternion for reconstruction is not of unit norm."""
-
-
 class EndpointMismatch(BeamstabError):
     """Initial centerline does not meet the clamped position."""
 

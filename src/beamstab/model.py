@@ -125,9 +125,10 @@ class PrecurvedReference:
         for j in range(len(grid) - 1):
             x = grid[j]
             r = rotation[j]
+            hat_mid = hat(self.curvature_fn(x + 0.5 * h))
             k1 = r @ hat(self.curvature_fn(x))
-            k2 = (r + 0.5 * h * k1) @ hat(self.curvature_fn(x + 0.5 * h))
-            k3 = (r + 0.5 * h * k2) @ hat(self.curvature_fn(x + 0.5 * h))
+            k2 = (r + 0.5 * h * k1) @ hat_mid
+            k3 = (r + 0.5 * h * k2) @ hat_mid
             k4 = (r + h * k3) @ hat(self.curvature_fn(x + h))
             rotation[j + 1] = _polar_project(r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
         return rotation
@@ -263,12 +264,13 @@ def to_physical(state: StateField, matrices: BeamMatrices) -> StateField:
 # --- pose -> intrinsic variables ---------------------------------------------
 
 
-def strains_velocities_from_pose(pose, reference: PrecurvedReference, grid=None, times=None):
+def strains_velocities_from_pose(pose, reference: PrecurvedReference):
     """Intrinsic variables of a sampled pose history.
 
-    ``pose`` needs centerline positions ``p`` (T, N+1, 3) and rotations
-    ``R`` (T, N+1, 3, 3) on a uniform lattice.  Velocities and strains are
-    evaluated with the shared second-order stencils:
+    ``pose`` needs sample times ``times`` (T,), centerline positions ``p``
+    (T, N+1, 3) and rotations ``R`` (T, N+1, 3, 3) on the reference grid,
+    with uniform time steps.  Velocities and strains are evaluated with
+    the shared second-order stencils:
 
         V = R^T dt p,        W = vec(R^T dt R),
         Gamma = R^T dx p - e1,  Upsilon = vec(R^T dx R) - curvature.
@@ -276,8 +278,8 @@ def strains_velocities_from_pose(pose, reference: PrecurvedReference, grid=None,
     Returns one physical :class:`StateField` per time sample.  Raises
     :class:`NotARotation` when a rotation sample is not orthogonal.
     """
-    grid = np.asarray(reference.grid if grid is None else grid, dtype=float)
-    times = np.asarray(pose.times if times is None else times, dtype=float)
+    grid = reference.grid
+    times = np.asarray(pose.times, dtype=float)
     rot = np.asarray(pose.R, dtype=float)
     pos = np.asarray(pose.p, dtype=float)
     dx = grid[1] - grid[0]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model, solver
-from .errors import EndpointMismatch, NonUnitInput, NotARotation, ValidationError, ZeroQuaternion
+from .errors import EndpointMismatch, NotARotation, ValidationError, ZeroQuaternion
 from .fd import diff1
 from .model import E1, PrecurvedReference, StateField, hat
 from .params import BeamMatrices
@@ -98,23 +98,22 @@ def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
     )
 
 
-def _check_rotation(r: np.ndarray, tol: float = 1e-8) -> None:
-    defect = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max()
-    det_defect = np.abs(np.linalg.det(r) - 1.0).max()
-    if defect > tol or det_defect > tol:
-        raise NotARotation(
-            f"orthogonality defect {defect:.3g}, determinant defect {det_defect:.3g}"
-        )
-
-
 def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
     """Quaternion of a rotation matrix, largest-pivot branch, q0 >= 0.
 
     Ties at q0 = 0 (half-turn rotations) are broken by making the first
     nonzero vector component positive, so the output is deterministic.
+    Raises :class:`NotARotation` unless ``r`` is a 3x3 rotation to 1e-8.
     """
     r = np.asarray(r, dtype=float)
-    _check_rotation(r)
+    if r.shape != (3, 3):
+        raise NotARotation(f"expected a 3x3 rotation matrix, got shape {r.shape}")
+    defect = np.abs(r.T @ r - np.eye(3)).max()
+    det_defect = abs(np.linalg.det(r) - 1.0)
+    if defect > 1e-8 or det_defect > 1e-8:
+        raise NotARotation(
+            f"orthogonality defect {defect:.3g}, determinant defect {det_defect:.3g}"
+        )
     t = np.trace(r)
     d = np.diagonal(r)
     pivots = np.array([1.0 + t, 1.0 + 2.0 * d[0] - t, 1.0 + 2.0 * d[1] - t, 1.0 + 2.0 * d[2] - t])
@@ -155,22 +154,10 @@ def _exp_step(q: np.ndarray, omega: np.ndarray, h: float) -> np.ndarray:
     return np.cos(half)[..., None] * q + 2.0 * sin_term[..., None] * rotated
 
 
-def _seed_quaternion(r_in: np.ndarray) -> np.ndarray:
-    r_in = np.asarray(r_in, dtype=float)
-    if r_in.shape == (4,):
-        if abs(np.linalg.norm(r_in) - 1.0) > 1e-8:
-            raise NonUnitInput("seed quaternion is not of unit norm")
-        return r_in / np.linalg.norm(r_in)
-    if r_in.shape == (3, 3):
-        return quaternion_from_rotation(r_in)
-    raise NonUnitInput("seed must be a rotation matrix or a unit quaternion")
-
-
 def reconstruct_rotation(
     states: list[StateField],
     reference: PrecurvedReference,
     r_in: np.ndarray,
-    renormalize: bool = True,
 ) -> PoseField:
     """Rotation history from intrinsic states, seeded at the clamped end at t = 0.
 
@@ -179,11 +166,8 @@ def reconstruct_rotation(
     renormalization on a cubic-spline interpolant of y4 + curvature); each
     node is then advanced in time by the exact-exponential midpoint rule on
     U(y2).  The unenforced x-equation is differenced on the computed field
-    and reported per time sample in ``residual_rotation``.
-
-    The exponential stepper conserves the norm analytically, so
-    ``renormalize=False`` only drops the per-step unit projection; the
-    resulting drift quantifies accumulated roundoff (and is itself tested).
+    and reported per time sample in ``residual_rotation``.  ``r_in`` is
+    the rotation matrix R(L, 0); the t-sweeps renormalize every step too.
     """
     from scipy.interpolate import CubicSpline
 
@@ -199,23 +183,23 @@ def reconstruct_rotation(
     dx = reference.dx
 
     y = np.stack([s.values for s in states])  # (T, N+1, 12)
-    q_seed = _seed_quaternion(r_in)
 
     # x-sweep at t = 0, from the clamped end leftward
     gen0 = reference.curvature + y[0, :, 9:12]
     spline = CubicSpline(grid, gen0, axis=0)
     q0 = np.empty((n_nodes, 4))
-    q0[-1] = q_seed
+    q0[-1] = quaternion_from_rotation(r_in)
     h = -dx
     for j in range(n_nodes - 1, 0, -1):
         x = grid[j]
         qj = q0[j]
+        u_mid = umap(spline(x + 0.5 * h))
         k1 = umap(spline(x)) @ qj
-        k2 = umap(spline(x + 0.5 * h)) @ (qj + 0.5 * h * k1)
-        k3 = umap(spline(x + 0.5 * h)) @ (qj + 0.5 * h * k2)
+        k2 = u_mid @ (qj + 0.5 * h * k1)
+        k3 = u_mid @ (qj + 0.5 * h * k2)
         k4 = umap(spline(x + h)) @ (qj + h * k3)
         nxt = qj + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        q0[j - 1] = nxt / np.linalg.norm(nxt) if renormalize else nxt
+        q0[j - 1] = nxt / np.linalg.norm(nxt)
 
     # t-sweeps, all nodes at once
     q = np.empty((n_times, n_nodes, 4))
@@ -223,9 +207,7 @@ def reconstruct_rotation(
     for k in range(n_times - 1):
         omega_mid = 0.5 * (y[k, :, 3:6] + y[k + 1, :, 3:6])
         stepped = _exp_step(q[k], omega_mid, dt)
-        if renormalize:
-            stepped /= np.linalg.norm(stepped, axis=-1, keepdims=True)
-        q[k + 1] = stepped
+        q[k + 1] = stepped / np.linalg.norm(stepped, axis=-1, keepdims=True)
 
     norm_defect = float(np.abs(np.linalg.norm(q, axis=-1) - 1.0).max())
     rot = rotation_from_quaternion(q)
@@ -354,21 +336,15 @@ def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndar
 
 
 def pose_snapshot_to_csv(pose: PoseField, index: int) -> str:
-    """One time sample of the pose: x, centerline, quaternion."""
-    p = pose.p[index] if pose.p is not None else np.full((len(pose.grid), 3), np.nan)
-    rows = np.column_stack([pose.grid, p, pose.q[index]]).tolist()
+    """One time sample of a full pose: x, centerline, quaternion."""
+    rows = np.column_stack([pose.grid, pose.p[index], pose.q[index]]).tolist()
     return f"# t = {pose.times[index]:.17g}\n" + csv_table(
         ["x", "p1", "p2", "p3", "q0", "q1", "q2", "q3"], rows
     )
 
 
 def pose_residuals_to_csv(pose: PoseField) -> str:
-    """Residual summary over time: rotation audit, centerline compatibility."""
-    missing = np.full(len(pose.times), np.nan)
-    rr = pose.residual_rotation if pose.residual_rotation is not None else missing
-    rc = pose.residual_centerline if pose.residual_centerline is not None else missing
-    out = f"# norm_defect = {pose.norm_defect:.17g}\n"
-    if pose.route_gap is not None:
-        out += f"# route_gap = {pose.route_gap:.17g}\n"
-    rows = np.column_stack([pose.times, rr, rc]).tolist()
+    """Residual summary of a full pose over time: rotation audit, centerline compatibility."""
+    out = f"# norm_defect = {pose.norm_defect:.17g}\n# route_gap = {pose.route_gap:.17g}\n"
+    rows = np.column_stack([pose.times, pose.residual_rotation, pose.residual_centerline]).tolist()
     return out + csv_table(["t", "residual_rotation", "residual_centerline"], rows)

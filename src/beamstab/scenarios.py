@@ -28,7 +28,6 @@ __all__ = [
     "DatumSpec",
     "Scenario",
     "PRESETS",
-    "preset",
     "load_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
@@ -137,15 +136,6 @@ def _presets() -> dict[str, Scenario]:
 
 
 PRESETS = _presets()
-
-
-def preset(name: str) -> Scenario:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        ) from None
 
 
 def _is_number(value) -> bool:
@@ -261,7 +251,10 @@ def load_scenario(source: str) -> Scenario:
         return scenario_from_dict(data)
     if source in PRESETS:
         return PRESETS[source]
-    raise ScenarioError(f"{source!r} is neither a scenario file nor a preset")
+    raise ScenarioError(
+        f"{source!r} is neither a scenario file nor a preset; "
+        f"presets: {', '.join(sorted(PRESETS))}"
+    )
 
 
 def _number(value):

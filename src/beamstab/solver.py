@@ -213,20 +213,13 @@ def generate_initial_datum(
 
     if order == 1:
         values = raw * _smooth_bump(xi)[:, None]
-
-        def edge0(f):
-            return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
-
-        def edgeL(f):
-            return (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
-
         width = 0.125 * length
         ramp0 = grid * np.exp(-((grid / width) ** 2))
         rampL = (grid - length) * np.exp(-(((length - grid) / width) ** 2))
         strains = values[:, 6:]
-        strains += rampL[:, None] * (-edgeL(strains) / edgeL(rampL))[None, :]
-        target = matrices.mass / matrices.mu * edge0(values[:, :6])
-        strains += ramp0[:, None] * ((target - edge0(strains)) / edge0(ramp0))[None, :]
+        strains += rampL[:, None] * (-diff1(strains, dx)[-1] / diff1(rampL, dx)[-1])
+        target = matrices.mass / matrices.mu * diff1(values[:, :6], dx)[0]
+        strains += ramp0[:, None] * ((target - diff1(strains, dx)[0]) / diff1(ramp0, dx)[0])
     else:
         values = raw.copy()
         values[:, :6] *= (1.0 - xi)[:, None]
@@ -238,13 +231,11 @@ def generate_initial_datum(
 
 
 def energies(state: StateField, matrices: BeamMatrices) -> tuple[float, float]:
-    """Beam energy by trapezoid quadrature, in both representations."""
-    if state.repr == "physical":
-        y = state.values
-        r = y @ matrices.to_char.T
-    else:
-        r = state.values
-        y = r @ matrices.from_char.T
+    """Beam energy of a diagonal state by trapezoid quadrature, in both representations."""
+    if state.repr != "diagonal":
+        raise ValidationError(["energies expects a diagonal state"])
+    r = state.values
+    y = r @ matrices.from_char.T
     dx = float(state.grid[1] - state.grid[0])
     e_p = float(trapezoid((y**2 * matrices.energy_phys).sum(axis=1), dx))
     e_d = float(trapezoid((r**2 * matrices.energy_char).sum(axis=1), dx))
@@ -255,7 +246,7 @@ def sobolev_norms(values: np.ndarray, dx: float, order: int = 1) -> float:
     """Discrete H1 or H2 norm of grid samples (N+1, d)."""
     total = (values**2).sum(axis=1) + (diff1(values, dx, axis=0) ** 2).sum(axis=1)
     if order == 2:
-        total = total + (diff2(values, dx, axis=0) ** 2).sum(axis=1)
+        total = total + (diff2(values, dx) ** 2).sum(axis=1)
     return math.sqrt(float(trapezoid(total, dx)))
 
 
@@ -368,7 +359,6 @@ def simulate(
     y0: StateField,
     cert=None,
     lyap_order: int = 1,
-    include_nonlinearity: bool = True,
 ) -> Trajectory:
     """Run the closed loop from a compatible physical datum.
 
@@ -402,7 +392,7 @@ def simulate(
 
     def rhs(state: np.ndarray) -> np.ndarray:
         grad = _upwind_gradient(state, dx, config.scheme)
-        return _pde_rhs(state, grad, matrices, reference, include_nonlinearity)
+        return _pde_rhs(state, grad, matrices, reference)
 
     r = y0.values @ matrices.to_char.T
     apply_bc(r)
@@ -517,13 +507,11 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def snapshot_to_csv(state: StateField, matrices: BeamMatrices) -> str:
-    """One snapshot as CSV: x, the 12 characteristic and 12 physical components."""
-    if state.repr == "diagonal":
-        r = state.values
-        y = r @ matrices.from_char.T
-    else:
-        y = state.values
-        r = y @ matrices.to_char.T
+    """One diagonal snapshot as CSV: x, the 12 characteristic and 12 physical components."""
+    if state.repr != "diagonal":
+        raise ValidationError(["snapshot_to_csv expects a diagonal state"])
+    r = state.values
+    y = r @ matrices.from_char.T
     cols = ["x"] + [f"r{i + 1}" for i in range(12)] + [f"y{i + 1}" for i in range(12)]
     rows = np.column_stack([state.grid, r, y]).tolist()
     return f"# t = {state.time:.17g}\n" + csv_table(cols, rows)

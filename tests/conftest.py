@@ -25,6 +25,11 @@ def with_reflection(matrices: BeamMatrices, kappa_diag: np.ndarray) -> BeamMatri
     return replace(matrices, kappa=kappa_diag)
 
 
+def linear(matrices: BeamMatrices) -> BeamMatrices:
+    """Copy of ``matrices`` whose quadratic nonlinearity is the zero tensor."""
+    return replace(matrices, quadratic=np.zeros_like(matrices.quadratic))
+
+
 @pytest.fixture(scope="session")
 def toy_params():
     return BeamParams(

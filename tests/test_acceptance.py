@@ -29,7 +29,7 @@ from beamstab.solver import (
     simulate,
     sobolev_norms,
 )
-from conftest import random_params, with_reflection
+from conftest import linear, random_params, with_reflection
 
 
 def criterion(num, label):
@@ -310,7 +310,7 @@ def test_criterion_9_transport_oracle(toy_setup):
     for t_probe in (0.25, 0.75):
         cfg = SimConfig(n_cells=n, cfl=0.95, t_end=t_probe, output_stride=10**9,
                         store_snapshots=True, scheme="upwind2")
-        traj = simulate(cfg, m0, ref, y0, include_nonlinearity=False)
+        traj = simulate(cfg, linear(m0), ref, y0)
         final = traj.snapshots[-1].values
         oracle = np.zeros_like(final)
         oracle[:, 6] = pulse(x - speed * t_probe)
@@ -320,7 +320,7 @@ def test_criterion_9_transport_oracle(toy_setup):
 
     cfg = SimConfig(n_cells=n, cfl=0.95, t_end=1.4 * (2.0 * length / speed),
                     output_stride=10**9, store_snapshots=True, scheme="upwind2")
-    traj = simulate(cfg, m0, ref, y0, include_nonlinearity=False)
+    traj = simulate(cfg, linear(m0), ref, y0)
     mass = float(np.abs(traj.snapshots[-1].values).sum()) * ref.dx
     assert mass < 1e-6
 
@@ -334,11 +334,11 @@ def test_criterion_10_quadratic_scaling(toy_setup):
     def deviation(amplitude):
         datum = generate_initial_datum(matrices, ref, amplitude, seed=3, order=1)
         cfg = SimConfig(n_cells=n, cfl=0.9, t_end=1.0, output_stride=8, store_snapshots=True)
-        full = simulate(cfg, matrices, ref, datum, include_nonlinearity=True)
-        linear = simulate(cfg, matrices, ref, datum, include_nonlinearity=False)
+        full = simulate(cfg, matrices, ref, datum)
+        lin = simulate(cfg, linear(matrices), ref, datum)
         return max(
             float(np.sqrt(((a.values - b.values) ** 2).mean()))
-            for a, b in zip(full.snapshots, linear.snapshots)
+            for a, b in zip(full.snapshots, lin.snapshots)
         )
 
     ratio = deviation(1e-2) / deviation(1e-3)

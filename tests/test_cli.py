@@ -1,3 +1,4 @@
+import csv
 import importlib
 import importlib.util
 import math
@@ -26,7 +27,6 @@ from beamstab.scenarios import (
     apply_override,
     header_echo,
     load_scenario,
-    preset,
     scenario_from_dict,
     scenario_to_dict,
     scenario_to_yaml,
@@ -70,7 +70,7 @@ class TestScenarioFiles:
             sc.sim.validate()
 
     def test_yaml_roundtrip(self, tmp_path):
-        sc = preset("helical")
+        sc = load_scenario("helical")
         text = scenario_to_yaml(sc)
         path = tmp_path / "helical.yaml"
         path.write_text(text)
@@ -78,23 +78,23 @@ class TestScenarioFiles:
         assert back == sc
 
     def test_unknown_toplevel_key(self):
-        data = scenario_to_dict(preset("straight-toy"))
+        data = scenario_to_dict(load_scenario("straight-toy"))
         data["typo"] = 1
         with pytest.raises(ScenarioError, match="typo"):
             scenario_from_dict(data)
 
     def test_unknown_nested_key(self):
-        data = scenario_to_dict(preset("straight-toy"))
+        data = scenario_to_dict(load_scenario("straight-toy"))
         data["sim"]["n_cell"] = 64
         with pytest.raises(ScenarioError, match="n_cell"):
             scenario_from_dict(data)
 
     def test_missing_preset(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="presets: helical, straight-steel, straight-toy"):
             load_scenario("no-such-thing")
 
     def test_override_paths(self):
-        sc = preset("straight-toy")
+        sc = load_scenario("straight-toy")
         sc2 = apply_override(sc, "params.mu1=0.7")
         assert sc2.params.mu1 == 0.7
         sc3 = apply_override(sc, "sim.scheme=upwind2")
@@ -105,7 +105,7 @@ class TestScenarioFiles:
             apply_override(sc, "no-equals-sign")
 
     def test_override_values_checked_not_converted(self):
-        sc = apply_override(preset("straight-toy"), "params.rho=2")
+        sc = apply_override(load_scenario("straight-toy"), "params.rho=2")
         assert type(sc.params.rho) is int
         assert header_echo(sc)["params.rho"] == 2
         for item, field in (("params.rho=true", "params.rho"),
@@ -250,7 +250,7 @@ class TestReconstructCommand:
     def test_stride_uses_the_solver_step_count(self, tmp_path, monkeypatch):
         # k2 shear = 9 > young = 4: the fastest wave is a shear wave, so a
         # step count from sqrt(young / rho) would undercount by a third
-        scenario = apply_override(preset("straight-toy"), "params.shear=9")
+        scenario = apply_override(load_scenario("straight-toy"), "params.shear=9")
         assert time_step(scenario.sim, derive_matrices(scenario.params))[1] == 8534
 
         cap = 40
@@ -386,12 +386,14 @@ class TestSweepCommand:
                    "--values", "0.5,-1.0,2.0", "--workers", "2"])
         assert rc == EXIT_OK
         text = (tmp_path / "straight-toy-sweep-mu1.csv").read_text()
-        rows = [ln for ln in text.splitlines() if ln and not ln.startswith(("#", "value,"))]
-        assert len(rows) == 3
-        assert [float(r.split(",")[0]) for r in rows] == [0.5, -1.0, 2.0]
-        assert rows[0].endswith("ok")
-        assert "ValidationError" in rows[1]
-        assert rows[2].endswith("ok")
+        table = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))
+        # the failure message holds a comma and stays one quoted cell
+        assert [len(row) for row in table] == [6, 6, 6, 6]
+        rows = table[1:]
+        assert [float(r[0]) for r in rows] == [0.5, -1.0, 2.0]
+        assert [r[5] for r in rows] == [
+            "ok", "ValidationError: mu1 must be finite and > 0, got -1.0", "ok"
+        ]
 
     def test_sweep_n_axis(self, tmp_path):
         rc = main(["sweep", "--scenario", "straight-toy", "--out", str(tmp_path),
@@ -494,7 +496,7 @@ def test_list_override_converts_scientific_notation(tmp_path):
 
 
 def _override_paths():
-    data = scenario_to_dict(preset("straight-toy"))
+    data = scenario_to_dict(load_scenario("straight-toy"))
     known = ["name"] + [f"{section}.{key}" for section, content in data.items()
                         if isinstance(content, dict) for key in content]
     return known + ["sim", "params", "sim.nope", "nope.n_cells", "sim.n_cells.x", "", "."]
@@ -524,9 +526,10 @@ _YAML_TOKENS = [
 @example(path="params.rho", value="-9223372036854775809")
 @example(path="params.rho", value="8.98846567431158e+307")
 @example(path="params.length", value="2.225073858507e-311")
-def test_any_override_ends_in_an_exit_code(tmp_path_factory, path, value):
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_any_override_ends_in_an_exit_code(tmp_path_factory, command, path, value):
     out = tmp_path_factory.mktemp("contract")
-    argv = ["simulate", "--scenario", "straight-toy", "--out", str(out),
+    argv = [command, "--scenario", "straight-toy", "--out", str(out),
             "--override", f"{path}={value}", "--override", "sim.n_cells=32",
             "--override", "sim.t_end=0.05", "--override", "sim.step_cap=400"]
     try:
@@ -562,11 +565,11 @@ def test_version_defined_once():
     assert "version" not in data["project"]
     assert "version" in data["project"]["dynamic"]
     assert data["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "beamstab.__version__"}
-    assert header_echo(preset("helical"))["version"] == beamstab.__version__
+    assert header_echo(load_scenario("helical"))["version"] == beamstab.__version__
 
 
 def test_scenario_yaml_is_hierarchical():
-    text = scenario_to_yaml(preset("straight-toy"))
+    text = scenario_to_yaml(load_scenario("straight-toy"))
     data = yaml.safe_load(text)
     assert set(data) == {"name", "params", "reference", "sim", "certificate", "datum"}
     assert isinstance(data["params"], dict)

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from beamstab.errors import EndpointMismatch, NonUnitInput, NotARotation, ZeroQuaternion
+from beamstab.errors import EndpointMismatch, NotARotation, ZeroQuaternion
 from beamstab.model import (
     StateField,
     curved_reference,
     hat,
     reference_centerline,
     straight_reference,
-    to_physical,
 )
 from beamstab.params import derive_matrices
 from beamstab.reconstruct import (
@@ -133,23 +132,12 @@ class TestReconstructRotation:
         assert pose_g.residual_rotation.max() < 1e-8
 
     def test_nonunit_seed_rejected(self, toy_params):
+        """The seed is a rotation matrix: any other shape, or a non-rotation, is refused."""
         ref = straight_reference(toy_params, 16)
-        with pytest.raises(NonUnitInput):
-            reconstruct_rotation(zero_states(ref), ref, np.array([1.0, 1.0, 0.0, 0.0]))
-        with pytest.raises(NonUnitInput):
-            reconstruct_rotation(zero_states(ref), ref, np.zeros(5))
-
-    def test_seed_sign_flip_gives_same_rotations(self, toy_params, toy_matrices):
-        ref = straight_reference(toy_params, 32)
-        datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=17, order=1)
-        cfg = SimConfig(n_cells=32, cfl=0.9, t_end=0.4, output_stride=1, store_snapshots=True)
-        traj = simulate(cfg, toy_matrices, ref, datum)
-        states = [to_physical(s, toy_matrices) for s in traj.snapshots]
-        q_in = quaternion_from_rotation(np.eye(3))
-        pose_a = reconstruct_rotation(states, ref, q_in)
-        pose_b = reconstruct_rotation(states, ref, -q_in)
-        assert np.abs(pose_a.q + pose_b.q).max() < 1e-14
-        assert np.abs(pose_a.R - pose_b.R).max() < 1e-14
+        for seed in (np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]),
+                     np.zeros(5), np.eye(4), np.eye(3) * 1.001, np.diag([1.0, 1.0, -1.0])):
+            with pytest.raises(NotARotation):
+                reconstruct_rotation(zero_states(ref), ref, seed)
 
 
 class TestReconstructCenterline:
@@ -249,11 +237,10 @@ def test_observable_decays_on_stable_run(toy_params, toy_matrices):
 
 
 def test_norm_drift_with_and_without_renormalization(toy_params, toy_matrices):
+    """Both sweeps renormalize every step, so the quaternion norm drift stays at roundoff."""
     ref, states, _ = simulate_and_reconstruct(toy_params, toy_matrices, 48, t_end=1.0)
-    pose_renorm = reconstruct_rotation(states, ref, ref.rotation[-1])
-    assert pose_renorm.norm_defect <= 1e-10
-    pose_raw = reconstruct_rotation(states, ref, ref.rotation[-1], renormalize=False)
-    assert pose_raw.norm_defect <= 1e-6
+    pose = reconstruct_rotation(states, ref, ref.rotation[-1])
+    assert pose.norm_defect <= 1e-10
 
 
 def test_pose_csv_outputs(toy_params, toy_matrices):

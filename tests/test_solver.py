@@ -22,7 +22,7 @@ from beamstab.solver import (
     sobolev_norms,
     trajectory_to_csv,
 )
-from conftest import with_reflection
+from conftest import linear, with_reflection
 
 
 def null_coupling_reference(ref: PrecurvedReference) -> PrecurvedReference:
@@ -116,24 +116,32 @@ class TestInitialDatum:
 
 class TestEnergies:
     def test_zero(self, toy_matrices, toy_reference):
-        zero = StateField(toy_reference.grid, "physical",
+        zero = StateField(toy_reference.grid, "diagonal",
                           np.zeros((len(toy_reference.grid), 12)), 0.0)
         assert energies(zero, toy_matrices) == (0.0, 0.0)
 
     def test_representations_agree(self, asym_matrices, toy_reference):
         rng = np.random.default_rng(13)
         values = rng.normal(size=(len(toy_reference.grid), 12))
-        state = StateField(toy_reference.grid, "physical", values, 0.0)
+        state = StateField(toy_reference.grid, "diagonal", values @ asym_matrices.to_char.T, 0.0)
         e_p, e_d = energies(state, asym_matrices)
         assert abs(e_p - e_d) <= 1e-12 * e_p
 
     def test_constant_unit_velocity(self, toy_params, toy_matrices, toy_reference):
         values = np.zeros((len(toy_reference.grid), 12))
         values[:, 0] = 1.0
-        state = StateField(toy_reference.grid, "physical", values, 0.0)
+        state = StateField(toy_reference.grid, "diagonal", values @ toy_matrices.to_char.T, 0.0)
         e_p, _ = energies(state, toy_matrices)
         expected = toy_params.rho * toy_params.area * toy_params.length
         assert e_p == pytest.approx(expected, rel=1e-14)
+
+    def test_physical_state_rejected(self, toy_matrices, toy_reference):
+        state = StateField(toy_reference.grid, "physical",
+                           np.zeros((len(toy_reference.grid), 12)), 0.0)
+        with pytest.raises(ValidationError, match="diagonal"):
+            energies(state, toy_matrices)
+        with pytest.raises(ValidationError, match="diagonal"):
+            snapshot_to_csv(state, toy_matrices)
 
 
 class TestSimulate:
@@ -217,7 +225,7 @@ def test_transport_pulse_method_of_characteristics(toy_params):
     for t_probe in (0.25, 0.75):
         cfg = SimConfig(n_cells=n, cfl=0.95, t_end=t_probe, output_stride=10**9,
                         store_snapshots=True, scheme="upwind2")
-        traj = simulate(cfg, matrices, ref, y0, include_nonlinearity=False)
+        traj = simulate(cfg, linear(matrices), ref, y0)
         final = traj.snapshots[-1].values
         oracle = np.zeros_like(final)
         oracle[:, 6] = pulse(x - speed * t_probe)
@@ -228,7 +236,7 @@ def test_transport_pulse_method_of_characteristics(toy_params):
     round_trip = 2.0 * toy_params.length / speed
     cfg = SimConfig(n_cells=n, cfl=0.95, t_end=1.4 * round_trip, output_stride=10**9,
                     store_snapshots=True, scheme="upwind2")
-    traj = simulate(cfg, matrices, ref, y0, include_nonlinearity=False)
+    traj = simulate(cfg, linear(matrices), ref, y0)
     mass = float(np.abs(traj.snapshots[-1].values).sum()) * ref.dx
     assert mass < 1e-6
 
@@ -258,11 +266,11 @@ def test_nonlinearity_onset_quadratic(toy_params):
     def deviation(amplitude):
         datum = generate_initial_datum(m, ref, amplitude, seed=3, order=1)
         cfg = SimConfig(n_cells=64, cfl=0.9, t_end=1.0, output_stride=8, store_snapshots=True)
-        full = simulate(cfg, m, ref, datum, include_nonlinearity=True)
-        linear = simulate(cfg, m, ref, datum, include_nonlinearity=False)
+        full = simulate(cfg, m, ref, datum)
+        lin = simulate(cfg, linear(m), ref, datum)
         return max(
             float(np.sqrt(((a.values - b.values) ** 2).mean()))
-            for a, b in zip(full.snapshots, linear.snapshots)
+            for a, b in zip(full.snapshots, lin.snapshots)
         )
 
     ratio = deviation(1e-2) / deviation(1e-3)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 
 from beamstab.table import csv_table
@@ -34,10 +37,22 @@ def test_ints_bools_and_numpy_scalars():
 
 
 def test_string_cells_are_written_as_they_are():
-    rows = [("lyapunov", 0.5, "ok"), ("h1_sq", float("nan"), "Error: 50% off, twice")]
+    rows = [("lyapunov", 0.5, "ok"), ("h1_sq", float("nan"), "Error: 50% off; twice")]
     text = csv_table(["series", "alpha", "status"], rows)
     assert text == _oracle(["series", "alpha", "status"], rows)
-    assert text.splitlines()[2] == "h1_sq,nan,Error: 50% off, twice"
+    assert text.splitlines()[2] == "h1_sq,nan,Error: 50% off; twice"
+
+
+def test_string_cells_with_separators_read_back_through_csv_reader():
+    cells = ["ValidationError: mu1 must be finite and > 0, got -1.0", 'say "hi"', '"',
+             ",", "two\nlines", "cr\rlf\r\n", "", "plain", "50% off"]
+    rows = [(cell, float(k), f"{k}") for k, cell in enumerate(cells)]
+    text = csv_table(["status", "value", "label"], rows)
+    back = list(csv.reader(io.StringIO(text, newline="")))
+    assert back[0] == ["status", "value", "label"]
+    assert back[1:] == [[cell, f"{float(k):.17g}", f"{k}"] for k, cell in enumerate(cells)]
+    assert text.splitlines()[1] == '"ValidationError: mu1 must be finite and > 0, got -1.0",0,0'
+    assert text.splitlines()[2] == '"say ""hi""",1,1'
 
 
 def test_array_rows_and_empty_tables():
