@@ -11,11 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from beamstab.fd import diff1, trapezoid
 from beamstab.model import StateField, straight_reference
 from beamstab.params import derive_matrices
 from beamstab.scenarios import PRESETS
-from beamstab.solver import SimConfig, simulate
+from beamstab.solver import SimConfig, simulate, sobolev_norms
 from beamstab.table import csv_table
 
 
@@ -23,8 +22,7 @@ def smooth_datum(ref, amplitude=1e-2, seed=11):
     rng = np.random.default_rng(seed)
     xi = ref.grid / ref.grid[-1]
     values = rng.normal(size=12)[None, :] * (np.sin(np.pi * xi) ** 2)[:, None]
-    norm = np.sqrt(float(trapezoid(
-        (values**2).sum(1) + (diff1(values, ref.dx, 0) ** 2).sum(1), ref.dx)))
+    norm = sobolev_norms(values, ref.dx, 1)
     return StateField(ref.grid, "physical", values * (amplitude / norm), 0.0)
 
 

@@ -120,6 +120,7 @@ def theta_functions(matrices: BeamMatrices, curvature: np.ndarray):
     return theta, q1, q2
 
 
+@np.errstate(all="ignore")  # overflow is reported by the generator check below
 def build_phi(c: float, phi0: float, phiL: float, grid: np.ndarray):
     """Weight generator phi, its analytic derivative, and the analytic gap.
 
@@ -202,7 +203,8 @@ def build_certificate(
         gap = np.zeros_like(grid)
     else:
         w_minus, dphi, gap = build_phi(c, phi0, phiL, grid)
-    w_plus = w_minus[-1] + gap
+    with np.errstate(over="ignore"):  # an overflowing weight fails the boundary margins
+        w_plus = w_minus[-1] + gap
     half_mass = 0.5 * matrices.mass
     q_diag = np.concatenate(
         [w_minus[:, None] * half_mass[None, :], w_plus[:, None] * half_mass[None, :]],
@@ -277,8 +279,9 @@ def verify_certificate(
             ["certificate was built from other beam parameters or another curvature"]
         )
 
-    b0 = 0.5 * (cert.w_plus[0] * matrices.kappa**2 - cert.w_minus[0]) * matrices.mass
-    bL = 0.5 * (cert.w_minus[-1] - cert.w_plus[-1]) * matrices.mass
+    with np.errstate(all="ignore"):  # a non-finite margin fails the check below
+        b0 = 0.5 * (cert.w_plus[0] * matrices.kappa**2 - cert.w_minus[0]) * matrices.mass
+        bL = 0.5 * (cert.w_minus[-1] - cert.w_plus[-1]) * matrices.mass
 
     interior = interior_matrices(cert, matrices, reference)
     eigs = np.linalg.eigvalsh(interior)

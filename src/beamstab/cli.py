@@ -75,12 +75,9 @@ def cmd_certify(scenario, args) -> tuple[int, dict[str, str]]:
 
 def _prepare_run(scenario):
     matrices, reference, cert = _certified(scenario)
+    spec = scenario.datum
     datum = solver.generate_initial_datum(
-        matrices,
-        reference,
-        amplitude=scenario.datum.amplitude,
-        seed=scenario.datum.seed,
-        order=scenario.datum.order,
+        matrices, reference, amplitude=spec.amplitude, seed=spec.seed, order=spec.order
     )
     return matrices, reference, cert, datum
 
@@ -89,9 +86,8 @@ def _fit_summary(scenario, traj, extra=None) -> str:
     t_min = solver.round_trip_time(scenario.params)
     nan = float("nan")
     rows = []
+    # every command passes its certificate to the solver, so traj.lyap is recorded
     for label, values in (("lyapunov", traj.lyap), ("h1_sq", traj.h1**2)):
-        if values is None:
-            continue
         try:
             rows.append((label, *solver.fit_decay(traj.times, values, t_min=t_min)))
         except (NonPositiveValues, ValidationError):
@@ -154,24 +150,22 @@ _SWEEP_PATHS = {
 
 
 def _sweep_row(payload):
-    scenario_dict, axis, value = payload
+    scenario, axis, value = payload
     start = time.perf_counter()
     row = {"value": value, "C_kappa": float("nan"), "cert_valid": 0,
            "alpha": float("nan"), "runtime_s": 0.0, "status": "ok"}
     try:
-        scenario = scenarios.scenario_from_dict(scenario_dict)
         scenario = scenarios.apply_override(scenario, f"{_SWEEP_PATHS[axis]}={value!r}")
         matrices, reference, cert, datum = _prepare_run(scenario)
         row["C_kappa"] = matrices.reflection_bound
         row["cert_valid"] = int(cert.valid)
         traj = solver.simulate(scenario.sim, matrices, reference, datum, cert=cert, lyap_order=1)
-        series = traj.lyap if traj.lyap is not None else traj.h1**2
         # fit after the first round trip when the run is long enough,
         # otherwise over whatever trailing window still has 10 samples
         t_min = min(solver.round_trip_time(scenario.params), 0.5 * scenario.sim.t_end)
         if np.count_nonzero(traj.times >= t_min) < 10:
             t_min = traj.times[-min(10, len(traj.times))]
-        alpha, _, _ = solver.fit_decay(traj.times, series, t_min=t_min)
+        alpha, _, _ = solver.fit_decay(traj.times, traj.lyap, t_min=t_min)
         row["alpha"] = alpha
     except BeamstabError as exc:
         row["status"] = f"{type(exc).__name__}: {exc}"
@@ -199,7 +193,7 @@ def cmd_sweep(scenario, args) -> tuple[int, dict[str, str]]:
         if not np.isfinite(v):
             raise ScenarioError(f"sweep values must be finite, got {v}")
 
-    payloads = [(scenarios.scenario_to_dict(scenario), args.axis, v) for v in values]
+    payloads = [(scenario, args.axis, v) for v in values]
     # the pool starts all of its workers at once, so ask for no more than can run
     workers = min(args.workers, len(values), os.cpu_count() or 1)
     if workers > 1:

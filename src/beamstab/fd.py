@@ -1,8 +1,9 @@
 """Finite-difference stencils shared by the model, solver and checks.
 
 Second-order centered differences in the interior, second-order one-sided
-at the first and last sample, on uniformly spaced data.  ``diff1`` works
-along a chosen axis; ``diff2`` and ``trapezoid`` along the first.
+at the first and last sample, on uniformly spaced data, and the trapezoid
+rule.  ``diff1`` and ``cumulative_trapezoid`` work along a chosen axis;
+``diff2`` and ``trapezoid`` along the first.
 """
 
 from __future__ import annotations
@@ -38,3 +39,11 @@ def trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     """Trapezoid-rule quadrature along axis 0 of uniformly spaced data."""
     v = np.asarray(values, dtype=float)
     return h * (v.sum(axis=0) - 0.5 * (v[0] + v[-1]))
+
+
+def cumulative_trapezoid(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """Running trapezoid integral of uniformly spaced data, 0 at the first sample."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    out = np.zeros_like(v)
+    out[1:] = np.cumsum(0.5 * h * (v[1:] + v[:-1]), axis=0)
+    return np.moveaxis(out, 0, axis)

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotARotation, ValidationError
-from .fd import diff1
+from .fd import cumulative_trapezoid, diff1
 from .params import BeamMatrices, derive_matrices
 
 __all__ = [
@@ -307,9 +307,4 @@ def strains_velocities_from_pose(pose, reference: PrecurvedReference):
 
 def reference_centerline(reference: PrecurvedReference) -> np.ndarray:
     """Centerline of the undeformed beam: trapezoid quadrature of R e1 from 0."""
-    tangents = reference.rotation[:, :, 0]
-    dx = reference.dx
-    out = np.zeros_like(tangents)
-    increments = 0.5 * dx * (tangents[1:] + tangents[:-1])
-    out[1:] = np.cumsum(increments, axis=0)
-    return out
+    return cumulative_trapezoid(reference.rotation[:, :, 0], reference.dx)

@@ -146,6 +146,7 @@ def _quadratic_tensor(p: BeamParams, inertia, stiff_force, stiff_moment) -> np.n
     return q
 
 
+@np.errstate(all="ignore")  # overflow is reported by the finiteness check at the end
 def derive_matrices(params: BeamParams) -> BeamMatrices:
     """Build every derived matrix for a validated parameter set.
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import model, solver
 from .errors import EndpointMismatch, NotARotation, ValidationError, ZeroQuaternion
-from .fd import diff1
+from .fd import cumulative_trapezoid, diff1
 from .model import E1, PrecurvedReference, StateField, hat
 from .params import BeamMatrices
 from .table import csv_table
@@ -236,9 +236,7 @@ def _from_clamp(rot: np.ndarray, y: np.ndarray, h_p: np.ndarray, dx: float):
     (..., N+1, 3).
     """
     tangent = np.einsum("...nij,...nj->...ni", rot, y[..., 6:9] + E1)
-    seg = 0.5 * dx * (tangent[..., 1:, :] + tangent[..., :-1, :])
-    tail = np.zeros_like(tangent)
-    tail[..., :-1, :] = np.cumsum(seg[..., ::-1, :], axis=-2)[..., ::-1, :]
+    tail = cumulative_trapezoid(tangent[..., ::-1, :], dx, axis=-2)[..., ::-1, :]
     return tangent, h_p - tail
 
 
@@ -261,15 +259,11 @@ def reconstruct_centerline(
         raise EndpointMismatch(f"p0(L) differs from clamp by {np.abs(p0[-1] - h_p).max():.3g}")
 
     y = np.stack([s.values for s in states])
-    times = pose.times
-    dt = times[1] - times[0]
+    dt = pose.times[1] - pose.times[0]
     dx = pose.grid[1] - pose.grid[0]
 
     vel = np.einsum("tnij,tnj->tni", pose.R, y[:, :, 0:3])  # R y1
-    p = np.empty((len(times), len(pose.grid), 3))
-    p[0] = p0
-    increments = 0.5 * dt * (vel[1:] + vel[:-1])
-    p[1:] = p0[None, :, :] + np.cumsum(increments, axis=0)
+    p = p0 + cumulative_trapezoid(vel, dt)
 
     tangent, p2 = _from_clamp(pose.R, y, h_p, dx)
     route_gap = float(np.abs(p - p2).max())
@@ -293,8 +287,9 @@ def run_pipeline(
     most ``MAX_RECONSTRUCT_RECORDS`` records after t = 0.  A ragged final
     record is dropped (the quaternion sweeps need a uniform time lattice),
     and the initial shape is the quadrature from the clamp.  Returns
-    (trajectory, physical states, pose); raises :class:`ValidationError`
-    when fewer than three evenly spaced records would remain.
+    (trajectory without snapshots, physical states, pose); raises
+    :class:`ValidationError` when fewer than three evenly spaced records
+    would remain.
     """
     _, n_steps = solver.time_step(config, matrices)
     stride = max(config.output_stride, math.ceil(n_steps / MAX_RECONSTRUCT_RECORDS))
@@ -306,8 +301,8 @@ def run_pipeline(
     config = replace(config, store_snapshots=True, output_stride=stride)
     traj = solver.simulate(config, matrices, reference, datum, cert=cert, lyap_order=1)
 
-    snaps = traj.snapshots[:-1] if n_steps % stride else traj.snapshots
-    states = [model.to_physical(s, matrices) for s in snaps]
+    states = [model.to_physical(s, matrices) for s in traj.snapshots[: n_steps // stride + 1]]
+    traj = replace(traj, snapshots=[])  # the states are the one copy of the history
     pose = reconstruct_rotation(states, reference, reference.rotation[-1])
     h_p = model.reference_centerline(reference)[-1]
     _, p0 = _from_clamp(pose.R[0], states[0].values, h_p, reference.dx)

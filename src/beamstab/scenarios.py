@@ -18,7 +18,7 @@ import yaml
 
 from . import __version__
 from .errors import ScenarioError
-from .model import PrecurvedReference, curved_reference, straight_reference
+from .model import PrecurvedReference, curved_reference
 from .params import BeamMatrices, BeamParams, optimal_feedback
 from .solver import SimConfig, round_trip_time
 
@@ -78,13 +78,12 @@ class Scenario:
 
 
 def _toy_params() -> BeamParams:
-    mu1, mu2 = optimal_feedback(
-        BeamParams(1.0, 1.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    )
-    return BeamParams(
+    base = BeamParams(
         rho=1.0, area=1.0, young=4.0, shear=1.0, moment2=1.0, moment3=1.0,
-        k1=1.0, k2=1.0, k3=1.0, length=1.0, mu1=mu1, mu2=mu2,
+        k1=1.0, k2=1.0, k3=1.0, length=1.0, mu1=1.0, mu2=1.0,
     )
+    mu1, mu2 = optimal_feedback(base)
+    return replace(base, mu1=mu1, mu2=mu2)
 
 
 def _steel_params() -> BeamParams:
@@ -102,40 +101,23 @@ def _steel_params() -> BeamParams:
     return replace(base, mu1=mu1, mu2=mu2)
 
 
-def _presets() -> dict[str, Scenario]:
-    toy = _toy_params()
-    steel = _steel_params()
-    toy_round_trip = round_trip_time(toy)
-    steel_round_trip = round_trip_time(steel)
-    return {
-        "straight-toy": Scenario(
-            name="straight-toy",
-            params=toy,
-            reference=ReferenceSpec("straight"),
-            sim=SimConfig(n_cells=256, cfl=0.9, t_end=10.0 * toy_round_trip, output_stride=1),
-            certificate=CertificateSpec(m=1, phi0=1.0, phiL=None),
-            datum=DatumSpec(amplitude=1e-2, seed=42, order=1),
-        ),
-        "straight-steel": Scenario(
-            name="straight-steel",
-            params=steel,
-            reference=ReferenceSpec("straight"),
-            sim=SimConfig(n_cells=256, cfl=0.9, t_end=10.0 * steel_round_trip, output_stride=1),
-            certificate=CertificateSpec(m=1, phi0=1.0, phiL=None),
-            datum=DatumSpec(amplitude=1e-2, seed=42, order=1),
-        ),
-        "helical": Scenario(
-            name="helical",
-            params=toy,
-            reference=ReferenceSpec("curved", (1.0, 0.0, 0.5)),
-            sim=SimConfig(n_cells=256, cfl=0.9, t_end=10.0 * toy_round_trip, output_stride=1),
-            certificate=CertificateSpec(m=1, phi0=1.0, phiL=None),
-            datum=DatumSpec(amplitude=1e-2, seed=42, order=1),
-        ),
-    }
+def _preset(name: str, params: BeamParams, reference: ReferenceSpec) -> Scenario:
+    """The recipe every preset shares: N = 256, ten round trips recorded every step."""
+    return Scenario(
+        name=name,
+        params=params,
+        reference=reference,
+        sim=SimConfig(n_cells=256, cfl=0.9, t_end=10.0 * round_trip_time(params), output_stride=1),
+        certificate=CertificateSpec(m=1, phi0=1.0, phiL=None),
+        datum=DatumSpec(amplitude=1e-2, seed=42, order=1),
+    )
 
 
-PRESETS = _presets()
+PRESETS = {scenario.name: scenario for scenario in (
+    _preset("straight-toy", _toy_params(), ReferenceSpec("straight")),
+    _preset("straight-steel", _steel_params(), ReferenceSpec("straight")),
+    _preset("helical", _toy_params(), ReferenceSpec("curved", (1.0, 0.0, 0.5))),
+)}
 
 
 def _is_number(value) -> bool:
@@ -225,10 +207,7 @@ def _plain(value):
 def scenario_to_dict(scenario: Scenario) -> dict:
     data = {"name": scenario.name}
     for key in _SECTIONS:
-        section = {k: _plain(v) for k, v in asdict(getattr(scenario, key)).items()}
-        if key == "reference":
-            section["curvature"] = list(section["curvature"])
-        data[key] = section
+        data[key] = {k: _plain(v) for k, v in asdict(getattr(scenario, key)).items()}
     return data
 
 
@@ -300,10 +279,12 @@ def apply_override(scenario: Scenario, dotted: str) -> Scenario:
 def build_reference(
     scenario: Scenario, matrices: BeamMatrices | None = None
 ) -> PrecurvedReference:
-    """The scenario's reference shape; ``matrices`` are its derived matrices if at hand."""
-    if scenario.reference.kind == "straight":
-        return straight_reference(scenario.params, scenario.sim.n_cells, matrices)
-    curv = np.asarray(scenario.reference.curvature, dtype=float)
+    """The scenario's reference shape, a straight one being zero curvature.
+
+    ``matrices`` are the scenario's derived matrices if the caller holds them.
+    """
+    spec = scenario.reference
+    curv = np.asarray(spec.curvature if spec.kind == "curved" else (0.0, 0.0, 0.0), dtype=float)
     return curved_reference(scenario.params, scenario.sim.n_cells, lambda x: curv, matrices)
 
 
@@ -311,9 +292,6 @@ def header_echo(scenario: Scenario) -> dict:
     """Flat key=value view of a scenario for CSV headers (full reproducibility)."""
     out = {"name": scenario.name, "version": __version__}
     data = scenario_to_dict(scenario)
-    for section, content in data.items():
-        if section == "name":
-            continue
-        for key, value in content.items():
-            out[f"{section}.{key}"] = value
+    for section in _SECTIONS:
+        out.update((f"{section}.{key}", value) for key, value in data[section].items())
     return out

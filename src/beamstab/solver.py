@@ -174,6 +174,7 @@ def _smooth_bump(xi: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(all="ignore")  # a grid too fine for double precision is reported below
 def generate_initial_datum(
     matrices: BeamMatrices,
     reference: PrecurvedReference,
@@ -226,7 +227,10 @@ def generate_initial_datum(
         target0 = matrices.flexibility * (matrices.mu * values[0, :6])
         values[:, 6:] += (1.0 - xi)[:, None] * (target0 - values[0, 6:])[None, :]
 
-    values *= amplitude / sobolev_norms(values, dx, 1)
+    norm = sobolev_norms(values, dx, 1)
+    if not 0.0 < norm < math.inf:
+        raise ValidationError([f"datum H1 norm {norm} at dx = {dx:.3g}: params.length too small"])
+    values *= amplitude / norm
     return StateField(grid, "physical", values, 0.0)
 
 
@@ -382,6 +386,8 @@ def simulate(
         raise ValidationError(
             [f"datum violates order-0 compatibility: residual {compat.max_residual():.3g}"]
         )
+    if cert is not None and not np.all(np.isfinite(cert.q_diag)):
+        raise ValidationError(["certificate weights overflow: lower certificate.phi0 or phiL"])
 
     grid = y0.grid
     dx = float(grid[1] - grid[0])

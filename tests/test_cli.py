@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,13 @@ from beamstab.errors import (
     ValidationError,
     WindowViolation,
 )
-from beamstab.params import derive_matrices
+from beamstab.params import BeamParams, derive_matrices, optimal_feedback
 from beamstab.scenarios import (
     PRESETS,
+    CertificateSpec,
+    DatumSpec,
+    ReferenceSpec,
+    Scenario,
     apply_override,
     header_echo,
     load_scenario,
@@ -31,7 +36,7 @@ from beamstab.scenarios import (
     scenario_to_dict,
     scenario_to_yaml,
 )
-from beamstab.solver import MAX_CELLS, time_step
+from beamstab.solver import MAX_CELLS, SimConfig, round_trip_time, time_step
 from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,6 +73,55 @@ class TestScenarioFiles:
         for sc in PRESETS.values():
             sc.params.validate()
             sc.sim.validate()
+
+    def test_presets_equal_their_written_out_recipes(self):
+        # oracle: the three presets spelled out in full, as they were before
+        # they shared one recipe
+        mu1, mu2 = optimal_feedback(
+            BeamParams(1.0, 1.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        )
+        toy = BeamParams(
+            rho=1.0, area=1.0, young=4.0, shear=1.0, moment2=1.0, moment3=1.0,
+            k1=1.0, k2=1.0, k3=1.0, length=1.0, mu1=mu1, mu2=mu2,
+        )
+        base = BeamParams(
+            rho=7850.0, area=4e-2, young=2.1e11, shear=8.1e10,
+            moment2=1.3333333333333333e-04, moment3=1.3333333333333333e-04,
+            k1=0.843, k2=0.85, k3=0.85, length=1.0, mu1=1.0, mu2=1.0,
+        )
+        mu1, mu2 = optimal_feedback(base)
+        steel = replace(base, mu1=mu1, mu2=mu2)
+        toy_round_trip = round_trip_time(toy)
+        steel_round_trip = round_trip_time(steel)
+        expected = {
+            "straight-toy": Scenario(
+                name="straight-toy",
+                params=toy,
+                reference=ReferenceSpec("straight"),
+                sim=SimConfig(n_cells=256, cfl=0.9, t_end=10.0 * toy_round_trip, output_stride=1),
+                certificate=CertificateSpec(m=1, phi0=1.0, phiL=None),
+                datum=DatumSpec(amplitude=1e-2, seed=42, order=1),
+            ),
+            "straight-steel": Scenario(
+                name="straight-steel",
+                params=steel,
+                reference=ReferenceSpec("straight"),
+                sim=SimConfig(n_cells=256, cfl=0.9, t_end=10.0 * steel_round_trip,
+                              output_stride=1),
+                certificate=CertificateSpec(m=1, phi0=1.0, phiL=None),
+                datum=DatumSpec(amplitude=1e-2, seed=42, order=1),
+            ),
+            "helical": Scenario(
+                name="helical",
+                params=toy,
+                reference=ReferenceSpec("curved", (1.0, 0.0, 0.5)),
+                sim=SimConfig(n_cells=256, cfl=0.9, t_end=10.0 * toy_round_trip, output_stride=1),
+                certificate=CertificateSpec(m=1, phi0=1.0, phiL=None),
+                datum=DatumSpec(amplitude=1e-2, seed=42, order=1),
+            ),
+        }
+        assert PRESETS == expected
+        assert list(PRESETS) == list(expected)
 
     def test_yaml_roundtrip(self, tmp_path):
         sc = load_scenario("helical")
@@ -474,13 +528,34 @@ class TestSweepCommand:
     (["sweep", "--axis", "mu1", "--values", "1", "--workers", "0"], "--workers"),
     (["sweep", "--axis", "mu1", "--values", "1", "--workers", "-3"], "--workers"),
     (["certify", "--override", "reference.curvature=[1,0,0.5]"], "reference.curvature"),
+    (["simulate", "--override", "sim.n_cells=32", "--override", "params.length=1e-200",
+      "--override", "sim.t_end=1e-199"], "params.length"),
+    (["simulate", "--override", "sim.n_cells=32", "--override", "sim.t_end=0.2",
+      "--override", "certificate.phi0=8.98846567431158e+307"], "certificate.phi0"),
 ])
 def test_bad_value_exits_2_naming_the_field(tmp_path, args, field):
     proc = run_python(["-m", "beamstab.cli", args[0], "--scenario", "straight-toy",
                        "--out", str(tmp_path), *args[1:]])
     assert proc.returncode == EXIT_VALIDATION, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert field in proc.stderr
+
+
+@pytest.mark.parametrize("value, code, message", [
+    ("params.rho=5e-324", EXIT_VALIDATION, "params overflow double precision"),
+    ("params.rho=8.98846567431158e+307", EXIT_VALIDATION, "params overflow double precision"),
+    ("params.length=5e-324", EXIT_VALIDATION, "generator conditions failed"),
+    ("certificate.phi0=8.98846567431158e+307", EXIT_CERTIFICATE, "certificate INVALID"),
+])
+def test_overflowing_values_print_no_numpy_warning(tmp_path, value, code, message):
+    proc = run_python(["-m", "beamstab.cli", "certify", "--scenario", "straight-toy",
+                       "--out", str(tmp_path), "--override", "sim.n_cells=32",
+                       "--override", value])
+    assert proc.returncode == code, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stdout + proc.stderr
 
 
 def test_list_override_converts_scientific_notation(tmp_path):
@@ -526,6 +601,8 @@ _YAML_TOKENS = [
 @example(path="params.rho", value="-9223372036854775809")
 @example(path="params.rho", value="8.98846567431158e+307")
 @example(path="params.length", value="2.225073858507e-311")
+@example(path="params.length", value="1e-300")
+@example(path="certificate.phi0", value="8.98846567431158e+307")
 @pytest.mark.parametrize("command", ["simulate", "certify"])
 def test_any_override_ends_in_an_exit_code(tmp_path_factory, command, path, value):
     out = tmp_path_factory.mktemp("contract")

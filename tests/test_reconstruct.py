@@ -23,7 +23,7 @@ from beamstab.reconstruct import (
     run_pipeline,
     umap,
 )
-from beamstab.solver import SimConfig, fit_decay, generate_initial_datum, simulate
+from beamstab.solver import SimConfig, fit_decay, generate_initial_datum, simulate, time_step
 
 
 def axis_rotation(axis: int, angle: float) -> np.ndarray:
@@ -182,6 +182,25 @@ def simulate_and_reconstruct(params, matrices, n, t_end=0.5, seed=5):
     cfg = SimConfig(n_cells=n, cfl=0.9, t_end=t_end, output_stride=1)
     _, states, pose = run_pipeline(cfg, matrices, ref, datum)
     return ref, states, pose
+
+
+def test_pipeline_keeps_one_copy_of_the_history(toy_params, toy_matrices):
+    ref = straight_reference(toy_params, 32, toy_matrices)
+    datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=5, order=1)
+    raggedness = []
+    for t_end in (0.25, 0.26, 0.27):
+        cfg = SimConfig(n_cells=32, cfl=0.9, t_end=t_end, output_stride=3)
+        _, n_steps = time_step(cfg, toy_matrices)
+        raggedness.append(n_steps % 3)
+        traj, states, pose = run_pipeline(cfg, toy_matrices, ref, datum)
+        kept = n_steps // 3 + 1
+        # a ragged final record is simulated but not reconstructed
+        assert len(traj.times) == kept + (1 if n_steps % 3 else 0)
+        assert traj.snapshots == []
+        assert len(states) == kept == len(pose.times)
+        assert [s.repr for s in states] == ["physical"] * kept
+        assert np.array_equal([s.time for s in states], traj.times[:kept])
+    assert sorted(raggedness) == [0, 1, 2]
 
 
 def test_roundtrip_first_order_convergence(toy_params, toy_matrices):
