@@ -19,6 +19,7 @@ reconstruction and fitting failures).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -190,7 +191,8 @@ def cmd_sweep(scenario, args) -> tuple[int, dict[str, str]]:
     if not values:
         raise ScenarioError("no sweep values given")
     for v in values:
-        if not np.isfinite(v):
+        # an int is finite; one beyond int64 fails in apply_override, on its own row
+        if isinstance(v, float) and not math.isfinite(v):
             raise ScenarioError(f"sweep values must be finite, got {v}")
 
     payloads = [(scenario, args.axis, v) for v in values]

@@ -206,7 +206,10 @@ def curved_reference(
     curvature = np.array([np.asarray(curvature_fn(x), dtype=float) for x in grid])
     if curvature.shape != (n_cells + 1, 3) or not np.all(np.isfinite(curvature)):
         raise ValidationError(["curvature_fn must return finite 3-vectors"])
-    coupling = coupling_pattern_blocks(matrices, _strain_matrix(curvature))
+    with np.errstate(all="ignore"):  # an overflowing table is reported below
+        coupling = coupling_pattern_blocks(matrices, _strain_matrix(curvature))
+    if not np.all(np.isfinite(coupling)):
+        raise ValidationError(["reference.curvature overflows the coupling table"])
     return PrecurvedReference(grid, curvature, coupling, curvature_fn)
 
 

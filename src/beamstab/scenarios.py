@@ -40,16 +40,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReferenceSpec:
-    kind: str = "straight"                       # straight | curved
-    curvature: tuple = ()                        # constant 3-vector when curved
+    curvature: tuple = (0.0, 0.0, 0.0)           # constant; zero is a straight beam
 
     def validate(self) -> "ReferenceSpec":
-        if self.kind not in ("straight", "curved"):
-            raise ScenarioError(f"reference.kind must be straight|curved, got {self.kind!r}")
-        if self.kind == "curved" and len(self.curvature) != 3:
-            raise ScenarioError("reference.curvature must be a 3-vector for curved beams")
-        if self.kind == "straight" and len(self.curvature) != 0:
-            raise ScenarioError("reference.curvature must be empty for straight beams")
+        if len(self.curvature) != 3:
+            raise ScenarioError(
+                f"reference.curvature must be a 3-vector, got {list(self.curvature)}"
+            )
         return self
 
 
@@ -114,9 +111,9 @@ def _preset(name: str, params: BeamParams, reference: ReferenceSpec) -> Scenario
 
 
 PRESETS = {scenario.name: scenario for scenario in (
-    _preset("straight-toy", _toy_params(), ReferenceSpec("straight")),
-    _preset("straight-steel", _steel_params(), ReferenceSpec("straight")),
-    _preset("helical", _toy_params(), ReferenceSpec("curved", (1.0, 0.0, 0.5))),
+    _preset("straight-toy", _toy_params(), ReferenceSpec()),
+    _preset("straight-steel", _steel_params(), ReferenceSpec()),
+    _preset("helical", _toy_params(), ReferenceSpec((1.0, 0.0, 0.5))),
 )}
 
 
@@ -283,8 +280,7 @@ def build_reference(
 
     ``matrices`` are the scenario's derived matrices if the caller holds them.
     """
-    spec = scenario.reference
-    curv = np.asarray(spec.curvature if spec.kind == "curved" else (0.0, 0.0, 0.0), dtype=float)
+    curv = np.asarray(scenario.reference.curvature, dtype=float)
     return curved_reference(scenario.params, scenario.sim.n_cells, lambda x: curv, matrices)
 
 

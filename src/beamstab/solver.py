@@ -47,8 +47,6 @@ from .table import csv_table
 __all__ = [
     "SimConfig",
     "Trajectory",
-    "CompatibilityReport",
-    "check_compatibility",
     "generate_initial_datum",
     "time_step",
     "round_trip_time",
@@ -115,54 +113,16 @@ class Trajectory:
     steps: int = 0
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    order: int
-    clamped: float          # |v(L)| at order 0
-    feedback: float         # |C^{-1} s(0) - mu v(0)| at order 0
-    clamped_1: float | None = None
-    feedback_1: float | None = None
+def _boundary_residual(y0: StateField, matrices: BeamMatrices) -> float:
+    """Order-0 compatibility residual of a physical datum.
 
-    def max_residual(self) -> float:
-        vals = [self.clamped, self.feedback]
-        if self.clamped_1 is not None:
-            vals += [self.clamped_1, self.feedback_1]
-        return max(vals)
-
-
-def _feedback_residual(matrices: BeamMatrices, v0: np.ndarray, s0: np.ndarray) -> float:
-    cinv = 1.0 / matrices.flexibility
-    return float(np.abs(cinv * s0 - matrices.mu * v0).max())
-
-
-def check_compatibility(
-    y0: StateField, matrices: BeamMatrices, reference: PrecurvedReference, order: int = 0
-) -> CompatibilityReport:
-    """Boundary residuals of an initial datum at compatibility order 0 or 1.
-
-    Order 1 differentiates the datum with the shared stencils and checks the
-    same two conditions on  y1 = L^{-1} f(L y0),  f the PDE right side
-    :func:`_pde_rhs` with the centered gradient.
+    The larger of |v(L)|, the clamp, and |C^{-1} s(0) - mu v(0)|, the feedback.
     """
-    if y0.repr != "physical":
-        raise ValidationError(["check_compatibility expects a physical datum"])
     vals = y0.values
-    res_clamped = float(np.abs(vals[-1, :6]).max())
-    res_feedback = _feedback_residual(matrices, vals[0, :6], vals[0, 6:])
-    if order == 0:
-        return CompatibilityReport(0, res_clamped, res_feedback)
-
-    dx = float(y0.grid[1] - y0.grid[0])
-    r0 = vals @ matrices.to_char.T
-    rt = _pde_rhs(r0, diff1(r0, dx, axis=0), matrices, reference)
-    y1 = rt @ matrices.from_char.T
-    return CompatibilityReport(
-        1,
-        res_clamped,
-        res_feedback,
-        float(np.abs(y1[-1, :6]).max()),
-        _feedback_residual(matrices, y1[0, :6], y1[0, 6:]),
-    )
+    clamped = float(np.abs(vals[-1, :6]).max())
+    cinv = 1.0 / matrices.flexibility
+    feedback = float(np.abs(cinv * vals[0, 6:] - matrices.mu * vals[0, :6]).max())
+    return max(clamped, feedback)
 
 
 def _smooth_bump(xi: np.ndarray) -> np.ndarray:
@@ -381,11 +341,11 @@ def simulate(
         raise ValidationError(
             [f"datum grid ends at {y0.grid[-1]!r}, the beam length is {matrices.params.length!r}"]
         )
-    compat = check_compatibility(y0, matrices, reference, order=0)
-    if compat.max_residual() > 1e-8:
-        raise ValidationError(
-            [f"datum violates order-0 compatibility: residual {compat.max_residual():.3g}"]
-        )
+    if y0.repr != "physical":
+        raise ValidationError(["simulate expects a physical datum"])
+    residual = _boundary_residual(y0, matrices)
+    if residual > 1e-8:
+        raise ValidationError([f"datum violates order-0 compatibility: residual {residual:.3g}"])
     if cert is not None and not np.all(np.isfinite(cert.q_diag)):
         raise ValidationError(["certificate weights overflow: lower certificate.phi0 or phiL"])
 

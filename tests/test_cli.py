@@ -1,6 +1,7 @@
 import csv
 import importlib
 import importlib.util
+import json
 import math
 import sys
 from dataclasses import replace
@@ -42,10 +43,10 @@ from conftest import run_python
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tracing():
-    """The benchmark's span recorder, loaded from perfbench/tracing.py."""
-    path = ROOT / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _perfbench(name):
+    """A module of the benchmark harness, loaded from perfbench/<name>.py."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -97,7 +98,7 @@ class TestScenarioFiles:
             "straight-toy": Scenario(
                 name="straight-toy",
                 params=toy,
-                reference=ReferenceSpec("straight"),
+                reference=ReferenceSpec(),
                 sim=SimConfig(n_cells=256, cfl=0.9, t_end=10.0 * toy_round_trip, output_stride=1),
                 certificate=CertificateSpec(m=1, phi0=1.0, phiL=None),
                 datum=DatumSpec(amplitude=1e-2, seed=42, order=1),
@@ -105,7 +106,7 @@ class TestScenarioFiles:
             "straight-steel": Scenario(
                 name="straight-steel",
                 params=steel,
-                reference=ReferenceSpec("straight"),
+                reference=ReferenceSpec(),
                 sim=SimConfig(n_cells=256, cfl=0.9, t_end=10.0 * steel_round_trip,
                               output_stride=1),
                 certificate=CertificateSpec(m=1, phi0=1.0, phiL=None),
@@ -114,7 +115,7 @@ class TestScenarioFiles:
             "helical": Scenario(
                 name="helical",
                 params=toy,
-                reference=ReferenceSpec("curved", (1.0, 0.0, 0.5)),
+                reference=ReferenceSpec((1.0, 0.0, 0.5)),
                 sim=SimConfig(n_cells=256, cfl=0.9, t_end=10.0 * toy_round_trip, output_stride=1),
                 certificate=CertificateSpec(m=1, phi0=1.0, phiL=None),
                 datum=DatumSpec(amplitude=1e-2, seed=42, order=1),
@@ -142,6 +143,14 @@ class TestScenarioFiles:
         data["sim"]["n_cell"] = 64
         with pytest.raises(ScenarioError, match="n_cell"):
             scenario_from_dict(data)
+
+    def test_reference_kind_is_an_unknown_key(self, tmp_path, capsys):
+        data = scenario_to_dict(load_scenario("helical"))
+        data["reference"] = {"kind": "curved", "curvature": [1.0, 0.0, 0.5]}
+        path = tmp_path / "kind.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["certify", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "unknown keys under reference: kind" in capsys.readouterr().err
 
     def test_missing_preset(self):
         with pytest.raises(ScenarioError, match="presets: helical, straight-steel, straight-toy"):
@@ -321,7 +330,7 @@ class TestReconstructCommand:
         assert len(rows) <= cap + 2  # t = 0, the strided records, a ragged final one
 
     def test_pipeline_calls_are_traced(self, tmp_path):
-        trace = _tracing().Trace()
+        trace = _perfbench("tracing").Trace()
         with trace.installed():
             rc = main(["reconstruct", "--scenario", "helical", "--out", str(tmp_path),
                        "--override", "sim.n_cells=32", "--override", "sim.t_end=0.5"])
@@ -527,11 +536,14 @@ class TestSweepCommand:
       "--override", "sim.cfl=5e-324"], "step_cap"),
     (["sweep", "--axis", "mu1", "--values", "1", "--workers", "0"], "--workers"),
     (["sweep", "--axis", "mu1", "--values", "1", "--workers", "-3"], "--workers"),
-    (["certify", "--override", "reference.curvature=[1,0,0.5]"], "reference.curvature"),
+    (["certify", "--override", "sim.n_cells=32", "--override", "reference.curvature=[1e308,0,0]"],
+     "reference.curvature"),
     (["simulate", "--override", "sim.n_cells=32", "--override", "params.length=1e-200",
       "--override", "sim.t_end=1e-199"], "params.length"),
     (["simulate", "--override", "sim.n_cells=32", "--override", "sim.t_end=0.2",
       "--override", "certificate.phi0=8.98846567431158e+307"], "certificate.phi0"),
+    (["simulate", "--override", "sim.n_cells=32", "--override", "sim.t_end=0.2",
+      "--override", "reference.curvature=[1e308,0,0]"], "reference.curvature"),
 ])
 def test_bad_value_exits_2_naming_the_field(tmp_path, args, field):
     proc = run_python(["-m", "beamstab.cli", args[0], "--scenario", "straight-toy",
@@ -570,6 +582,31 @@ def test_list_override_converts_scientific_notation(tmp_path):
     assert texts[0] == texts[1]
 
 
+def _table_below_the_echo(path):
+    return "".join(ln for ln in path.read_text().splitlines(keepends=True)
+                   if not ln.startswith("# "))
+
+
+def test_a_straight_preset_with_curvature_is_the_curved_beam(tmp_path):
+    for name, extra in (("helical", []),
+                        ("straight-toy", ["--override", "reference.curvature=[1,0,0.5]"])):
+        assert main(["certify", "--scenario", name, "--out", str(tmp_path),
+                     "--override", "sim.n_cells=32", *extra]) == EXIT_OK
+    assert (_table_below_the_echo(tmp_path / "straight-toy-certificate.csv")
+            == _table_below_the_echo(tmp_path / "helical-certificate.csv"))
+
+
+def test_sweep_value_beyond_int64_is_a_failed_row(tmp_path):
+    rc = main(["sweep", "--scenario", "straight-toy", "--out", str(tmp_path),
+               "--axis", "N", "--values", "32,99999999999999999999",
+               "--override", "sim.t_end=0.5", "--override", "sim.output_stride=2"])
+    assert rc == EXIT_OK
+    text = (tmp_path / "straight-toy-sweep-N.csv").read_text()
+    rows = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))[1:]
+    assert rows[0][5] == "ok"
+    assert rows[1][5].startswith("ScenarioError: sim.n_cells must be an integer")
+
+
 def _override_paths():
     data = scenario_to_dict(load_scenario("straight-toy"))
     known = ["name"] + [f"{section}.{key}" for section, content in data.items()
@@ -581,6 +618,7 @@ _YAML_TOKENS = [
     "~", "null", "true", "no", ".nan", ".inf", "-.inf", "abc", "'1'", "0x10", "1_000",
     "1e400", "-0", "[]", "{}", "[1, 2]", "[1e-1,0,0.5]", "[1, a, 2]", "{a: 1}", "[",
     "'", "&a 1", "*a", "!!binary aGk=", "2001-01-01", "upwind2", "curved", "a/b",
+    "[1e308,0,0]", "[1e-320,0,0]",
 ]
 
 
@@ -603,7 +641,8 @@ _YAML_TOKENS = [
 @example(path="params.length", value="2.225073858507e-311")
 @example(path="params.length", value="1e-300")
 @example(path="certificate.phi0", value="8.98846567431158e+307")
-@pytest.mark.parametrize("command", ["simulate", "certify"])
+@example(path="reference.curvature", value="[1e308,0,0]")
+@pytest.mark.parametrize("command", ["simulate", "certify", "reconstruct", "dump-matrices"])
 def test_any_override_ends_in_an_exit_code(tmp_path_factory, command, path, value):
     out = tmp_path_factory.mktemp("contract")
     argv = [command, "--scenario", "straight-toy", "--out", str(out),
@@ -614,6 +653,52 @@ def test_any_override_ends_in_an_exit_code(tmp_path_factory, command, path, valu
     except SystemExit as exc:  # argparse
         rc = exc.code
     assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_CERTIFICATE, EXIT_BLOWUP)
+
+
+_SWEEP_TOKENS = [
+    "", ",", " ", "nan", "inf", "-inf", "abc", "1e3", "0x10", "1_000", "16", "15",
+    "99999999999999999999", "-9223372036854775809", "1e400", "5e-324", "1.5",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axis=st.sampled_from([*cli._SWEEP_PATHS, "n", "", "mu3"]),
+    values=st.lists(
+        st.one_of(
+            # every N in [16, 65536] takes the same path; the large ones cost
+            # seconds each in the certificate
+            st.integers(-1000, 1000).map(str),
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(repr),
+            st.sampled_from(_SWEEP_TOKENS),
+        ),
+        max_size=3,
+    ).map(",".join),
+)
+@example(axis="N", values="99999999999999999999")
+def test_any_sweep_ends_in_an_exit_code(tmp_path_factory, axis, values):
+    out = tmp_path_factory.mktemp("sweep")
+    argv = ["sweep", "--scenario", "straight-toy", "--out", str(out), "--axis", axis,
+            "--values", values, "--override", "sim.n_cells=32",
+            "--override", "sim.t_end=0.05", "--override", "sim.step_cap=400"]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse
+        rc = exc.code
+    assert rc in (EXIT_OK, EXIT_VALIDATION)
+
+
+def test_benchmark_layers_run_against_the_library():
+    # the per-layer harness calls the library directly; run it at minimal budget
+    layers = _perfbench("layers")
+    layers.BUDGET_S, layers.MIN_REPS, layers.STEP_NODE_STEPS = 0, 1, 256
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    expected = {m["name"] for m in declared if m["unit"] in ("us", "ms")} - {"cli.self_ms"}
+    assert len(expected) == 25
+    for command in ("reconstruct", "certify"):
+        got = layers.measure(command, "helical", ["sim.n_cells=32", "sim.t_end=0.2"])
+        assert set(got) == expected
+        assert all(value >= 0.0 and unit in ("us", "ms") for value, unit in got.values())
 
 
 def test_dump_matrices_command(tmp_path):
@@ -632,7 +717,7 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
 
 
 def test_traced_attributes_resolve():
-    for module_name, attr, _ in _tracing().TRACED:
+    for module_name, attr, _ in _perfbench("tracing").TRACED:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), attr
 
 

@@ -12,7 +12,8 @@ from beamstab.model import PrecurvedReference, StateField, straight_reference, t
 from beamstab.params import derive_matrices
 from beamstab.solver import (
     SimConfig,
-    check_compatibility,
+    _boundary_residual,
+    _pde_rhs,
     energies,
     fit_decay,
     generate_initial_datum,
@@ -61,29 +62,52 @@ def test_config_validation():
     SimConfig().validate()
 
 
+def order1_residual(y0, matrices, reference):
+    """Oracle: the order-1 compatibility residual of a physical datum.
+
+    The datum is differentiated with the shared stencils, and the order-0
+    boundary relations are checked on  y1 = L^{-1} f(L y0),  f the PDE
+    right side with the centered gradient.
+    """
+    r0 = y0.values @ matrices.to_char.T
+    rt = _pde_rhs(r0, diff1(r0, y0.grid[1] - y0.grid[0], axis=0), matrices, reference)
+    y1 = StateField(y0.grid, "physical", rt @ matrices.from_char.T, 0.0)
+    return _boundary_residual(y1, matrices)
+
+
 class TestCompatibility:
     def test_zero_datum(self, toy_matrices, toy_reference):
         zero = StateField(toy_reference.grid, "physical",
                           np.zeros((len(toy_reference.grid), 12)), 0.0)
-        rep = check_compatibility(zero, toy_matrices, toy_reference, order=1)
-        assert rep.max_residual() == 0.0
+        assert _boundary_residual(zero, toy_matrices) == 0.0
+        assert order1_residual(zero, toy_matrices, toy_reference) == 0.0
 
     def test_unit_velocity_at_clamp(self, toy_matrices, toy_reference):
         values = np.zeros((len(toy_reference.grid), 12))
         values[-1, 0] = 1.0
         state = StateField(toy_reference.grid, "physical", values, 0.0)
-        rep = check_compatibility(state, toy_matrices, toy_reference, order=0)
-        assert rep.clamped == pytest.approx(1.0, abs=0)
+        assert _boundary_residual(state, toy_matrices) == 1.0
 
     def test_generated_datum_order0(self, toy_matrices, toy_reference):
         datum = generate_initial_datum(toy_matrices, toy_reference, 0.5, seed=1, order=0)
-        rep = check_compatibility(datum, toy_matrices, toy_reference, order=0)
-        assert rep.max_residual() < 1e-10
+        assert _boundary_residual(datum, toy_matrices) < 1e-10
 
     def test_generated_datum_order1(self, toy_matrices, toy_reference):
         datum = generate_initial_datum(toy_matrices, toy_reference, 0.5, seed=2, order=1)
-        rep = check_compatibility(datum, toy_matrices, toy_reference, order=1)
-        assert rep.max_residual() < 1e-8
+        assert _boundary_residual(datum, toy_matrices) < 1e-8
+        assert order1_residual(datum, toy_matrices, toy_reference) < 1e-8
+
+    def test_simulate_rejects_an_incompatible_or_diagonal_datum(self, toy_matrices,
+                                                                 toy_reference):
+        cfg = SimConfig(n_cells=len(toy_reference.grid) - 1, t_end=0.01)
+        datum = generate_initial_datum(toy_matrices, toy_reference, 0.5, seed=1, order=0)
+        diagonal = StateField(datum.grid, "diagonal", datum.values @ toy_matrices.to_char.T)
+        with pytest.raises(ValidationError, match="expects a physical datum"):
+            simulate(cfg, toy_matrices, toy_reference, diagonal)
+        values = datum.values.copy()
+        values[-1, 0] += 1e-6
+        with pytest.raises(ValidationError, match="order-0 compatibility: residual 1e-06"):
+            simulate(cfg, toy_matrices, toy_reference, StateField(datum.grid, "physical", values))
 
 
 class TestInitialDatum:
@@ -91,8 +115,7 @@ class TestInitialDatum:
         d1 = generate_initial_datum(toy_matrices, toy_reference, 0.01, seed=9, order=0)
         d2 = generate_initial_datum(toy_matrices, toy_reference, 0.02, seed=9, order=0)
         assert np.array_equal(d2.values, 2.0 * d1.values)
-        rep = check_compatibility(d2, toy_matrices, toy_reference, order=0)
-        assert rep.max_residual() < 1e-12
+        assert _boundary_residual(d2, toy_matrices) < 1e-12
 
     def test_determinism_and_seeds(self, toy_matrices, toy_reference):
         a = generate_initial_datum(toy_matrices, toy_reference, 0.1, seed=4, order=1)
