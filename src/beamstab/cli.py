@@ -207,10 +207,12 @@ def cmd_sweep(scenario, args) -> tuple[int, dict[str, str]]:
     else:
         rows = [_sweep_row(p) for p in payloads]
 
+    # an N is written as its decimal text: %.17g would round one beyond 2**53
     table = csv_table(
         ["value", "C_kappa", "cert_valid", "alpha", "runtime_s", "status"],
-        [(row["value"], row["C_kappa"], row["cert_valid"], row["alpha"],
-          f"{row['runtime_s']:.3f}", row["status"]) for row in rows],
+        [(str(row["value"]) if args.axis == "N" else row["value"], row["C_kappa"],
+          row["cert_valid"], row["alpha"], f"{row['runtime_s']:.3f}", row["status"])
+         for row in rows],
     )
     return EXIT_OK, {f"sweep-{args.axis}": f"# axis = {args.axis}\n" + table}
 

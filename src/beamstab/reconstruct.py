@@ -21,6 +21,15 @@ an independent route whose gap is reported.  Both residuals inherit the
 truncation level of the simulated field, so they shrink at first order
 under simultaneous grid/step refinement - the lattice surrogate for the
 C^1 regularity statement that cannot be checked discretely.
+
+The stages over the space-time lattice (the rotations and the x-equation
+audit, R y1 and the centerline residuals, the round trip and the decay
+observable) run over blocks of ``TIME_BLOCK`` time samples and write into
+preallocated arrays, so none stacks the whole history of states at once;
+only the time quadrature of the centerline runs over the whole lattice.  A
+time derivative on a block reads one sample of halo on each side, widened
+at either end of the lattice to the three samples of the one-sided
+stencil, so every row sees the arithmetic of a single block.
 """
 
 from __future__ import annotations
@@ -53,6 +62,9 @@ __all__ = [
 
 # keeps the reconstruction lattice bounded; the stride stays deterministic
 MAX_RECONSTRUCT_RECORDS = 1200
+
+# time samples per block of the lattice stages; results do not depend on it
+TIME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -139,6 +151,26 @@ def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
     return q
 
 
+def _blocks(n_times: int):
+    """Bounds (lo, hi) of consecutive blocks of ``TIME_BLOCK`` time samples."""
+    for lo in range(0, n_times, TIME_BLOCK):
+        yield lo, min(lo + TIME_BLOCK, n_times)
+
+
+def _halo(lo: int, hi: int, n_times: int) -> tuple[int, int]:
+    """Rows a time derivative on rows lo:hi reads with the stencils of ``diff1``.
+
+    One sample on each side, and at either end of the lattice the three
+    samples of the one-sided stencil.
+    """
+    return max(0, min(lo - 1, n_times - 3)), min(n_times, max(hi + 1, 3))
+
+
+def _stack(states: list[StateField], lo: int, hi: int, cols: slice = slice(None)) -> np.ndarray:
+    """Columns ``cols`` of the values of ``states[lo:hi]`` as one (hi - lo, N+1, ...) array."""
+    return np.stack([s.values[:, cols] for s in states[lo:hi]])
+
+
 def _exp_step(q: np.ndarray, omega: np.ndarray, h: float) -> np.ndarray:
     """Exact step of dq/dz = U(omega) q for constant omega over width h.
 
@@ -182,10 +214,8 @@ def reconstruct_rotation(
     dt = times[1] - times[0]
     dx = reference.dx
 
-    y = np.stack([s.values for s in states])  # (T, N+1, 12)
-
     # x-sweep at t = 0, from the clamped end leftward
-    gen0 = reference.curvature + y[0, :, 9:12]
+    gen0 = reference.curvature + states[0].values[:, 9:12]
     spline = CubicSpline(grid, gen0, axis=0)
     q0 = np.empty((n_nodes, 4))
     q0[-1] = quaternion_from_rotation(r_in)
@@ -205,25 +235,29 @@ def reconstruct_rotation(
     q = np.empty((n_times, n_nodes, 4))
     q[0] = q0
     for k in range(n_times - 1):
-        omega_mid = 0.5 * (y[k, :, 3:6] + y[k + 1, :, 3:6])
+        omega_mid = 0.5 * (states[k].values[:, 3:6] + states[k + 1].values[:, 3:6])
         stepped = _exp_step(q[k], omega_mid, dt)
         q[k + 1] = stepped / np.linalg.norm(stepped, axis=-1, keepdims=True)
 
-    norm_defect = float(np.abs(np.linalg.norm(q, axis=-1) - 1.0).max())
-    rot = rotation_from_quaternion(q)
-
-    # audit the x-equation on the full lattice
-    dq_dx = diff1(q, dx, axis=1)
-    gen = reference.curvature[None, :, :] + y[:, :, 9:12]
-    predicted = np.einsum("tnij,tnj->tni", umap(gen), q)
-    residual = np.linalg.norm(dq_dx - predicted, axis=-1).max(axis=1)
+    # rotations, and the audit of the x-equation, block by block
+    rot = np.empty((n_times, n_nodes, 3, 3))
+    residual = np.empty(n_times)
+    norm_defect = np.empty(n_times)
+    for lo, hi in _blocks(n_times):
+        qb = q[lo:hi]
+        norm_defect[lo:hi] = np.abs(np.linalg.norm(qb, axis=-1) - 1.0).max(axis=1)
+        rot[lo:hi] = rotation_from_quaternion(qb)
+        dq_dx = diff1(qb, dx, axis=1)
+        gen = reference.curvature[None, :, :] + _stack(states, lo, hi, slice(9, 12))
+        predicted = np.einsum("tnij,tnj->tni", umap(gen), qb)
+        residual[lo:hi] = np.linalg.norm(dq_dx - predicted, axis=-1).max(axis=1)
 
     return PoseField(
         grid=grid,
         times=times,
         q=q,
         R=rot,
-        norm_defect=norm_defect,
+        norm_defect=float(norm_defect.max()),
         residual_rotation=residual,
     )
 
@@ -258,20 +292,26 @@ def reconstruct_centerline(
     if np.abs(p0[-1] - h_p).max() > 1e-10:
         raise EndpointMismatch(f"p0(L) differs from clamp by {np.abs(p0[-1] - h_p).max():.3g}")
 
-    y = np.stack([s.values for s in states])
+    n_times = len(pose.times)
     dt = pose.times[1] - pose.times[0]
     dx = pose.grid[1] - pose.grid[0]
 
-    vel = np.einsum("tnij,tnj->tni", pose.R, y[:, :, 0:3])  # R y1
+    vel = np.empty(pose.R.shape[:-1])  # R y1
+    for lo, hi in _blocks(n_times):
+        vel[lo:hi] = np.einsum("tnij,tnj->tni", pose.R[lo:hi], _stack(states, lo, hi, slice(0, 3)))
     p = p0 + cumulative_trapezoid(vel, dt)
 
-    tangent, p2 = _from_clamp(pose.R, y, h_p, dx)
-    route_gap = float(np.abs(p - p2).max())
+    gap = np.empty(n_times)
+    residual = np.empty(n_times)
+    for lo, hi in _blocks(n_times):
+        wlo, whi = _halo(lo, hi, n_times)
+        tangent, p2 = _from_clamp(pose.R[wlo:whi], _stack(states, wlo, whi), h_p, dx)
+        own = slice(lo - wlo, hi - wlo)
+        gap[lo:hi] = np.abs(p[lo:hi] - p2[own]).max(axis=(1, 2))
+        mixed = diff1(vel[lo:hi], dx, axis=1) - diff1(tangent, dt, axis=0)[own]
+        residual[lo:hi] = np.abs(mixed).max(axis=(1, 2))
 
-    mixed = diff1(vel, dx, axis=1) - diff1(tangent, dt, axis=0)
-    residual = np.abs(mixed).max(axis=(1, 2))
-
-    return replace(pose, p=p, residual_centerline=residual, route_gap=route_gap)
+    return replace(pose, p=p, residual_centerline=residual, route_gap=float(gap.max()))
 
 
 def run_pipeline(
@@ -311,9 +351,22 @@ def run_pipeline(
 
 
 def roundtrip_error(pose: PoseField, states, reference: PrecurvedReference) -> float:
-    """Sup |y - y_back| over the lattice, y_back the intrinsic variables of ``pose``."""
-    back = model.strains_velocities_from_pose(pose, reference)
-    return max(float(np.abs(b.values - s.values).max()) for b, s in zip(back, states))
+    """Sup |y - y_back| over the lattice, y_back the intrinsic variables of ``pose``.
+
+    ``pose`` is differentiated one window of time samples at a time.  Each
+    window is given the lattice's first sample times, so its step is the
+    lattice's own ``times[1] - times[0]`` to the bit (the first difference
+    inside a window can differ from it in the last place); only the values
+    are read back.
+    """
+    n_times = len(pose.times)
+    errors = []
+    for lo, hi in _blocks(n_times):
+        wlo, whi = _halo(lo, hi, n_times)
+        window = replace(pose, times=pose.times[: whi - wlo], R=pose.R[wlo:whi], p=pose.p[wlo:whi])
+        back = model.strains_velocities_from_pose(window, reference)[lo - wlo : hi - wlo]
+        errors += [float(np.abs(b.values - s.values).max()) for b, s in zip(back, states[lo:hi])]
+    return max(errors)
 
 
 def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndarray, np.ndarray]:
@@ -325,9 +378,12 @@ def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndar
     R's orthogonality is reported in ``pose.norm_defect`` and audited by
     :func:`model.strains_velocities_from_pose`.
     """
-    y = np.stack([s.values for s in states])
-    blocks = np.linalg.norm(y.reshape(y.shape[:2] + (4, 3)), axis=-1)
-    return pose.times.copy(), blocks.sum(axis=-1).max(axis=1)
+    values = np.empty(len(pose.times))
+    for lo, hi in _blocks(len(pose.times)):
+        y = _stack(states, lo, hi)
+        norms = np.linalg.norm(y.reshape(y.shape[:2] + (4, 3)), axis=-1)
+        values[lo:hi] = norms.sum(axis=-1).max(axis=1)
+    return pose.times.copy(), values
 
 
 def pose_snapshot_to_csv(pose: PoseField, index: int) -> str:

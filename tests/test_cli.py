@@ -605,6 +605,7 @@ def test_sweep_value_beyond_int64_is_a_failed_row(tmp_path):
     rows = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))[1:]
     assert rows[0][5] == "ok"
     assert rows[1][5].startswith("ScenarioError: sim.n_cells must be an integer")
+    assert [row[0] for row in rows] == ["32", "99999999999999999999"]
 
 
 def _override_paths():

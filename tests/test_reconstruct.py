@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from beamstab import reconstruct
 from beamstab.errors import EndpointMismatch, NotARotation, ZeroQuaternion
 from beamstab.model import (
     StateField,
@@ -270,3 +273,76 @@ def test_pose_csv_outputs(toy_params, toy_matrices):
     resid = pose_residuals_to_csv(pose)
     assert "norm_defect" in resid and "route_gap" in resid
     assert len(resid.splitlines()) == len(pose.times) + 3
+
+
+def rich_run(params, n_times, n_cells=16):
+    """Random intrinsic states on a curved beam, their pose and centerline.
+
+    The linear velocity y1 is uniform in x, random in t, far larger than
+    the other blocks and growing with t, and the samples span 0.01.  So the
+    round trip's sup error sits in V = R^T dt p at a late sample, where the
+    first time difference of a window is not the lattice's own to the bit.
+    """
+    ref = curved_reference(params, n_cells, lambda x: np.array([1.0, 0.0, 0.5]))
+    rng = np.random.default_rng(11)
+    states = []
+    for k, t in enumerate(np.linspace(0.0, 0.01, n_times)):
+        values = 1e-2 * rng.normal(size=(len(ref.grid), 12))
+        values[:, 0:3] = (1 + k) * rng.normal(size=3)
+        states.append(StateField(ref.grid, "physical", values, float(t)))
+    pose = reconstruct_rotation(states, ref, ref.rotation[-1])
+    line = reference_centerline(ref)
+    return ref, states, reconstruct_centerline(states, pose, line, line[-1])
+
+
+def test_time_blocks_do_not_change_the_results(toy_params, monkeypatch):
+    """Blocks of 1 and 7 samples give the bits of one block over the whole lattice.
+
+    With T = 15 the last block of 7 holds a single sample, whose time
+    derivatives read the three samples of the one-sided stencil.
+    """
+    n_times = 15
+
+    def run(block):
+        monkeypatch.setattr(reconstruct, "TIME_BLOCK", block)
+        ref, states, pose = rich_run(toy_params, n_times)
+        return pose, roundtrip_error(pose, states, ref), decay_observable(pose, states)[1]
+
+    whole, whole_rt, whole_obs = run(n_times)
+    for block in (1, 7):
+        pose, rt, obs = run(block)
+        for field in ("q", "R", "residual_rotation", "p", "residual_centerline"):
+            assert np.array_equal(getattr(pose, field), getattr(whole, field)), (block, field)
+        assert pose.norm_defect == whole.norm_defect
+        assert pose.route_gap == whole.route_gap
+        assert rt == whole_rt
+        assert np.array_equal(obs, whole_obs)
+
+
+def test_lattice_stages_allocate_less_than_the_history(toy_params):
+    """No stage stacks the whole history: what each allocates beyond what it
+    returns stays below the byte size of the stacked states."""
+    n_times = 8 * reconstruct.TIME_BLOCK + 1
+    ref, states, pose = rich_run(toy_params, n_times)
+    history = sum(s.values.nbytes for s in states)
+
+    def allocated(call, returned):
+        call()  # imports and first-call caches stay out of the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - base - returned(out)
+
+    rotation = allocated(
+        lambda: reconstruct_rotation(states, ref, ref.rotation[-1]),
+        lambda p: p.times.nbytes + p.q.nbytes + p.R.nbytes + p.residual_rotation.nbytes,
+    )
+    roundtrip = allocated(lambda: roundtrip_error(pose, states, ref), lambda e: 0)
+    observable = allocated(
+        lambda: decay_observable(pose, states), lambda out: out[0].nbytes + out[1].nbytes
+    )
+    assert max(rotation, roundtrip, observable) < history, (rotation, roundtrip, observable)
