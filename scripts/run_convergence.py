@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from beamstab.model import StateField, straight_reference
+from beamstab.model import StateField, curved_reference
 from beamstab.params import derive_matrices
 from beamstab.scenarios import PRESETS
 from beamstab.solver import SimConfig, simulate, sobolev_norms
@@ -42,7 +42,7 @@ def main():
     for scheme in ("upwind1", "upwind2"):
         terminal = {}
         for n in grids:
-            ref = straight_reference(params, n, matrices)
+            ref = curved_reference(params, n, np.zeros(3), matrices)
             cfg = SimConfig(n_cells=n, cfl=0.9, t_end=args.t_end,
                             output_stride=10**9, store_snapshots=True, scheme=scheme)
             terminal[n] = simulate(cfg, matrices, ref, smooth_datum(ref)).snapshots[-1].values

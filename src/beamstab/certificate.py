@@ -11,21 +11,22 @@ satisfies
 Following the weighted-energy ansatz Q = diag(w- I6, w+ I6) Q_char with
 w- = phi, w+ = 2 phi(L) - phi, everything reduces to a scalar generator
 phi that must satisfy  phi > 0,  phi' > 0,  phi' > 2 c (phi(L) - phi)
-with c = max_x q_m(x), plus the endpoint window
+with c = q_m, plus the endpoint window
 phi(L) in [phi(0), (1 + 1/C_kappa)/2 * phi(0)].  The generator
 
     phi(x) = phi(L) - exp(-2 c x) (1 - x/L) (phi(L) - phi(0))
 
 satisfies all three strictly (its slack is exp(-2cx) (phiL - phi0) / L).
 
-Two sufficient per-node margins are reported alongside the directly
+The reference curvature is constant, so the symmetric coupling Theta is
+one matrix and q_1, q_2 are two numbers for the whole beam.  Two
+sufficient per-node margins are reported alongside the directly
 eigensolved interior condition: a diagonal-dominance slack built from
-q_1, the largest weighted absolute row sum of the symmetric coupling
-Theta(x), and a Weyl-bound slack built from its largest eigenvalue via
-q_2.  Either margin being positive implies the interior matrix is
-negative definite; the eigensolve is the ground truth either way.
-:func:`verify_certificate` returns the certificate with these margins
-and its validity filled in.
+q_1, the largest weighted absolute row sum of Theta, and a Weyl-bound
+slack built from its largest eigenvalue via q_2.  Either margin being
+positive implies the interior matrix is negative definite; the eigensolve
+is the ground truth either way.  :func:`verify_certificate` returns the
+certificate with these margins and its validity filled in.
 """
 
 from __future__ import annotations
@@ -67,19 +68,19 @@ class LyapunovCertificate:
     """
 
     m: int                       # which q_m bound generated phi (1 or 2)
-    c: float                     # C_{q_m} = max_x q_m(x)
+    c: float                     # C_{q_m} = q_m
     phi0: float
     phiL: float
     grid: np.ndarray             # (N+1,)
     params: BeamParams           # parameters the bounds q_1, q_2 were computed from
-    curvature: np.ndarray        # (N+1, 3) reference curvature of the same
+    curvature: np.ndarray        # (3,) reference curvature of the same
     dphi: np.ndarray             # (N+1,) analytic derivative
     gap: np.ndarray              # (N+1,) analytic phi(L) - phi(x)
     w_minus: np.ndarray          # (N+1,)
     w_plus: np.ndarray           # (N+1,)
     q_diag: np.ndarray           # (N+1, 12) diagonal of Q(x)
-    q1: np.ndarray               # (N+1,) row-sum bound q_1 of the coupling
-    q2: np.ndarray               # (N+1,) eigenvalue bound q_2 of the coupling
+    q1: float                    # row-sum bound q_1 of the coupling
+    q2: float                    # eigenvalue bound q_2 of the coupling
     reflection_bound: float      # C_kappa used for the window
     boundary_margins_0: np.ndarray | None = None   # (6,) eigs of k^2 Q+(0) - Q-(0)
     boundary_margins_L: np.ndarray | None = None   # (6,) eigs of Q-(L) - Q+(L)
@@ -90,7 +91,7 @@ class LyapunovCertificate:
 
 
 def theta_matrix(matrices: BeamMatrices, curvature: np.ndarray) -> np.ndarray:
-    """Symmetric indefinite coupling Theta(x) = -[[0, X], [X, 0]], X = EDM + (EDM)^T."""
+    """Symmetric indefinite coupling Theta = -[[0, X], [X, 0]], X = EDM + (EDM)^T."""
     eb = _strain_matrix(np.asarray(curvature, dtype=float))
     dm = matrices.mass * matrices.speed
     x = eb * dm
@@ -103,13 +104,13 @@ def theta_matrix(matrices: BeamMatrices, curvature: np.ndarray) -> np.ndarray:
 
 
 def theta_functions(matrices: BeamMatrices, curvature: np.ndarray):
-    """Row-sum functions theta_1..theta_6 and the bounds q_1, q_2.
+    """Row sums theta_1..theta_6 and the bounds q_1, q_2.
 
     ``curvature`` is a 3-vector or a batch (..., 3).  Returns
     (theta (..., 6), q1 (...), q2 (...)).  The thetas are the absolute row
-    sums of the off-diagonal block of Theta(x) relative to the
+    sums of the off-diagonal block of Theta relative to the
     characteristic weights M_i lambda_{i+6}, and q1 is their maximum; q2
-    uses the largest eigenvalue of Theta(x) over the smallest of the six
+    uses the largest eigenvalue of Theta over the smallest of the six
     weights.
     """
     big = theta_matrix(matrices, curvature)
@@ -194,7 +195,8 @@ def build_certificate(
         )
 
     _, q1, q2 = theta_functions(matrices, reference.curvature)
-    c = float(np.max(q1 if m == 1 else q2))
+    q1, q2 = float(q1), float(q2)
+    c = q1 if m == 1 else q2
 
     grid = reference.grid
     if phiL == phi0:
@@ -375,8 +377,8 @@ def certificate_to_csv(
         ("valid", int(cert.valid)),
         ("m", cert.m),
         ("C_kappa", cert.reflection_bound),
-        ("C_q1", float(np.max(cert.q1))),
-        ("C_q2", float(np.max(cert.q2))),
+        ("C_q1", cert.q1),
+        ("C_q2", cert.q2),
         ("phi0", cert.phi0),
         ("phiL", cert.phiL),
     ]

@@ -1,33 +1,32 @@
-"""Spatially varying coefficients and nonlinearities of the intrinsic beam model.
+"""Coefficients and nonlinearities of the intrinsic beam model.
 
 The intrinsic model evolves the 12-vector ``y = (v, s)`` of body-frame
 velocities and strains,
 
-    dt y + A dx y + Bbar(x) y = gbar(y),
+    dt y + A dx y + Bbar y = gbar(y),
 
 with ``A`` constant (see :mod:`beamstab.params`) and ``Bbar`` built from the
-initial strain matrix of the undeformed (possibly precurved) shape.  In
-characteristic variables ``r = L y`` the same dynamics read
+initial strain matrix of the undeformed (possibly precurved) shape, whose
+curvature is one constant 3-vector.  In characteristic variables
+``r = L y`` the same dynamics read
 
-    dt r + diag(-D, D) dx r + B(x) r = g(r),      B = L Bbar L^{-1},
+    dt r + diag(-D, D) dx r + B r = g(r),      B = L Bbar L^{-1},
     g(r) = L gbar(L^{-1} r).
 
-This module assembles the per-node coefficient tables for a given reference
-shape, evaluates the quadratic nonlinearity in both representations, and
-implements the map from a pose history ``(p, R)`` to intrinsic variables.
-A reference holds its grid, its curvature and the coupling B; the
-reference rotation R(x) is integrated from the curvature only when a pose
-is built, on the first read of ``PrecurvedReference.rotation``.
-The nonlinearity is read from its coefficient tensor
-``BeamMatrices.quadratic``, its one definition.
+This module assembles the coupling B for a given reference shape, evaluates
+the quadratic nonlinearity in both representations, and implements the map
+from a pose history ``(p, R)`` to intrinsic variables.  A reference holds
+its grid, its curvature and the coupling B; the reference rotation R(x) is
+integrated from the curvature only when a pose is built, on the first read
+of ``PrecurvedReference.rotation``.  The nonlinearity is read from its
+coefficient tensor ``BeamMatrices.quadratic``, its one definition.
 
-Coefficient tables are immutable after assembly; all evaluation functions
+The reference is immutable after assembly; all evaluation functions
 are pure and accept batched inputs (leading axes broadcast).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +41,6 @@ __all__ = [
     "vec",
     "PrecurvedReference",
     "StateField",
-    "straight_reference",
     "curved_reference",
     "coupling_pattern_blocks",
     "gbar",
@@ -85,22 +83,21 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrecurvedReference:
-    """Per-node data describing the beam before deformation.
+    """The beam before deformation: a grid and one constant curvature.
 
-    ``curvature`` holds the rotational strain of the undeformed shape on
-    each grid node, sampled from ``curvature_fn(x) -> 3-vector``; with the
-    grid it is the whole geometry.  ``coupling_char`` is the one table
-    derived from it, the 12x12 lower-order coupling B = L Bbar L^{-1} in
-    characteristic variables (see :func:`coupling_pattern_blocks`), which
-    the solver and the certificate read.  The reference rotation R(x) is
-    needed only to turn intrinsic variables back into poses, so
-    ``rotation`` is integrated on its first read and cached.
+    ``curvature`` is the rotational strain of the undeformed shape, the
+    same on every node; with the grid it is the whole geometry.
+    ``coupling_char`` is the one matrix derived from it, the 12x12
+    lower-order coupling B = L Bbar L^{-1} in characteristic variables (see
+    :func:`coupling_pattern_blocks`), which the solver and the certificate
+    read.  The reference rotation R(x) is needed only to turn intrinsic
+    variables back into poses, so ``rotation`` is integrated on its first
+    read and cached.
     """
 
-    grid: np.ndarray                                # (N+1,)
-    curvature: np.ndarray                           # (N+1, 3)
-    coupling_char: np.ndarray                       # (N+1, 12, 12)
-    curvature_fn: Callable[[float], np.ndarray]     # x -> 3-vector
+    grid: np.ndarray            # (N+1,)
+    curvature: np.ndarray       # (3,)
+    coupling_char: np.ndarray   # (12, 12)
 
     @property
     def n_cells(self) -> int:
@@ -114,22 +111,21 @@ class PrecurvedReference:
     def rotation(self) -> np.ndarray:
         """Reference rotation R(x) on each grid node, (N+1, 3, 3).
 
-        Solves dR/dx = R hat(curvature_fn(x)) from R(0) = I with classical
-        RK4 and a polar re-projection each step, which keeps the
-        orthogonality defect at roundoff level over long beams.
+        Solves dR/dx = R hat(curvature) from R(0) = I with classical RK4
+        and a polar re-projection each step, which keeps the orthogonality
+        defect at roundoff level over long beams.
         """
         grid = self.grid
         h = grid[1] - grid[0]
+        u = hat(self.curvature)
         rotation = np.empty((len(grid), 3, 3))
         rotation[0] = np.eye(3)
         for j in range(len(grid) - 1):
-            x = grid[j]
             r = rotation[j]
-            hat_mid = hat(self.curvature_fn(x + 0.5 * h))
-            k1 = r @ hat(self.curvature_fn(x))
-            k2 = (r + 0.5 * h * k1) @ hat_mid
-            k3 = (r + 0.5 * h * k2) @ hat_mid
-            k4 = (r + h * k3) @ hat(self.curvature_fn(x + h))
+            k1 = r @ u
+            k2 = (r + 0.5 * h * k1) @ u
+            k3 = (r + 0.5 * h * k2) @ u
+            k4 = (r + h * k3) @ u
             rotation[j + 1] = _polar_project(r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
         return rotation
 
@@ -187,37 +183,28 @@ def _polar_project(r: np.ndarray) -> np.ndarray:
 
 
 def curved_reference(
-    params, n_cells: int, curvature_fn, matrices: BeamMatrices | None = None
+    params, n_cells: int, curvature, matrices: BeamMatrices | None = None
 ) -> PrecurvedReference:
-    """Reference data for a precurved/pretwisted beam.
+    """Reference data for a beam of constant curvature, zero being straight.
 
-    ``curvature_fn(x) -> 3-vector`` is the rotational strain of the
-    undeformed shape.  ``matrices`` are the derived matrices of ``params``
-    when the caller already holds them.  The rotation field is not
-    integrated here (see :attr:`PrecurvedReference.rotation`).  C2-smooth
-    curvature is recommended for second-order convergence of everything
-    built on top; this is documented, not checked.
+    ``curvature`` is the rotational strain of the undeformed shape, a
+    3-vector.  ``matrices`` are the derived matrices of ``params`` when
+    the caller already holds them.  The rotation field is not integrated
+    here (see :attr:`PrecurvedReference.rotation`).
     """
     if n_cells < 2:
         raise ValueError("need at least 2 cells")
     if matrices is None:
         matrices = derive_matrices(params)
     grid = np.linspace(0.0, params.length, n_cells + 1)
-    curvature = np.array([np.asarray(curvature_fn(x), dtype=float) for x in grid])
-    if curvature.shape != (n_cells + 1, 3) or not np.all(np.isfinite(curvature)):
-        raise ValidationError(["curvature_fn must return finite 3-vectors"])
-    with np.errstate(all="ignore"):  # an overflowing table is reported below
+    curvature = np.asarray(curvature, dtype=float)
+    if curvature.shape != (3,) or not np.all(np.isfinite(curvature)):
+        raise ValidationError(["reference.curvature must be a finite 3-vector"])
+    with np.errstate(all="ignore"):  # an overflowing coupling is reported below
         coupling = coupling_pattern_blocks(matrices, _strain_matrix(curvature))
     if not np.all(np.isfinite(coupling)):
-        raise ValidationError(["reference.curvature overflows the coupling table"])
-    return PrecurvedReference(grid, curvature, coupling, curvature_fn)
-
-
-def straight_reference(
-    params, n_cells: int, matrices: BeamMatrices | None = None
-) -> PrecurvedReference:
-    """Reference data for a straight, untwisted beam: zero curvature, R(x) = I."""
-    return curved_reference(params, n_cells, lambda x: np.zeros(3), matrices)
+        raise ValidationError(["reference.curvature overflows the coupling"])
+    return PrecurvedReference(grid, curvature, coupling)
 
 
 # --- quadratic nonlinearity -------------------------------------------------

@@ -248,7 +248,7 @@ def reconstruct_rotation(
         norm_defect[lo:hi] = np.abs(np.linalg.norm(qb, axis=-1) - 1.0).max(axis=1)
         rot[lo:hi] = rotation_from_quaternion(qb)
         dq_dx = diff1(qb, dx, axis=1)
-        gen = reference.curvature[None, :, :] + _stack(states, lo, hi, slice(9, 12))
+        gen = reference.curvature + _stack(states, lo, hi, slice(9, 12))
         predicted = np.einsum("tnij,tnj->tni", umap(gen), qb)
         residual[lo:hi] = np.linalg.norm(dq_dx - predicted, axis=-1).max(axis=1)
 

@@ -280,8 +280,9 @@ def build_reference(
 
     ``matrices`` are the scenario's derived matrices if the caller holds them.
     """
-    curv = np.asarray(scenario.reference.curvature, dtype=float)
-    return curved_reference(scenario.params, scenario.sim.n_cells, lambda x: curv, matrices)
+    return curved_reference(
+        scenario.params, scenario.sim.n_cells, scenario.reference.curvature, matrices
+    )
 
 
 def header_echo(scenario: Scenario) -> dict:

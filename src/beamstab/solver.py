@@ -2,7 +2,7 @@
 
 Integrates
 
-    dt r + diag(-D, D) dx r + B(x) r = g(r)
+    dt r + diag(-D, D) dx r + B r = g(r)
 
 on a uniform node grid with the feedback boundary conditions
 r+(0) = kappa r-(0) and r-(L) = -r+(L).  Components 1..6 move left,
@@ -59,8 +59,10 @@ __all__ = [
     "snapshot_to_csv",
 ]
 
-# Largest accepted sim.n_cells: the per-node coupling table is then 75 MB,
-# and larger grids would exhaust memory in the reference tables.
+# Largest accepted sim.n_cells.  At this size the certificate's per-node
+# (N+1, 12, 12) interior and sigma matrices are 75 MB each; verification
+# holds the interior one and its 75 MB np.abs temporary at once, so certify
+# peaks near 200 MB.
 MAX_CELLS = 2**16
 
 
@@ -227,7 +229,7 @@ def _pde_rhs(
     when stepping, the shared centered one when reconstructing dt r.
     """
     out = -matrices.wave_speeds[None, :] * grad
-    out -= np.einsum("nij,nj->ni", reference.coupling_char, r)
+    out -= np.einsum("ij,nj->ni", reference.coupling_char, r)
     if include_nonlinearity:
         out += g_diag(matrices, r)
     # hook: external body forces/moments would be added here, as

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamstab.model import straight_reference
+from beamstab.model import curved_reference
 from beamstab.params import BeamMatrices, BeamParams, derive_matrices
+from beamstab.scenarios import PRESETS, build_reference
 
 
 def with_reflection(matrices: BeamMatrices, kappa_diag: np.ndarray) -> BeamMatrices:
@@ -30,6 +31,16 @@ def linear(matrices: BeamMatrices) -> BeamMatrices:
     return replace(matrices, quadratic=np.zeros_like(matrices.quadratic))
 
 
+def curved_cases(params, seed):
+    """The helical preset, and three random curvatures on ``params``."""
+    helical = PRESETS["helical"]
+    cases = [(derive_matrices(helical.params), build_reference(helical))]
+    matrices = derive_matrices(params)
+    for curvature in np.random.default_rng(seed).normal(size=(3, 3)):
+        cases.append((matrices, curved_reference(params, 40, curvature, matrices)))
+    return cases
+
+
 @pytest.fixture(scope="session")
 def toy_params():
     return BeamParams(
@@ -45,7 +56,7 @@ def toy_matrices(toy_params):
 
 @pytest.fixture(scope="session")
 def toy_reference(toy_params):
-    return straight_reference(toy_params, 32)
+    return curved_reference(toy_params, 32, np.zeros(3))
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,10 @@ from beamstab.certificate import (
     certificate_to_csv,
 )
 from beamstab.errors import CkappaDegenerate, ValidationError, WindowViolation
-from beamstab.model import StateField, _strain_matrix, curved_reference, straight_reference
+from beamstab.model import StateField, _strain_matrix, curved_reference
 from beamstab.params import derive_matrices
 from beamstab.solver import generate_initial_datum, lyapunov_value, sobolev_norms
+from conftest import curved_cases
 
 
 def bisection_largest_eigenvalue(sym: np.ndarray, tol: float = 1e-12) -> float:
@@ -181,7 +182,7 @@ def test_phi_window_degenerate():
 
 def test_certificate_valid_toy(toy_params):
     m = derive_matrices(toy_params)
-    ref = straight_reference(toy_params, 64)
+    ref = curved_reference(toy_params, 64, np.zeros(3))
     for which in (1, 2):
         cert = build_certificate(m, ref, m=which, phi0=1.0, phiL=None)
         assert cert.valid
@@ -199,7 +200,7 @@ def test_certificate_valid_toy(toy_params):
 
 def test_certificate_constant_weights_fail(toy_params):
     m = derive_matrices(toy_params)
-    ref = straight_reference(toy_params, 32)
+    ref = curved_reference(toy_params, 32, np.zeros(3))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=1.0)
     assert not cert.valid
     assert np.all(cert.w_minus == cert.w_plus)
@@ -209,7 +210,7 @@ def test_certificate_constant_weights_fail(toy_params):
 
 def test_certificate_window_violation(toy_params):
     m = derive_matrices(toy_params)
-    ref = straight_reference(toy_params, 16)
+    ref = curved_reference(toy_params, 16, np.zeros(3))
     lo, hi = phi_window(m.reflection_bound, 1.0)
     with pytest.raises(WindowViolation):
         build_certificate(m, ref, m=1, phi0=1.0, phiL=hi * 1.01)
@@ -220,7 +221,7 @@ def test_certificate_window_violation(toy_params):
 def test_explicit_weight_formulas(toy_params):
     # w-(x) = beta - exp(-2cx)(1 - x/L)(beta - alpha), w+ mirrored about beta
     m = derive_matrices(toy_params)
-    ref = straight_reference(toy_params, 50)
+    ref = curved_reference(toy_params, 50, np.zeros(3))
     alpha_w, beta_w = 1.0, 1.4
     cert = build_certificate(m, ref, m=1, phi0=alpha_w, phiL=beta_w)
     x = ref.grid
@@ -232,7 +233,7 @@ def test_explicit_weight_formulas(toy_params):
 
 def test_boundary_matrix_entries(toy_params):
     m = derive_matrices(toy_params)
-    ref = straight_reference(toy_params, 16)
+    ref = curved_reference(toy_params, 16, np.zeros(3))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
     kd = m.kappa
     mass = m.mass
@@ -246,7 +247,7 @@ def test_boundary_matrix_entries(toy_params):
 def test_interior_matrix_matches_dense_assembly(toy_params):
     # structured assembly vs literal dQ/dx D - Q B - B^T Q on a curved beam
     m = derive_matrices(toy_params)
-    ref = curved_reference(toy_params, 24, lambda x: np.array([0.5, -0.2, 0.3 * x]))
+    ref = curved_reference(toy_params, 24, np.array([0.5, -0.2, 0.3]))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=1.2)
     structured = interior_matrices(cert, m, ref)
     dd = m.wave_speeds
@@ -256,22 +257,22 @@ def test_interior_matrix_matches_dense_assembly(toy_params):
         dq = np.concatenate(
             [cert.dphi[k] * half_mass, -cert.dphi[k] * half_mass]
         )
-        dense = np.diag(dq * dd) - q[:, None] * ref.coupling_char[k] \
-            - (q[:, None] * ref.coupling_char[k]).T
+        dense = np.diag(dq * dd) - q[:, None] * ref.coupling_char \
+            - (q[:, None] * ref.coupling_char).T
         assert np.abs(structured[k] - dense).max() < 1e-12
 
 
 def test_product_identity_two_routes(toy_params):
     # Q B + B^T Q = (w+ - w-)/4 * (E D M + (E D M)^T) placed antidiagonally
     m = derive_matrices(toy_params)
-    ref = curved_reference(toy_params, 12, lambda x: np.array([-0.4, 0.7, 0.1]))
+    ref = curved_reference(toy_params, 12, np.array([-0.4, 0.7, 0.1]))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=1.3)
     dm = m.mass * m.speed
     for k in range(len(ref.grid)):
         q = cert.q_diag[k]
-        qb = q[:, None] * ref.coupling_char[k]
+        qb = q[:, None] * ref.coupling_char
         dense = qb + qb.T
-        quarter = 0.25 * _strain_matrix(ref.curvature[k]) * dm[None, :]
+        quarter = 0.25 * _strain_matrix(ref.curvature) * dm[None, :]
         sym = quarter + quarter.T
         gap_w = cert.w_plus[k] - cert.w_minus[k]
         expected = np.zeros((12, 12))
@@ -282,7 +283,7 @@ def test_product_identity_two_routes(toy_params):
 
 def test_dominance_margin_implies_negative_definite(asym_params):
     m = derive_matrices(asym_params)
-    ref = curved_reference(asym_params, 20, lambda x: np.array([0.8, 0.3, -0.5]))
+    ref = curved_reference(asym_params, 20, np.array([0.8, 0.3, -0.5]))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
     sig = sigma_matrices(cert, m, ref)
     eigs = np.linalg.eigvalsh(sig)[:, -1]
@@ -294,8 +295,8 @@ def test_dominance_margin_implies_negative_definite(asym_params):
 
 def test_verify_grid_mismatch(toy_params):
     m = derive_matrices(toy_params)
-    ref16 = straight_reference(toy_params, 16)
-    ref32 = straight_reference(toy_params, 32)
+    ref16 = curved_reference(toy_params, 16, np.zeros(3))
+    ref32 = curved_reference(toy_params, 32, np.zeros(3))
     cert = build_certificate(m, ref16, m=1, phi0=1.0, phiL=None)
     with pytest.raises(ValidationError):
         verify_certificate(cert, m, ref32)
@@ -305,9 +306,9 @@ def test_verify_rejects_other_geometry_or_params(toy_params, asym_params):
     # the certificate carries its q bounds, so verifying it against another
     # curvature or other parameters on the same grid must not mix the two
     m = derive_matrices(toy_params)
-    ref = straight_reference(toy_params, 16)
+    ref = curved_reference(toy_params, 16, np.zeros(3))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
-    curved = curved_reference(toy_params, 16, lambda x: np.array([0.3, 0.0, 0.1]))
+    curved = curved_reference(toy_params, 16, np.array([0.3, 0.0, 0.1]))
     assert np.array_equal(curved.grid, ref.grid)
     with pytest.raises(ValidationError):
         verify_certificate(cert, m, curved)
@@ -318,7 +319,7 @@ def test_verify_rejects_other_geometry_or_params(toy_params, asym_params):
 
 def test_verify_returns_the_built_margins(asym_params):
     m = derive_matrices(asym_params)
-    ref = curved_reference(asym_params, 20, lambda x: np.array([0.8, 0.3, -0.5]))
+    ref = curved_reference(asym_params, 20, np.array([0.8, 0.3, -0.5]))
     for phiL in (None, 1.0):  # a valid certificate, and constant weights (invalid)
         cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=phiL)
         again = verify_certificate(cert, m, ref)
@@ -329,18 +330,20 @@ def test_verify_returns_the_built_margins(asym_params):
 
 
 def test_q_functions_continuity(toy_params):
+    # q_1, q_2 are continuous in the curvature: along a smooth path of
+    # curvatures, sample-to-sample jumps vanish with the spacing
     m = derive_matrices(toy_params)
-    ref = curved_reference(toy_params, 200, lambda x: np.array([np.sin(x), 0.2, np.cos(2 * x)]))
-    _, q1, q2 = theta_functions(m, ref.curvature)
+    s = np.linspace(0.0, 1.0, 201)
+    path = np.stack([np.sin(s), np.full_like(s, 0.2), np.cos(2 * s)], axis=-1)
+    _, q1, q2 = theta_functions(m, path)
     assert np.all(q1 >= 0) and np.all(q2 >= 0)
-    # continuity: node-to-node jumps vanish with the grid spacing
-    assert np.abs(np.diff(q1)).max() < 5.0 * ref.dx
-    assert np.abs(np.diff(q2)).max() < 5.0 * ref.dx
+    assert np.abs(np.diff(q1)).max() < 5.0 * (s[1] - s[0])
+    assert np.abs(np.diff(q2)).max() < 5.0 * (s[1] - s[0])
 
 
 def test_decay_rate_estimate_properties(toy_params):
     m = derive_matrices(toy_params)
-    ref = straight_reference(toy_params, 64)
+    ref = curved_reference(toy_params, 64, np.zeros(3))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
     sig = sigma_matrices(cert, m, ref)
     c_s = float(np.linalg.eigvalsh(sig)[:, -1].max())
@@ -360,7 +363,7 @@ def test_decay_estimate_bounds_observed_decay(toy_params):
     from beamstab.solver import SimConfig, fit_decay, simulate
 
     m = derive_matrices(toy_params)
-    ref = straight_reference(toy_params, 96)
+    ref = curved_reference(toy_params, 96, np.zeros(3))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
     alpha_est = decay_rate_estimate(cert, m, ref, delta=0.0)
     datum = generate_initial_datum(m, ref, 1e-2, seed=21, order=1)
@@ -383,7 +386,7 @@ def equivalence_constants(cert, matrices, reference, delta):
     qmax = float(cert.q_diag.max())
     lam_max = float(np.abs(matrices.wave_speeds).max())
     lam_min = float(matrices.speed.min())
-    bnorm = float(np.linalg.norm(reference.coupling_char, 2, axis=(1, 2)).max())
+    bnorm = float(np.linalg.norm(reference.coupling_char, 2))
     a = bnorm + lipschitz_bound(matrices) * delta
     c2 = qmax * max(1.0 + 2.0 * a * a, 2.0 * lam_max * lam_max)
     c1 = qmin / max(2.0 / lam_min**2, 1.0 + 2.0 * a * a / lam_min**2)
@@ -392,13 +395,8 @@ def equivalence_constants(cert, matrices, reference, delta):
 
 def test_lyapunov_equivalence_constants(toy_params):
     m = derive_matrices(toy_params)
-    ref = straight_reference(toy_params, 64)
+    ref = curved_reference(toy_params, 64, np.zeros(3))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
-    # the batched coupling norm equals the node-by-node loop it replaced
-    curved = curved_reference(toy_params, 64, lambda x: np.array([0.5, -0.2, 0.3 * x]))
-    for r in (ref, curved):
-        looped = max(np.linalg.norm(b, 2) for b in r.coupling_char)
-        assert np.linalg.norm(r.coupling_char, 2, axis=(1, 2)).max() == looped
     rng = np.random.default_rng(31)
     xi = ref.grid / ref.grid[-1]
     dx = ref.dx
@@ -433,16 +431,46 @@ def test_lipschitz_bound_dominates_samples(toy_matrices):
 
 def test_certificate_carries_theta_bounds(toy_params):
     m = derive_matrices(toy_params)
-    ref = curved_reference(toy_params, 16, lambda x: np.array([0.5, -0.2, 0.3 * x]))
+    ref = curved_reference(toy_params, 16, np.array([0.5, -0.2, 0.3]))
     cert = build_certificate(m, ref, m=2, phi0=1.0, phiL=None)
     _, q1, q2 = theta_functions(m, ref.curvature)
-    assert np.array_equal(cert.q1, q1) and np.array_equal(cert.q2, q2)
-    assert cert.c == float(np.max(q2))
+    assert type(cert.q1) is float and type(cert.q2) is float
+    assert cert.q1 == q1 and cert.q2 == q2
+    assert cert.c == cert.q2
+
+
+def _per_node_curvature(reference):
+    return np.broadcast_to(reference.curvature, (len(reference.grid), 3))
+
+
+def test_scalar_bounds_are_the_max_of_the_per_node_bounds(asym_params):
+    # oracle: theta_functions on the per-node curvature table, as the
+    # certificate once took it, and the max of each per-node bound
+    for m, ref in curved_cases(asym_params, seed=12):
+        _, q1, q2 = theta_functions(m, _per_node_curvature(ref))
+        assert q1.shape == q2.shape == ref.grid.shape
+        for order in (1, 2):
+            cert = build_certificate(m, ref, m=order, phi0=1.0, phiL=None)
+            assert cert.q1 == q1.max() and cert.q2 == q2.max()
+            assert cert.c == (q1 if order == 1 else q2).max()
+
+
+def test_weighted_fields_equal_the_per_node_theta_assembly(asym_params):
+    # oracle: a phi' Lambda + b gap Theta(x) from the per-node Theta table
+    for m, ref in curved_cases(asym_params, seed=12):
+        cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
+        theta = theta_matrix(m, _per_node_curvature(ref))
+        lam = np.tile(m.mass * m.speed, 2)
+        idx = np.arange(12)
+        for a, b, field in ((-0.5, -0.5, interior_matrices), (-1.0, 2.0, sigma_matrices)):
+            expected = b * cert.gap[:, None, None] * theta
+            expected[:, idx, idx] += a * cert.dphi[:, None] * lam[None, :]
+            assert np.array_equal(field(cert, m, ref), expected)
 
 
 def test_certificate_csv_contains_summary(toy_params):
     m = derive_matrices(toy_params)
-    ref = straight_reference(toy_params, 16)
+    ref = curved_reference(toy_params, 16, np.zeros(3))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
     text = certificate_to_csv(cert, m, ref, alpha_estimate=0.5)
     assert "C_kappa" in text and "C_q1" in text and "C_q2" in text

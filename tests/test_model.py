@@ -18,7 +18,6 @@ from beamstab.model import (
     gbar,
     gbar_pair,
     hat,
-    straight_reference,
     strains_velocities_from_pose,
     to_physical,
     vec,
@@ -116,27 +115,23 @@ def reference_to_csv(reference):
     ]
     out.write(",".join(cols) + "\n")
     for k, x in enumerate(reference.grid):
-        row = [x, *reference.rotation[k].ravel(), *reference.curvature[k]]
+        row = [x, *reference.rotation[k].ravel(), *reference.curvature]
         out.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return out.getvalue()
 
 
 def reference_from_csv(text, matrices):
-    """Rebuild a reference (coupling table included) from its CSV form.
+    """Rebuild a reference (coupling included) from its CSV form.
 
-    The CSV holds rotation samples, not the curvature function, so the
+    Every row repeats the one curvature, so the first row's is read.  The
     read rotation is stored where the lazy integration caches its result.
     """
     lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     grid = data[:, 0]
-    curvature = data[:, 10:13]
+    curvature = data[0, 10:13]
     coupling = coupling_pattern_blocks(matrices, _strain_matrix(curvature))
-
-    def not_sampled(x):
-        raise AssertionError("the rotation of a reference read from CSV is not integrated")
-
-    reference = PrecurvedReference(grid, curvature, coupling, not_sampled)
+    reference = PrecurvedReference(grid, curvature, coupling)
     reference.__dict__["rotation"] = data[:, 1:10].reshape(-1, 3, 3)
     return reference
 
@@ -149,7 +144,7 @@ def expected_coupling_norm(params):
 
 
 def test_straight_reference_fields(toy_params):
-    ref = straight_reference(toy_params, 16)
+    ref = curved_reference(toy_params, 16, np.zeros(3))
     assert np.allclose(ref.curvature, 0.0)
     # RK4 on zero curvature gives I, and the polar factor u @ vt of svd(I)
     # is I bit for bit, signs of zero included
@@ -164,18 +159,18 @@ def test_straight_reference_fields(toy_params):
 
 def test_straight_coupling_norm(toy_params, asym_params):
     for params in (toy_params, asym_params):
-        ref = straight_reference(params, 8)
+        ref = curved_reference(params, 8, np.zeros(3))
         target = expected_coupling_norm(params)
-        for b in ref.coupling_char:
-            assert np.linalg.norm(b, 2) == pytest.approx(target, abs=1e-10)
+        assert np.linalg.norm(ref.coupling_char, 2) == pytest.approx(target, abs=1e-10)
 
 
 def test_coupling_skew_product_and_pattern(asym_params):
     matrices = derive_matrices(asym_params)
-    ref = curved_reference(asym_params, 12, lambda x: np.array([0.7 * x, -0.3, 0.4 * x * x]))
     qd = np.diag(matrices.energy_char)
     dm = matrices.mass * matrices.speed
-    for eb, b in zip(_strain_matrix(ref.curvature), ref.coupling_char):
+    for curvature in np.random.default_rng(4).normal(size=(12, 3)):
+        ref = curved_reference(asym_params, 12, curvature)
+        eb, b = _strain_matrix(ref.curvature), ref.coupling_char
         prod = qd @ b
         assert np.abs(prod + prod.T).max() < 1e-12
         quarter = 0.25 * eb * dm[None, :]
@@ -189,25 +184,25 @@ def test_coupling_skew_product_and_pattern(asym_params):
 
 def test_lazy_rotation_matches_eager_oracle(toy_params, asym_params):
     helical = replace(PRESETS["helical"], sim=replace(PRESETS["helical"].sim, n_cells=64))
-    constant = build_reference(helical)
-
-    def varying(x):
-        return np.array([0.7 * x, -0.3 + np.sin(3 * x), 0.4 * x * x])
-
     references = (
-        constant,
-        curved_reference(asym_params, 40, varying),
-        straight_reference(toy_params, 32),
+        build_reference(helical),
+        curved_reference(asym_params, 40, np.array([0.7, -0.3, 0.4])),
+        curved_reference(toy_params, 32, np.zeros(3)),
     )
     for ref in references:
         assert "rotation" not in ref.__dict__  # nothing integrated at construction
-        assert np.array_equal(ref.rotation, eager_reference_rotation(ref.grid, ref.curvature_fn))
+        oracle = eager_reference_rotation(ref.grid, lambda x: ref.curvature)
+        assert np.array_equal(ref.rotation, oracle)
         assert ref.rotation is ref.rotation  # integrated once, then cached
 
 
 def test_curved_zero_curvature_matches_straight(toy_params):
-    straight = straight_reference(toy_params, 10)
-    curved = curved_reference(toy_params, 10, lambda x: np.zeros(3))
+    # the straight preset's tuple curvature and a zero vector build one reference
+    toy = PRESETS["straight-toy"]
+    straight = build_reference(replace(toy, params=toy_params, sim=replace(toy.sim, n_cells=16)))
+    curved = curved_reference(toy_params, 16, np.zeros(3))
+    assert np.array_equal(curved.grid, straight.grid)
+    assert np.array_equal(curved.curvature, straight.curvature)
     assert np.abs(curved.rotation - straight.rotation).max() < 1e-14
     assert np.abs(curved.coupling_char - straight.coupling_char).max() < 1e-14
 
@@ -215,7 +210,7 @@ def test_curved_zero_curvature_matches_straight(toy_params):
 def test_curved_constant_twist(toy_params):
     tau = 0.8
     n = 64
-    ref = curved_reference(toy_params, n, lambda x: np.array([tau, 0.0, 0.0]))
+    ref = curved_reference(toy_params, n, np.array([tau, 0.0, 0.0]))
     dx = ref.dx
     for k, x in enumerate(ref.grid):
         angle = tau * x
@@ -233,14 +228,9 @@ def test_curved_constant_twist(toy_params):
 
 
 @settings(max_examples=10, deadline=None)
-@given(coeffs=st.lists(st.floats(-1.5, 1.5), min_size=6, max_size=6))
+@given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
 def test_curved_orthogonality_defect(toy_params, coeffs):
-    a, b, c, d, e, f = coeffs
-
-    def curv(x):
-        return np.array([a + b * np.sin(2 * x), c + d * x, e + f * np.cos(x)])
-
-    ref = curved_reference(toy_params, 48, curv)
+    ref = curved_reference(toy_params, 48, np.array(coeffs))
     defect = np.abs(
         np.einsum("nji,njk->nik", ref.rotation, ref.rotation) - np.eye(3)
     ).max()
@@ -254,7 +244,7 @@ def test_curved_rejects_nonfinite():
 
     params = conftest.random_params(np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        curved_reference(params, 8, lambda x: np.array([np.nan, 0.0, 0.0]))
+        curved_reference(params, 8, np.array([np.nan, 0.0, 0.0]))
 
 
 def test_coupling_zero_strain(toy_matrices):
@@ -262,23 +252,22 @@ def test_coupling_zero_strain(toy_matrices):
 
 
 def test_coupling_block_layout_straight(toy_params):
-    ref = straight_reference(toy_params, 4)
+    ref = curved_reference(toy_params, 4, np.zeros(3))
     m = derive_matrices(toy_params)
-    eb = _strain_matrix(ref.curvature[0])
+    eb = _strain_matrix(ref.curvature)
     bbar = physical_coupling(m, eb)
     assert np.all(bbar[6:, :6] == eb.T)
     assert np.all(bbar[:6, :6] == 0.0) and np.all(bbar[6:, 6:] == 0.0)
     # the stored closed-form table agrees with the similarity transform route
     direct = m.to_char @ bbar @ m.from_char
-    assert np.abs(direct - ref.coupling_char[0]).max() < 1e-12
+    assert np.abs(direct - ref.coupling_char).max() < 1e-12
 
 
 def test_coupling_two_routes_random_curvature(asym_params):
     m = derive_matrices(asym_params)
-    rng = np.random.default_rng(7)
-    ref = curved_reference(asym_params, 8, lambda x: rng.normal(size=3) * 0 + np.array([0.3, -1.1, 0.6]))
+    ref = curved_reference(asym_params, 8, np.array([0.3, -1.1, 0.6]))
     bbar = physical_coupling(m, _strain_matrix(ref.curvature))
-    route1 = np.einsum("ij,njk,kl->nil", m.to_char, bbar, m.from_char)
+    route1 = m.to_char @ bbar @ m.from_char
     route2 = ref.coupling_char
     assert np.abs(route1 - route2).max() < 1e-12
 
@@ -401,7 +390,7 @@ def test_clamped_end_maps_to_char_reflection(toy_matrices, toy_reference):
 
 
 def test_pose_to_intrinsic_static(toy_params):
-    ref = straight_reference(toy_params, 24)
+    ref = curved_reference(toy_params, 24, np.zeros(3))
     times = np.linspace(0.0, 1.0, 9)
     n = len(ref.grid)
     line = np.stack([ref.grid, np.zeros(n), np.zeros(n)], axis=1)
@@ -419,7 +408,7 @@ def test_pose_to_intrinsic_static(toy_params):
 
 
 def test_pose_to_intrinsic_rigid_translation(toy_params):
-    ref = straight_reference(toy_params, 24)
+    ref = curved_reference(toy_params, 24, np.zeros(3))
     times = np.linspace(0.0, 1.0, 9)
     n = len(ref.grid)
     c = np.array([0.3, -0.2, 0.5])
@@ -439,7 +428,7 @@ def test_pose_to_intrinsic_rigid_translation(toy_params):
 
 
 def test_pose_to_intrinsic_flags_bad_rotations(toy_params):
-    ref = straight_reference(toy_params, 8)
+    ref = curved_reference(toy_params, 8, np.zeros(3))
     times = np.linspace(0.0, 1.0, 5)
     n = len(ref.grid)
 
@@ -466,7 +455,7 @@ def test_dissipative_boundary_predicate(toy_matrices):
 
 def test_reference_csv_roundtrip(asym_params):
     m = derive_matrices(asym_params)
-    ref = curved_reference(asym_params, 10, lambda x: np.array([0.4, 0.1 * x, -0.2]))
+    ref = curved_reference(asym_params, 10, np.array([0.4, 0.1, -0.2]))
     text = reference_to_csv(ref)
     back = reference_from_csv(text, m)
     assert np.abs(back.grid - ref.grid).max() == 0.0

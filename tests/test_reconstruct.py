@@ -10,7 +10,6 @@ from beamstab.model import (
     curved_reference,
     hat,
     reference_centerline,
-    straight_reference,
 )
 from beamstab.params import derive_matrices
 from beamstab.reconstruct import (
@@ -114,7 +113,7 @@ class TestQuaternionRotation:
 
 class TestReconstructRotation:
     def test_trivial_zero_field(self, toy_params):
-        ref = straight_reference(toy_params, 24)
+        ref = curved_reference(toy_params, 24, np.zeros(3))
         pose = reconstruct_rotation(zero_states(ref), ref, np.eye(3))
         assert np.abs(pose.q - np.array([1.0, 0, 0, 0])).max() < 1e-14
         assert np.abs(pose.R - np.eye(3)).max() < 1e-13
@@ -122,7 +121,7 @@ class TestReconstructRotation:
 
     def test_constant_twist_closed_form(self, toy_params):
         tau = 0.9
-        ref = curved_reference(toy_params, 96, lambda x: np.array([tau, 0.0, 0.0]))
+        ref = curved_reference(toy_params, 96, np.array([tau, 0.0, 0.0]))
         pose = reconstruct_rotation(zero_states(ref), ref, np.eye(3))
         length = toy_params.length
         for k, x in enumerate(ref.grid):
@@ -130,13 +129,13 @@ class TestReconstructRotation:
             assert np.abs(pose.R[0, k] - expected).max() < 1e-10
         assert pose.norm_defect < 1e-12
         # the audited x-equation residual is differencing-limited, O(dx^2 tau^3)
-        gentle = curved_reference(toy_params, 128, lambda x: np.array([0.1, 0.0, 0.0]))
+        gentle = curved_reference(toy_params, 128, np.array([0.1, 0.0, 0.0]))
         pose_g = reconstruct_rotation(zero_states(gentle), gentle, np.eye(3))
         assert pose_g.residual_rotation.max() < 1e-8
 
     def test_nonunit_seed_rejected(self, toy_params):
         """The seed is a rotation matrix: any other shape, or a non-rotation, is refused."""
-        ref = straight_reference(toy_params, 16)
+        ref = curved_reference(toy_params, 16, np.zeros(3))
         for seed in (np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]),
                      np.zeros(5), np.eye(4), np.eye(3) * 1.001, np.diag([1.0, 1.0, -1.0])):
             with pytest.raises(NotARotation):
@@ -145,7 +144,7 @@ class TestReconstructRotation:
 
 class TestReconstructCenterline:
     def test_zero_field_keeps_initial_shape(self, toy_params):
-        ref = straight_reference(toy_params, 24)
+        ref = curved_reference(toy_params, 24, np.zeros(3))
         states = zero_states(ref)
         pose = reconstruct_rotation(states, ref, np.eye(3))
         line = reference_centerline(ref)
@@ -156,7 +155,7 @@ class TestReconstructCenterline:
 
     def test_rigid_translation(self, toy_params):
         # constant body-frame velocity c with zero strains: p = p0 + t c
-        ref = straight_reference(toy_params, 24)
+        ref = curved_reference(toy_params, 24, np.zeros(3))
         c = np.array([0.2, -0.4, 0.1])
         times = np.linspace(0.0, 1.0, 11)
         states = []
@@ -171,7 +170,7 @@ class TestReconstructCenterline:
             assert np.abs(pose.p[k] - (line + t * c)).max() < 1e-12
 
     def test_endpoint_mismatch(self, toy_params):
-        ref = straight_reference(toy_params, 16)
+        ref = curved_reference(toy_params, 16, np.zeros(3))
         states = zero_states(ref)
         pose = reconstruct_rotation(states, ref, np.eye(3))
         line = reference_centerline(ref)
@@ -180,7 +179,7 @@ class TestReconstructCenterline:
 
 
 def simulate_and_reconstruct(params, matrices, n, t_end=0.5, seed=5):
-    ref = straight_reference(params, n)
+    ref = curved_reference(params, n, np.zeros(3))
     datum = generate_initial_datum(matrices, ref, 1e-2, seed=seed, order=1)
     cfg = SimConfig(n_cells=n, cfl=0.9, t_end=t_end, output_stride=1)
     _, states, pose = run_pipeline(cfg, matrices, ref, datum)
@@ -188,7 +187,7 @@ def simulate_and_reconstruct(params, matrices, n, t_end=0.5, seed=5):
 
 
 def test_pipeline_keeps_one_copy_of_the_history(toy_params, toy_matrices):
-    ref = straight_reference(toy_params, 32, toy_matrices)
+    ref = curved_reference(toy_params, 32, np.zeros(3), toy_matrices)
     datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=5, order=1)
     raggedness = []
     for t_end in (0.25, 0.26, 0.27):
@@ -226,7 +225,7 @@ def test_roundtrip_first_order_convergence(toy_params, toy_matrices):
 
 
 def test_decay_observable(toy_params, toy_matrices):
-    ref = straight_reference(toy_params, 24)
+    ref = curved_reference(toy_params, 24, np.zeros(3))
     states = zero_states(ref)
     pose = reconstruct_rotation(states, ref, np.eye(3))
     times, values = decay_observable(pose, states)
@@ -283,7 +282,7 @@ def rich_run(params, n_times, n_cells=16):
     round trip's sup error sits in V = R^T dt p at a late sample, where the
     first time difference of a window is not the lattice's own to the bit.
     """
-    ref = curved_reference(params, n_cells, lambda x: np.array([1.0, 0.0, 0.5]))
+    ref = curved_reference(params, n_cells, np.array([1.0, 0.0, 0.5]))
     rng = np.random.default_rng(11)
     states = []
     for k, t in enumerate(np.linspace(0.0, 0.01, n_times)):

@@ -8,7 +8,7 @@ from beamstab.errors import (
     ValidationError,
 )
 from beamstab.fd import diff1, trapezoid
-from beamstab.model import PrecurvedReference, StateField, straight_reference, to_physical
+from beamstab.model import PrecurvedReference, StateField, curved_reference, to_physical
 from beamstab.params import derive_matrices
 from beamstab.solver import (
     SimConfig,
@@ -23,7 +23,7 @@ from beamstab.solver import (
     sobolev_norms,
     trajectory_to_csv,
 )
-from conftest import linear, with_reflection
+from conftest import curved_cases, linear, with_reflection
 
 
 def null_coupling_reference(ref: PrecurvedReference) -> PrecurvedReference:
@@ -32,8 +32,19 @@ def null_coupling_reference(ref: PrecurvedReference) -> PrecurvedReference:
         grid=ref.grid,
         curvature=np.zeros_like(ref.curvature),
         coupling_char=np.zeros_like(ref.coupling_char),
-        curvature_fn=ref.curvature_fn,
     )
+
+
+def test_coupling_equals_the_per_node_table(asym_params):
+    # oracle: B(x) r(x) node by node from a per-node coupling table, as the
+    # solver once applied it; the one 12x12 B must give the same bits
+    rng = np.random.default_rng(8)
+    for m, ref in curved_cases(asym_params, seed=8):
+        r = rng.normal(size=(len(ref.grid), 12))
+        table = np.broadcast_to(ref.coupling_char, (len(ref.grid), 12, 12))
+        oracle = np.einsum("nij,nj->ni", table, r)
+        coupling = -_pde_rhs(r, np.zeros_like(r), m, ref, include_nonlinearity=False)
+        assert np.array_equal(coupling, oracle)
 
 
 def smooth_mode_datum(ref, amplitude, seed=11):
@@ -231,7 +242,7 @@ def test_transport_pulse_method_of_characteristics(toy_params):
     """Decoupled single pulse: exact reflection with sign flip, then absorption."""
     n = 256
     matrices = with_reflection(derive_matrices(toy_params), np.zeros(6))
-    ref = null_coupling_reference(straight_reference(toy_params, n))
+    ref = null_coupling_reference(curved_reference(toy_params, n, np.zeros(3)))
     x = ref.grid
     x0, width = 0.35, 0.2
 
@@ -269,7 +280,7 @@ def test_convergence_against_refined_reference(toy_params):
     m = derive_matrices(toy_params)
 
     def terminal(n, scheme):
-        ref = straight_reference(toy_params, n)
+        ref = curved_reference(toy_params, n, np.zeros(3))
         datum = smooth_mode_datum(ref, 1e-2)
         cfg = SimConfig(n_cells=n, cfl=0.9, t_end=0.2, output_stride=10**9,
                         store_snapshots=True, scheme=scheme)
@@ -284,7 +295,7 @@ def test_convergence_against_refined_reference(toy_params):
 
 def test_nonlinearity_onset_quadratic(toy_params):
     m = derive_matrices(toy_params)
-    ref = straight_reference(toy_params, 64)
+    ref = curved_reference(toy_params, 64, np.zeros(3))
 
     def deviation(amplitude):
         datum = generate_initial_datum(m, ref, amplitude, seed=3, order=1)
@@ -313,7 +324,7 @@ class TestLyapunovValue:
     def test_decreasing_along_simulation(self, toy_params, toy_matrices):
         from beamstab.certificate import build_certificate
 
-        ref = straight_reference(toy_params, 64)
+        ref = curved_reference(toy_params, 64, np.zeros(3))
         cert = build_certificate(toy_matrices, ref, m=1, phi0=1.0, phiL=None)
         datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=12, order=1)
         cfg = SimConfig(n_cells=64, cfl=0.9, t_end=5.0, output_stride=8)
