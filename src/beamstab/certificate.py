@@ -92,32 +92,28 @@ class LyapunovCertificate:
 
 def theta_matrix(matrices: BeamMatrices, curvature: np.ndarray) -> np.ndarray:
     """Symmetric indefinite coupling Theta = -[[0, X], [X, 0]], X = EDM + (EDM)^T."""
-    eb = _strain_matrix(np.asarray(curvature, dtype=float))
-    dm = matrices.mass * matrices.speed
-    x = eb * dm
-    x = x + np.swapaxes(x, -1, -2)
-    lead = x.shape[:-2]
-    out = np.zeros(lead + (12, 12))
-    out[..., :6, 6:] = -x
-    out[..., 6:, :6] = -x
+    x = _strain_matrix(curvature) * (matrices.mass * matrices.speed)
+    x = x + x.T
+    out = np.zeros((12, 12))
+    out[:6, 6:] = -x
+    out[6:, :6] = -x
     return out
 
 
 def theta_functions(matrices: BeamMatrices, curvature: np.ndarray):
-    """Row sums theta_1..theta_6 and the bounds q_1, q_2.
+    """Row sums theta_1..theta_6 and the bounds q_1, q_2 of a curvature 3-vector.
 
-    ``curvature`` is a 3-vector or a batch (..., 3).  Returns
-    (theta (..., 6), q1 (...), q2 (...)).  The thetas are the absolute row
-    sums of the off-diagonal block of Theta relative to the
+    Returns (theta (6,), q1, q2) with q1, q2 floats.  The thetas are the
+    absolute row sums of the off-diagonal block of Theta relative to the
     characteristic weights M_i lambda_{i+6}, and q1 is their maximum; q2
     uses the largest eigenvalue of Theta over the smallest of the six
     weights.
     """
     big = theta_matrix(matrices, curvature)
     weights = matrices.mass * matrices.speed
-    theta = np.abs(big[..., :6, 6:]).sum(axis=-1) / weights
-    q1 = theta.max(axis=-1)
-    q2 = np.linalg.eigvalsh(big)[..., -1] / weights.min()
+    theta = np.abs(big[:6, 6:]).sum(axis=1) / weights
+    q1 = float(theta.max())
+    q2 = float(np.linalg.eigvalsh(big)[-1] / weights.min())
     return theta, q1, q2
 
 
@@ -195,7 +191,6 @@ def build_certificate(
         )
 
     _, q1, q2 = theta_functions(matrices, reference.curvature)
-    q1, q2 = float(q1), float(q2)
     c = q1 if m == 1 else q2
 
     grid = reference.grid
@@ -347,16 +342,17 @@ def decay_rate_estimate(
     """Heuristic decay-rate lower estimate 0.5 C_Q (-C_S - 4 C_Q C_g delta).
 
     C_S is the largest eigenvalue of -phi' Lambda + 2 (phi(L) - phi) Theta
-    over the grid (negative for a valid certificate), C_Q the max/min ratio
-    of the diagonal of Q over the beam, and C_g the provable Lipschitz
-    coefficient :func:`lipschitz_bound` of the nonlinearity per unit state
-    magnitude.  C_g over-estimates the true coefficient, so for delta > 0
-    the estimate errs on the conservative side; at delta = 0 it does not
-    enter.  The result is clipped at zero; treat it as indicative, not
-    proof-grade.
+    over the grid (negative for a valid certificate) divided by phi(0):
+    that field scales with the weights, and a rate must not depend on how
+    they are normalised.  C_Q is the max/min ratio of the diagonal of Q over
+    the beam, and C_g the provable Lipschitz coefficient
+    :func:`lipschitz_bound` of the nonlinearity per unit state magnitude.
+    C_g over-estimates the true coefficient, so for delta > 0 the estimate
+    errs on the conservative side; at delta = 0 it does not enter.  The
+    result is clipped at zero; treat it as indicative, not proof-grade.
     """
     sig = sigma_matrices(cert, matrices, reference)
-    c_s = float(np.linalg.eigvalsh(sig)[:, -1].max())
+    c_s = float(np.linalg.eigvalsh(sig)[:, -1].max()) / cert.phi0
     c_q = float(cert.q_diag.max() / cert.q_diag.min())
     c_g = lipschitz_bound(matrices)
     return max(0.0, 0.5 * c_q * (-c_s - 4.0 * c_q * c_g * delta))

@@ -22,7 +22,8 @@ of ``PrecurvedReference.rotation``.  The nonlinearity is read from its
 coefficient tensor ``BeamMatrices.quadratic``, its one definition.
 
 The reference is immutable after assembly; all evaluation functions
-are pure and accept batched inputs (leading axes broadcast).
+are pure.  The nonlinearity accepts batched states (leading axes
+broadcast); the coupling is built from the one curvature 3-vector.
 """
 
 from __future__ import annotations
@@ -141,34 +142,32 @@ class StateField:
 
 
 def _strain_matrix(curvature: np.ndarray) -> np.ndarray:
-    """Initial strain matrix samples from curvature samples (..., 3)."""
+    """Initial strain matrix (6, 6) of a curvature 3-vector."""
     hc = hat(curvature)
-    n = curvature.shape[:-1]
-    out = np.zeros(n + (6, 6))
-    out[..., :3, :3] = hc
-    out[..., 3:, 3:] = hc
-    out[..., 3:, :3] = hat(np.broadcast_to(E1, n + (3,)))
+    out = np.zeros((6, 6))
+    out[:3, :3] = hc
+    out[3:, 3:] = hc
+    out[3:, :3] = hat(E1)
     return out
 
 
 def coupling_pattern_blocks(matrices: BeamMatrices, strain_matrix: np.ndarray) -> np.ndarray:
-    """Characteristic coupling B = L Bbar L^{-1} in closed form, batched.
+    """Characteristic coupling B = L Bbar L^{-1} of one strain matrix, in closed form.
 
     Bbar = [0, -M^{-1} E C^{-1}; E^T, 0] is the physical coupling of the
-    strain matrix E.  With P = D E^T and S = M^{-1} E D M the conjugate is
-    0.5 * [[P - S, P + S], [-(P + S), -(P - S)]].
+    (6, 6) strain matrix E.  With P = D E^T and S = M^{-1} E D M the
+    conjugate is 0.5 * [[P - S, P + S], [-(P + S), -(P - S)]].
     """
     eb = np.asarray(strain_matrix, dtype=float)
-    lead = eb.shape[:-2]
     d = matrices.speed
     m = matrices.mass
-    p = d[:, None] * np.swapaxes(eb, -1, -2)
+    p = d[:, None] * eb.T
     s = (1.0 / m)[:, None] * eb * (d * m)[None, :]
-    out = np.zeros(lead + (12, 12))
-    out[..., :6, :6] = 0.5 * (p - s)
-    out[..., :6, 6:] = 0.5 * (p + s)
-    out[..., 6:, :6] = -0.5 * (p + s)
-    out[..., 6:, 6:] = -0.5 * (p - s)
+    out = np.zeros((12, 12))
+    out[:6, :6] = 0.5 * (p - s)
+    out[:6, 6:] = 0.5 * (p + s)
+    out[6:, :6] = -0.5 * (p + s)
+    out[6:, 6:] = -0.5 * (p - s)
     return out
 
 
@@ -254,7 +253,7 @@ def to_physical(state: StateField, matrices: BeamMatrices) -> StateField:
 # --- pose -> intrinsic variables ---------------------------------------------
 
 
-def strains_velocities_from_pose(pose, reference: PrecurvedReference):
+def strains_velocities_from_pose(pose, reference: PrecurvedReference) -> np.ndarray:
     """Intrinsic variables of a sampled pose history.
 
     ``pose`` needs sample times ``times`` (T,), centerline positions ``p``
@@ -265,17 +264,17 @@ def strains_velocities_from_pose(pose, reference: PrecurvedReference):
         V = R^T dt p,        W = vec(R^T dt R),
         Gamma = R^T dx p - e1,  Upsilon = vec(R^T dx R) - curvature.
 
-    Returns one physical :class:`StateField` per time sample.  Raises
-    :class:`NotARotation` when a rotation sample is not orthogonal.
+    Returns the physical values (T, N+1, 12).  Raises :class:`NotARotation`
+    when a rotation sample is not orthogonal.
     """
-    grid = reference.grid
     times = np.asarray(pose.times, dtype=float)
     rot = np.asarray(pose.R, dtype=float)
     pos = np.asarray(pose.p, dtype=float)
-    dx = grid[1] - grid[0]
+    dx = reference.grid[1] - reference.grid[0]
     dt = times[1] - times[0]
+    rt = np.swapaxes(rot, -1, -2)
 
-    defect = np.abs(np.einsum("tnji,tnjk->tnik", rot, rot) - np.eye(3)).max()
+    defect = np.abs(rt @ rot - np.eye(3)).max()
     if defect > 1e-6:
         raise NotARotation(f"rotation samples have orthogonality defect {defect:.3g}")
 
@@ -285,14 +284,10 @@ def strains_velocities_from_pose(pose, reference: PrecurvedReference):
     dr_dx = diff1(rot, dx, axis=1)
 
     v_lin = np.einsum("tnji,tnj->tni", rot, dp_dt)
-    w_ang = vec(np.einsum("tnji,tnjk->tnik", rot, dr_dt))
+    w_ang = vec(rt @ dr_dt)
     gamma = np.einsum("tnji,tnj->tni", rot, dp_dx) - E1
-    upsilon = vec(np.einsum("tnji,tnjk->tnik", rot, dr_dx)) - reference.curvature
-
-    values = np.concatenate([v_lin, w_ang, gamma, upsilon], axis=-1)
-    return [
-        StateField(grid, "physical", values[k], float(times[k])) for k in range(len(times))
-    ]
+    upsilon = vec(rt @ dr_dx) - reference.curvature
+    return np.concatenate([v_lin, w_ang, gamma, upsilon], axis=-1)
 
 
 def reference_centerline(reference: PrecurvedReference) -> np.ndarray:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,13 +106,11 @@ class Trajectory:
     lyap: np.ndarray | None
     h1: np.ndarray
     h2: np.ndarray | None
-    trace_minus_0: np.ndarray     # r-(0, t), (R, 6)
-    trace_plus_0: np.ndarray      # r+(0, t)
-    trace_minus_L: np.ndarray     # r-(L, t)
-    trace_plus_L: np.ndarray      # r+(L, t)
-    final_state: StateField | None = None      # diagonal state at t_end
-    snapshots: list[StateField] = field(default_factory=list)
-    steps: int = 0
+    trace_minus_0: np.ndarray     # r-(0, t), (R, 6); r+(0) = kappa r-(0) exactly
+    trace_plus_L: np.ndarray      # r+(L, t); r-(L) = -r+(L) exactly
+    final_state: StateField       # diagonal state at t_end
+    snapshots: list[StateField]
+    steps: int
 
 
 def _boundary_residual(y0: StateField, matrices: BeamMatrices) -> float:
@@ -232,9 +230,6 @@ def _pde_rhs(
     out -= np.einsum("ij,nj->ni", reference.coupling_char, r)
     if include_nonlinearity:
         out += g_diag(matrices, r)
-    # hook: external body forces/moments would be added here, as
-    # L @ [M^{-1} load; 0] per node; only the freely vibrating beam
-    # is supported.
     return out
 
 
@@ -328,9 +323,9 @@ def simulate(
 ) -> Trajectory:
     """Run the closed loop from a compatible physical datum.
 
-    Records energies, discrete Sobolev norms, boundary traces and
-    (when a certificate is supplied) the Lyapunov functional every
-    ``output_stride`` steps plus the final state.  Raises
+    Records energies, discrete Sobolev norms, the outgoing boundary traces
+    r-(0) and r+(L) and (when a certificate is supplied) the Lyapunov
+    functional every ``output_stride`` steps plus the final state.  Raises
     :class:`BlowupDetected` as soon as any node magnitude crosses the
     configured threshold.
     """
@@ -366,7 +361,7 @@ def simulate(
     apply_bc(r)
 
     rec_times, rec_ep, rec_ed, rec_lyap, rec_h1, rec_h2 = [], [], [], [], [], []
-    tr_m0, tr_p0, tr_mL, tr_pL = [], [], [], []
+    tr_m0, tr_pL = [], []
     snapshots: list[StateField] = []
 
     def record(step: int) -> None:
@@ -383,8 +378,6 @@ def simulate(
         if cert is not None:
             rec_lyap.append(lyapunov_value(state, cert, matrices, reference, k=lyap_order))
         tr_m0.append(r[0, :6].copy())
-        tr_p0.append(r[0, 6:].copy())
-        tr_mL.append(r[-1, :6].copy())
         tr_pL.append(r[-1, 6:].copy())
         if config.store_snapshots:
             snapshots.append(StateField(grid, "diagonal", r.copy(), t))
@@ -412,8 +405,6 @@ def simulate(
         h1=np.array(rec_h1),
         h2=np.array(rec_h2) if lyap_order == 2 else None,
         trace_minus_0=np.array(tr_m0),
-        trace_plus_0=np.array(tr_p0),
-        trace_minus_L=np.array(tr_mL),
         trace_plus_L=np.array(tr_pL),
         final_state=StateField(grid, "diagonal", r.copy(), n_steps * dt),
         snapshots=snapshots,

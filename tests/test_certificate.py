@@ -18,6 +18,7 @@ from beamstab.certificate import (
 from beamstab.errors import CkappaDegenerate, ValidationError, WindowViolation
 from beamstab.model import StateField, _strain_matrix, curved_reference
 from beamstab.params import derive_matrices
+from beamstab.scenarios import PRESETS
 from beamstab.solver import generate_initial_datum, lyapunov_value, sobolev_norms
 from conftest import curved_cases
 
@@ -335,7 +336,7 @@ def test_q_functions_continuity(toy_params):
     m = derive_matrices(toy_params)
     s = np.linspace(0.0, 1.0, 201)
     path = np.stack([np.sin(s), np.full_like(s, 0.2), np.cos(2 * s)], axis=-1)
-    _, q1, q2 = theta_functions(m, path)
+    q1, q2 = np.array([theta_functions(m, curv)[1:] for curv in path]).T
     assert np.all(q1 >= 0) and np.all(q2 >= 0)
     assert np.abs(np.diff(q1)).max() < 5.0 * (s[1] - s[0])
     assert np.abs(np.diff(q2)).max() < 5.0 * (s[1] - s[0])
@@ -357,6 +358,22 @@ def test_decay_rate_estimate_properties(toy_params):
     for a, b in zip(alphas, alphas[1:]):
         assert b <= a
     assert alphas[1] < alphas[0]  # strictly decreasing before the clip
+
+
+def test_decay_rate_estimate_does_not_depend_on_phi0():
+    # phi0 only normalises the weights; with the default phiL the whole
+    # weight field scales with it, and the estimated rate must not
+    helical = PRESETS["helical"]
+    m = derive_matrices(helical.params)
+    ref = curved_reference(helical.params, 64, helical.reference.curvature, m)
+    for delta in (0.0, 1e-6):
+        alphas = [
+            decay_rate_estimate(build_certificate(m, ref, m=1, phi0=phi0), m, ref, delta)
+            for phi0 in (1.0, 2.0, 3.0, 1000.0)
+        ]
+        assert alphas[0] > 0.0
+        for alpha in alphas[1:]:
+            assert alpha == pytest.approx(alphas[0], rel=1e-12, abs=0.0)
 
 
 def test_decay_estimate_bounds_observed_decay(toy_params):
@@ -447,7 +464,7 @@ def test_scalar_bounds_are_the_max_of_the_per_node_bounds(asym_params):
     # oracle: theta_functions on the per-node curvature table, as the
     # certificate once took it, and the max of each per-node bound
     for m, ref in curved_cases(asym_params, seed=12):
-        _, q1, q2 = theta_functions(m, _per_node_curvature(ref))
+        q1, q2 = np.array([theta_functions(m, c)[1:] for c in _per_node_curvature(ref)]).T
         assert q1.shape == q2.shape == ref.grid.shape
         for order in (1, 2):
             cert = build_certificate(m, ref, m=order, phi0=1.0, phiL=None)
@@ -459,7 +476,7 @@ def test_weighted_fields_equal_the_per_node_theta_assembly(asym_params):
     # oracle: a phi' Lambda + b gap Theta(x) from the per-node Theta table
     for m, ref in curved_cases(asym_params, seed=12):
         cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
-        theta = theta_matrix(m, _per_node_curvature(ref))
+        theta = np.stack([theta_matrix(m, c) for c in _per_node_curvature(ref)])
         lam = np.tile(m.mass * m.speed, 2)
         idx = np.arange(12)
         for a, b, field in ((-0.5, -0.5, interior_matrices), (-1.0, 2.0, sigma_matrices)):

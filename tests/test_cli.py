@@ -329,6 +329,21 @@ class TestReconstructCommand:
         rows = [ln for ln in traj.splitlines() if ln and not ln.startswith(("#", "t,"))]
         assert len(rows) <= cap + 2  # t = 0, the strided records, a ragged final one
 
+    def test_stride_keeps_the_lattice_within_the_point_budget(self, tmp_path, monkeypatch):
+        budget = 33 * 21  # 33 nodes at sim.n_cells=32: 21 records, 20 after t = 0
+        monkeypatch.setattr(reconstruct, "MAX_RECONSTRUCT_POINTS", budget)
+        rc = main(["reconstruct", "--scenario", "straight-toy", "--out", str(tmp_path),
+                   "--override", "sim.n_cells=32", "--override", "sim.t_end=2.0"])
+        assert rc == EXIT_OK
+        traj = (tmp_path / "straight-toy-trajectory.csv").read_text()
+        steps = int(_header_value(traj, "steps"))
+        stride = int(_header_value(traj, "output_stride"))
+        assert stride == math.ceil(steps / 20)
+        assert stride > math.ceil(steps / reconstruct.MAX_RECONSTRUCT_RECORDS)  # the budget binds
+        residuals = (tmp_path / "straight-toy-pose-residuals.csv").read_text()
+        records = [ln for ln in residuals.splitlines() if ln and not ln.startswith(("#", "t,"))]
+        assert 3 <= len(records) and 33 * len(records) <= budget
+
     def test_pipeline_calls_are_traced(self, tmp_path):
         trace = _perfbench("tracing").Trace()
         with trace.installed():

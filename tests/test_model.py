@@ -402,9 +402,10 @@ def test_pose_to_intrinsic_static(toy_params):
     pose.times = times
     pose.R = np.broadcast_to(np.eye(3), (len(times), n, 3, 3))
     pose.p = np.broadcast_to(line, (len(times), n, 3)).copy()
-    states = strains_velocities_from_pose(pose, ref)
-    for s in states:
-        assert np.abs(s.values).max() < 1e-12
+    values = strains_velocities_from_pose(pose, ref)
+    assert values.shape == (len(times), n, 12)
+    for row in values:
+        assert np.abs(row).max() < 1e-12
 
 
 def test_pose_to_intrinsic_rigid_translation(toy_params):
@@ -421,10 +422,9 @@ def test_pose_to_intrinsic_rigid_translation(toy_params):
     pose.times = times
     pose.R = np.broadcast_to(np.eye(3), (len(times), n, 3, 3))
     pose.p = line[None, :, :] + times[:, None, None] * c[None, None, :]
-    states = strains_velocities_from_pose(pose, ref)
-    for s in states:
-        assert np.abs(s.values[:, 0:3] - c).max() < 1e-10  # V = R^T c = c
-        assert np.abs(s.values[:, 3:]).max() < 1e-10
+    for row in strains_velocities_from_pose(pose, ref):
+        assert np.abs(row[:, 0:3] - c).max() < 1e-10  # V = R^T c = c
+        assert np.abs(row[:, 3:]).max() < 1e-10
 
 
 def test_pose_to_intrinsic_flags_bad_rotations(toy_params):

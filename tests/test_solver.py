@@ -197,11 +197,15 @@ class TestSimulate:
 
     def test_boundary_traces_exact(self, toy_matrices, toy_reference):
         datum = generate_initial_datum(toy_matrices, toy_reference, 1e-2, seed=8, order=1)
-        cfg = SimConfig(n_cells=32, cfl=0.9, t_end=1.0, output_stride=3)
+        cfg = SimConfig(n_cells=32, cfl=0.9, t_end=1.0, output_stride=3, store_snapshots=True)
         traj = simulate(cfg, toy_matrices, toy_reference, datum)
+        r = np.stack([snap.values for snap in traj.snapshots])
         kd = toy_matrices.kappa
-        assert np.abs(traj.trace_plus_0 - kd[None, :] * traj.trace_minus_0).max() < 1e-12
-        assert np.abs(traj.trace_minus_L + traj.trace_plus_L).max() < 1e-12
+        assert np.abs(r[:, 0, 6:] - kd[None, :] * r[:, 0, :6]).max() < 1e-12
+        assert np.abs(r[:, -1, :6] + r[:, -1, 6:]).max() < 1e-12
+        # the recorded traces are the outgoing components of the same records
+        assert np.array_equal(traj.trace_minus_0, r[:, 0, :6])
+        assert np.array_equal(traj.trace_plus_L, r[:, -1, 6:])
 
     def test_energy_monotone_small_amplitude(self, toy_matrices, toy_reference):
         datum = generate_initial_datum(toy_matrices, toy_reference, 1e-2, seed=8, order=1)
