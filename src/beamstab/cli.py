@@ -6,9 +6,8 @@ makes the output directory (flag --out, else $BEAMSTAB_OUT, else
 ./beamstab-out), runs the command, and writes each CSV text the command
 returns to ``<scenario name>-<suffix>.csv`` with the full scenario echo in
 front.  Tables are formatted by :func:`beamstab.table.csv_table` (17
-significant digits), so any output can be regenerated bit-identically
-from its scenario; the sole exception is the wall-clock runtime column of
-sweep summaries.
+significant digits), so every output regenerates bit-identically from its
+scenario.  Timings go to stdout only.
 
 Exit codes: 0 success, 3 certificate failure (an invalid certificate, an
 empty weight window or phiL outside it), 4 blow-up during simulation, and
@@ -125,19 +124,19 @@ def cmd_reconstruct(scenario, args) -> tuple[int, dict[str, str]]:
     indices = sorted(set(np.linspace(0, len(states) - 1, MAX_POSE_SNAPSHOTS).astype(int)))
     for idx in indices:
         files[f"pose-{idx:05d}"] = reconstruct.pose_snapshot_to_csv(pose, idx)
-    extra = {
-        "roundtrip_sup_error": round_trip,
-        "quaternion_norm_defect": pose.norm_defect,
-        "centerline_route_gap": pose.route_gap,
-    }
     try:
         alpha_obs, _, r2_obs = solver.fit_decay(
             obs_times, obs_values, t_min=solver.round_trip_time(scenario.params)
         )
-        extra["observable_decay_rate"] = alpha_obs
-        extra["observable_fit_r2"] = r2_obs
     except (NonPositiveValues, ValidationError):
-        pass
+        alpha_obs = r2_obs = float("nan")
+    extra = {
+        "roundtrip_sup_error": round_trip,
+        "quaternion_norm_defect": pose.norm_defect,
+        "centerline_route_gap": pose.route_gap,
+        "observable_decay_rate": alpha_obs,
+        "observable_fit_r2": r2_obs,
+    }
     files["reconstruction"] = _fit_summary(scenario, traj, extra)
     return EXIT_OK, files
 
@@ -150,16 +149,13 @@ _SWEEP_PATHS = {
 }
 
 
-def _sweep_row(payload):
-    scenario, axis, value = payload
-    start = time.perf_counter()
-    row = {"value": value, "C_kappa": float("nan"), "cert_valid": 0,
-           "alpha": float("nan"), "runtime_s": 0.0, "status": "ok"}
+def _sweep_row(scenario, axis, value) -> tuple:
+    """One row of the sweep table: value, C_kappa, cert_valid, alpha, status."""
+    c_kappa, valid, alpha, status = float("nan"), 0, float("nan"), "ok"
     try:
         scenario = scenarios.apply_override(scenario, f"{_SWEEP_PATHS[axis]}={value!r}")
         matrices, reference, cert, datum = _prepare_run(scenario)
-        row["C_kappa"] = matrices.reflection_bound
-        row["cert_valid"] = int(cert.valid)
+        c_kappa, valid = matrices.reflection_bound, int(cert.valid)
         traj = solver.simulate(scenario.sim, matrices, reference, datum, cert=cert, lyap_order=1)
         # fit after the first round trip when the run is long enough,
         # otherwise over whatever trailing window still has 10 samples
@@ -167,18 +163,13 @@ def _sweep_row(payload):
         if np.count_nonzero(traj.times >= t_min) < 10:
             t_min = traj.times[-min(10, len(traj.times))]
         alpha, _, _ = solver.fit_decay(traj.times, traj.lyap, t_min=t_min)
-        row["alpha"] = alpha
     except BeamstabError as exc:
-        row["status"] = f"{type(exc).__name__}: {exc}"
-    row["runtime_s"] = time.perf_counter() - start
-    return row
+        status = f"{type(exc).__name__}: {exc}"
+    # an N is written as its decimal text: %.17g would round one beyond 2**53
+    return str(value) if axis == "N" else value, c_kappa, valid, alpha, status
 
 
 def cmd_sweep(scenario, args) -> tuple[int, dict[str, str]]:
-    if args.workers < 1:
-        raise ScenarioError(f"--workers must be at least 1, got {args.workers}")
-    if args.axis not in _SWEEP_PATHS:
-        raise ScenarioError(f"axis must be one of {', '.join(_SWEEP_PATHS)}")
     values = []
     for chunk in args.values.split(","):
         chunk = chunk.strip()
@@ -195,25 +186,13 @@ def cmd_sweep(scenario, args) -> tuple[int, dict[str, str]]:
         if isinstance(v, float) and not math.isfinite(v):
             raise ScenarioError(f"sweep values must be finite, got {v}")
 
-    payloads = [(scenario, args.axis, v) for v in values]
-    # the pool starts all of its workers at once, so ask for no more than can run
-    workers = min(args.workers, len(values), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: the process pool machinery costs every other command ~20 ms
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, payloads))
-    else:
-        rows = [_sweep_row(p) for p in payloads]
-
-    # an N is written as its decimal text: %.17g would round one beyond 2**53
-    table = csv_table(
-        ["value", "C_kappa", "cert_valid", "alpha", "runtime_s", "status"],
-        [(str(row["value"]) if args.axis == "N" else row["value"], row["C_kappa"],
-          row["cert_valid"], row["alpha"], f"{row['runtime_s']:.3f}", row["status"])
-         for row in rows],
-    )
+    rows = []
+    for v in values:
+        start = time.perf_counter()
+        row = _sweep_row(scenario, args.axis, v)
+        print(f"{args.axis} = {v}: {row[-1]} in {time.perf_counter() - start:.3f} s")
+        rows.append(row)
+    table = csv_table(["value", "C_kappa", "cert_valid", "alpha", "status"], rows)
     return EXIT_OK, {f"sweep-{args.axis}": f"# axis = {args.axis}\n" + table}
 
 
@@ -243,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sweep)
     sweep.add_argument("--axis", required=True, choices=sorted(_SWEEP_PATHS))
     sweep.add_argument("--values", required=True, help="comma-separated values")
-    sweep.add_argument("--workers", type=int, default=1)
     common(sub.add_parser("dump-matrices", help="write all derived matrices as CSV"))
     return parser
 

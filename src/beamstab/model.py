@@ -101,10 +101,6 @@ class PrecurvedReference:
     coupling_char: np.ndarray   # (12, 12)
 
     @property
-    def n_cells(self) -> int:
-        return len(self.grid) - 1
-
-    @property
     def dx(self) -> float:
         return float(self.grid[1] - self.grid[0])
 

@@ -347,8 +347,12 @@ def run_pipeline(
     config = replace(config, store_snapshots=True, output_stride=stride)
     traj = solver.simulate(config, matrices, reference, datum, cert=cert, lyap_order=1)
 
-    states = [model.to_physical(s, matrices) for s in traj.snapshots[: n_steps // stride + 1]]
-    traj = replace(traj, snapshots=[])  # the states are the one copy of the history
+    # the states are the one copy of the history: each diagonal snapshot is
+    # dropped as its physical state replaces it
+    states = traj.snapshots[: n_steps // stride + 1]
+    traj = replace(traj, snapshots=[])
+    for i, snapshot in enumerate(states):
+        states[i] = model.to_physical(snapshot, matrices)
     pose = reconstruct_rotation(states, reference, reference.rotation[-1])
     h_p = model.reference_centerline(reference)[-1]
     _, p0 = _from_clamp(pose.R[0], states[0].values, h_p, reference.dx)

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import math
+import shlex
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -270,13 +271,19 @@ class TestSimulateCommand:
         assert np.all(values[:, 5:] == 0.0)   # traces zero (lyap column is NaN-free zero)
 
     def test_byte_identical_reruns(self, tmp_path, fast_overrides):
-        args = ["simulate", "--scenario", "straight-toy", *fast_overrides]
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(args + ["--out", str(out1)]) == EXIT_OK
-        assert main(args + ["--out", str(out2)]) == EXIT_OK
-        for name in ("straight-toy-trajectory.csv", "straight-toy-final-state.csv",
-                     "straight-toy-decay.csv"):
+        for command in (["simulate"], ["sweep", "--axis", "mu1", "--values", "0.5,-1.0,2.0"]):
+            args = [*command, "--scenario", "straight-toy", *fast_overrides]
+            assert main(args + ["--out", str(out1)]) == EXIT_OK
+            assert main(args + ["--out", str(out2)]) == EXIT_OK
+        names = ("straight-toy-trajectory.csv", "straight-toy-final-state.csv",
+                 "straight-toy-decay.csv", "straight-toy-sweep-mu1.csv")
+        assert sorted(p.name for p in out1.iterdir()) == sorted(names)
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        header = [ln for ln in (out1 / "straight-toy-sweep-mu1.csv").read_text().splitlines()
+                  if not ln.startswith("#")][0]
+        assert header == "value,C_kappa,cert_valid,alpha,status"
 
     def test_certify_byte_identical(self, tmp_path):
         args = ["certify", "--scenario", "helical", "--override", "sim.n_cells=32"]
@@ -302,6 +309,20 @@ class TestReconstructCommand:
         assert (tmp_path / "straight-toy-pose-residuals.csv").exists()
         poses = list(tmp_path.glob("straight-toy-pose-0*.csv"))
         assert 2 <= len(poses) <= 24
+
+    def test_failed_observable_fit_writes_nan_rows(self, tmp_path):
+        # t_end is below one round trip, so none of the three fits has a window
+        rc = main(["reconstruct", "--scenario", "straight-toy", "--out", str(tmp_path),
+                   "--override", "sim.n_cells=32", "--override", "sim.t_end=0.5"])
+        assert rc == EXIT_OK
+        summary = (tmp_path / "straight-toy-reconstruction.csv").read_text()
+        rows = [ln.split(",") for ln in summary.splitlines() if ln and not ln.startswith("#")]
+        assert [row[0] for row in rows] == [
+            "series", "lyapunov", "h1_sq", "roundtrip_sup_error", "quaternion_norm_defect",
+            "centerline_route_gap", "observable_decay_rate", "observable_fit_r2",
+        ]
+        for row in rows[1:3] + rows[-2:]:
+            assert all(math.isnan(float(cell)) for cell in row[1:]), row
 
     def test_short_run_is_a_validation_error(self, tmp_path, capsys):
         rc = main(["reconstruct", "--scenario", "helical", "--out", str(tmp_path),
@@ -431,45 +452,18 @@ class TestOutputFiles:
 
 
 class TestSweepCommand:
-    def test_pool_is_no_larger_than_the_work(self, tmp_path, monkeypatch):
-        import concurrent.futures
-
-        requested = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-        rc = main(["sweep", "--scenario", "straight-toy", "--out", str(tmp_path),
-                   "--override", "sim.n_cells=32", "--override", "sim.t_end=0.5",
-                   "--override", "sim.output_stride=4",
-                   "--axis", "mu1", "--values", "0.5,2.0", "--workers", "64"])
-        assert rc == EXIT_OK
-        assert requested == [2]
-
     def test_sweep_rows_ordered_and_failures_recorded(self, tmp_path, fast_overrides):
         rc = main(["sweep", "--scenario", "straight-toy", "--out", str(tmp_path),
                    *fast_overrides, "--axis", "mu1",
-                   "--values", "0.5,-1.0,2.0", "--workers", "2"])
+                   "--values", "0.5,-1.0,2.0"])
         assert rc == EXIT_OK
         text = (tmp_path / "straight-toy-sweep-mu1.csv").read_text()
         table = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))
         # the failure message holds a comma and stays one quoted cell
-        assert [len(row) for row in table] == [6, 6, 6, 6]
+        assert [len(row) for row in table] == [5, 5, 5, 5]
         rows = table[1:]
         assert [float(r[0]) for r in rows] == [0.5, -1.0, 2.0]
-        assert [r[5] for r in rows] == [
+        assert [r[4] for r in rows] == [
             "ok", "ValidationError: mu1 must be finite and > 0, got -1.0", "ok"
         ]
 
@@ -482,7 +476,7 @@ class TestSweepCommand:
         rows = [ln for ln in text.splitlines() if ln and not ln.startswith(("#", "value,"))]
         assert len(rows) == 2 and all(r.endswith("ok") for r in rows)
 
-    def test_sweep_bad_axis(self, tmp_path):
+    def test_sweep_without_values_exits_2(self, tmp_path):
         rc = main(["sweep", "--scenario", "straight-toy", "--out", str(tmp_path),
                    "--axis", "mu1", "--values", ""])
         assert rc == EXIT_VALIDATION
@@ -549,16 +543,14 @@ class TestSweepCommand:
       "--override", "certificate.phi0=inf"], "phi0"),
     (["simulate", "--override", "sim.n_cells=32", "--override", "sim.t_end=0.05",
       "--override", "sim.cfl=5e-324"], "step_cap"),
-    (["sweep", "--axis", "mu1", "--values", "1", "--workers", "0"], "--workers"),
-    (["sweep", "--axis", "mu1", "--values", "1", "--workers", "-3"], "--workers"),
-    (["certify", "--override", "sim.n_cells=32", "--override", "reference.curvature=[1e308,0,0]"],
-     "reference.curvature"),
-    (["simulate", "--override", "sim.n_cells=32", "--override", "params.length=1e-200",
-      "--override", "sim.t_end=1e-199"], "params.length"),
     (["simulate", "--override", "sim.n_cells=32", "--override", "sim.t_end=0.2",
       "--override", "certificate.phi0=8.98846567431158e+307"], "certificate.phi0"),
     (["simulate", "--override", "sim.n_cells=32", "--override", "sim.t_end=0.2",
       "--override", "reference.curvature=[1e308,0,0]"], "reference.curvature"),
+    (["certify", "--override", "sim.n_cells=32", "--override", "reference.curvature=[1e308,0,0]"],
+     "reference.curvature"),
+    (["simulate", "--override", "sim.n_cells=32", "--override", "params.length=1e-200",
+      "--override", "sim.t_end=1e-199"], "params.length"),
 ])
 def test_bad_value_exits_2_naming_the_field(tmp_path, args, field):
     proc = run_python(["-m", "beamstab.cli", args[0], "--scenario", "straight-toy",
@@ -618,8 +610,8 @@ def test_sweep_value_beyond_int64_is_a_failed_row(tmp_path):
     assert rc == EXIT_OK
     text = (tmp_path / "straight-toy-sweep-N.csv").read_text()
     rows = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))[1:]
-    assert rows[0][5] == "ok"
-    assert rows[1][5].startswith("ScenarioError: sim.n_cells must be an integer")
+    assert rows[0][4] == "ok"
+    assert rows[1][4].startswith("ScenarioError: sim.n_cells must be an integer")
     assert [row[0] for row in rows] == ["32", "99999999999999999999"]
 
 
@@ -702,6 +694,21 @@ def test_any_sweep_ends_in_an_exit_code(tmp_path_factory, axis, values):
     except SystemExit as exc:  # argparse
         rc = exc.code
     assert rc in (EXIT_OK, EXIT_VALIDATION)
+
+
+def test_readme_command_line_examples_parse():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(ln) for ln in block.replace("\\\n", " ").splitlines()
+                if ln.startswith("beamstab ")]
+    assert [argv[1] for argv in commands] == [
+        "certify", "simulate", "reconstruct", "sweep", "dump-matrices"
+    ]
+    for argv in commands:
+        try:
+            cli._build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
 def test_benchmark_layers_run_against_the_library():

@@ -236,7 +236,7 @@ class TestSimulate:
 
     def test_grid_must_span_the_beam(self, toy_matrices, toy_reference):
         # the step count assumes dx = L / n_cells
-        n = toy_reference.n_cells
+        n = len(toy_reference.grid) - 1
         zero = StateField(2.0 * toy_reference.grid, "physical", np.zeros((n + 1, 12)), 0.0)
         with pytest.raises(ValidationError, match="beam length"):
             simulate(SimConfig(n_cells=n), toy_matrices, toy_reference, zero)
