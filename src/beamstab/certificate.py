@@ -19,9 +19,14 @@ phi(L) in [phi(0), (1 + 1/C_kappa)/2 * phi(0)].  The generator
 satisfies all three strictly (its slack is exp(-2cx) (phiL - phi0) / L).
 
 The reference curvature is constant, so the symmetric coupling Theta is
-one matrix and q_1, q_2 are two numbers for the whole beam.  Two
-sufficient per-node margins are reported alongside the directly
-eigensolved interior condition: a diagonal-dominance slack built from
+one matrix and q_1, q_2 are two numbers for the whole beam.  The interior
+matrix at a node is -phi'/2 Lambda - gap/2 Theta with Lambda = diag(W, W),
+W = M D and Theta = -[[0, X], [X, 0]]; under (u +- v)/sqrt(2) it becomes
+diag(-phi'/2 W + gap/2 X, -phi'/2 W - gap/2 X), so its spectrum is the
+union of the spectra of two 6x6 halves, and those are eigensolved.  The
+analytic phi' and gap enter directly: subtracting near-equal weights
+would lose the thin margin of stiff beams.  Two sufficient per-node
+margins are reported alongside: a diagonal-dominance slack built from
 q_1, the largest weighted absolute row sum of Theta, and a Weyl-bound
 slack built from its largest eigenvalue via q_2.  Either margin being
 positive implies the interior matrix is negative definite; the eigensolve
@@ -227,28 +232,22 @@ def build_certificate(
     return verify_certificate(cert, matrices, reference)
 
 
-def _weighted_field(cert, matrices, reference, a: float, b: float) -> np.ndarray:
-    """Per-node a phi' Lambda + b gap Theta, with Lambda = diag(M D, M D)."""
-    theta = theta_matrix(matrices, reference.curvature)
-    lam = np.tile(matrices.mass * matrices.speed, 2)
-    out = b * cert.gap[:, None, None] * theta
-    idx = np.arange(12)
-    out[:, idx, idx] += a * cert.dphi[:, None] * lam[None, :]
-    return out
+def _largest_eigenvalues(cert, matrices, a: float, b: float):
+    """Per-node largest eigenvalue and largest absolute row sum of a phi' Lambda + b gap Theta.
 
-
-def interior_matrices(
-    cert: LyapunovCertificate, matrices: BeamMatrices, reference: PrecurvedReference
-) -> np.ndarray:
-    """Per-node symmetric matrices dQ/dx diag(-D, D) - Q B - B^T Q.
-
-    Assembled through the structured identity
-    dQ/dx diag(-D, D) = -phi'/2 Lambda  and  Q B + B^T Q = gap/2 Theta,
-    so the analytic derivative and gap enter directly.  A dense product
-    assembly would subtract near-equal weights and lose the (relatively
-    thin, absolutely tiny) margin on stiff beams.
+    The field is [[a phi' W, -b gap X], [-b gap X, a phi' W]], so its
+    eigenvalues are those of the two 6x6 halves a phi' W -+ b gap X, solved
+    in one batch.  Theta has a zero diagonal, so row i sums to
+    |a phi' W_i| + |b gap| sum_j |X_ij|.  Returns two (N+1,) arrays.
     """
-    return _weighted_field(cert, matrices, reference, -0.5, -0.5)
+    diag = a * cert.dphi[:, None] * (matrices.mass * matrices.speed)
+    block = theta_matrix(matrices, cert.curvature)[6:, :6]  # -X
+    halves = (b * cert.gap)[:, None, None, None] * np.stack([block, -block])
+    idx = np.arange(6)
+    halves[:, :, idx, idx] += diag[:, None, :]
+    largest = np.linalg.eigvalsh(halves)[..., -1].max(axis=1)
+    rows = np.abs(diag) + np.abs(b * cert.gap)[:, None] * np.abs(block).sum(axis=1)
+    return largest, rows.max(axis=1)
 
 
 def verify_certificate(
@@ -258,7 +257,8 @@ def verify_certificate(
 
     Returns ``cert`` with the five margin arrays and ``valid`` filled in;
     failed conditions are reported through them, never raised.  The
-    interior matrix is eigensolved node by node; the two sufficient slacks
+    interior matrix -phi'/2 Lambda - gap/2 Theta is eigensolved as its two
+    6x6 halves -phi'/2 W -+ gap/2 X; the two sufficient slacks
     min(|w-'|, |w+'|) - (w+ - w-) q_m for m = 1, 2 are reported alongside.
 
     The slacks use the bounds q_1, q_2 carried on ``cert``, so ``matrices``
@@ -280,10 +280,7 @@ def verify_certificate(
         b0 = 0.5 * (cert.w_plus[0] * matrices.kappa**2 - cert.w_minus[0]) * matrices.mass
         bL = 0.5 * (cert.w_minus[-1] - cert.w_plus[-1]) * matrices.mass
 
-    interior = interior_matrices(cert, matrices, reference)
-    eigs = np.linalg.eigvalsh(interior)
-    margins = eigs[:, -1]
-    scale = np.abs(interior).sum(axis=2).max(axis=1)
+    margins, scale = _largest_eigenvalues(cert, matrices, -0.5, -0.5)
     # strict negativity with a relative margin; a zero matrix (constant
     # weights) must fail, so the inequality is strict on both counts
     interior_ok = bool(np.all(margins < 0.0) and np.all(margins <= -MARGIN_RTOL * scale))
@@ -309,13 +306,6 @@ def verify_certificate(
         weyl_slack=weyl,
         valid=boundary_ok and interior_ok,
     )
-
-
-def sigma_matrices(
-    cert: LyapunovCertificate, matrices: BeamMatrices, reference: PrecurvedReference
-) -> np.ndarray:
-    """Per-node -phi' Lambda + 2 (phi(L) - phi) Theta (the decay-rate field)."""
-    return _weighted_field(cert, matrices, reference, -1.0, 2.0)
 
 
 def lipschitz_bound(matrices: BeamMatrices) -> float:
@@ -351,8 +341,7 @@ def decay_rate_estimate(
     errs on the conservative side; at delta = 0 it does not enter.  The
     result is clipped at zero; treat it as indicative, not proof-grade.
     """
-    sig = sigma_matrices(cert, matrices, reference)
-    c_s = float(np.linalg.eigvalsh(sig)[:, -1].max()) / cert.phi0
+    c_s = float(_largest_eigenvalues(cert, matrices, -1.0, 2.0)[0].max()) / cert.phi0
     c_q = float(cert.q_diag.max() / cert.q_diag.min())
     c_g = lipschitz_bound(matrices)
     return max(0.0, 0.5 * c_q * (-c_s - 4.0 * c_q * c_g * delta))

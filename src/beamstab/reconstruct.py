@@ -26,10 +26,10 @@ The stages over the space-time lattice (the rotations and the x-equation
 audit, R y1 and the centerline residuals, the round trip and the decay
 observable) run over blocks of ``TIME_BLOCK`` time samples and write into
 preallocated arrays, so none stacks the whole history of states at once;
-only the time quadrature of the centerline runs over the whole lattice.  A
-time derivative on a block reads one sample of halo on each side, widened
-at either end of the lattice to the three samples of the one-sided
-stencil, so every row sees the arithmetic of a single block.
+the time quadrature of the centerline carries its running sum from block
+to block.  A time derivative on a block reads one sample of halo on each
+side, widened at either end of the lattice to the three samples of the
+one-sided stencil, so every row sees the arithmetic of a single block.
 """
 
 from __future__ import annotations
@@ -298,10 +298,17 @@ def reconstruct_centerline(
     dt = pose.times[1] - pose.times[0]
     dx = pose.grid[1] - pose.grid[0]
 
+    # p = p0 + cumulative_trapezoid(vel, dt), with the running integral
+    # summed in place: each block's cumsum starts from the sum before it
+    # (none before the first step), so the additions keep their order
     vel = np.empty(pose.R.shape[:-1])  # R y1
+    p = np.zeros_like(vel)
     for lo, hi in _blocks(n_times):
         vel[lo:hi] = np.einsum("tnij,tnj->tni", pose.R[lo:hi], _stack(states, lo, hi, slice(0, 3)))
-    p = p0 + cumulative_trapezoid(vel, dt)
+        k = max(lo, 1)
+        p[k:hi] = 0.5 * dt * (vel[k:hi] + vel[k - 1 : hi - 1])
+        np.cumsum(p[max(lo - 1, 1) : hi], axis=0, out=p[max(lo - 1, 1) : hi])
+    p += p0
 
     gap = np.empty(n_times)
     residual = np.empty(n_times)

@@ -60,9 +60,9 @@ __all__ = [
 ]
 
 # Largest accepted sim.n_cells.  At this size the certificate's per-node
-# (N+1, 12, 12) interior and sigma matrices are 75 MB each; verification
-# holds the interior one and its 75 MB np.abs temporary at once, so certify
-# peaks near 200 MB.
+# 6x6 halves are one (N+1, 2, 6, 6) array of 38 MB, and formatting its
+# report takes about 37 MB; under tracemalloc, certify on the helical preset
+# peaks at 56 MB.
 MAX_CELLS = 2**16
 
 

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamstab.certificate import (
+    MARGIN_RTOL,
+    _largest_eigenvalues,
     build_certificate,
     build_phi,
     decay_rate_estimate,
-    interior_matrices,
     lipschitz_bound,
     phi_window,
-    sigma_matrices,
     theta_functions,
     theta_matrix,
     verify_certificate,
@@ -18,9 +18,40 @@ from beamstab.certificate import (
 from beamstab.errors import CkappaDegenerate, ValidationError, WindowViolation
 from beamstab.model import StateField, _strain_matrix, curved_reference
 from beamstab.params import derive_matrices
-from beamstab.scenarios import PRESETS
+from beamstab.scenarios import PRESETS, build_reference
 from beamstab.solver import generate_initial_datum, lyapunov_value, sobolev_norms
 from conftest import curved_cases
+
+
+def _weighted_field(cert, matrices, reference, a: float, b: float) -> np.ndarray:
+    """Per-node a phi' Lambda + b gap Theta, with Lambda = diag(M D, M D)."""
+    theta = theta_matrix(matrices, reference.curvature)
+    lam = np.tile(matrices.mass * matrices.speed, 2)
+    out = b * cert.gap[:, None, None] * theta
+    idx = np.arange(12)
+    out[:, idx, idx] += a * cert.dphi[:, None] * lam[None, :]
+    return out
+
+
+def interior_matrices(cert, matrices, reference) -> np.ndarray:
+    """Per-node symmetric matrices dQ/dx diag(-D, D) - Q B - B^T Q.
+
+    Assembled through the structured identity
+    dQ/dx diag(-D, D) = -phi'/2 Lambda  and  Q B + B^T Q = gap/2 Theta,
+    so the analytic derivative and gap enter directly.  A dense product
+    assembly would subtract near-equal weights and lose the (relatively
+    thin, absolutely tiny) margin on stiff beams.
+    """
+    return _weighted_field(cert, matrices, reference, -0.5, -0.5)
+
+
+def sigma_matrices(cert, matrices, reference) -> np.ndarray:
+    """Per-node -phi' Lambda + 2 (phi(L) - phi) Theta (the decay-rate field)."""
+    return _weighted_field(cert, matrices, reference, -1.0, 2.0)
+
+
+def _close_to_column_max(got, expected, rtol=1e-13):
+    return np.abs(got - expected).max() <= rtol * np.abs(expected).max()
 
 
 def bisection_largest_eigenvalue(sym: np.ndarray, tol: float = 1e-12) -> float:
@@ -261,6 +292,7 @@ def test_interior_matrix_matches_dense_assembly(toy_params):
         dense = np.diag(dq * dd) - q[:, None] * ref.coupling_char \
             - (q[:, None] * ref.coupling_char).T
         assert np.abs(structured[k] - dense).max() < 1e-12
+        assert abs(cert.interior_margins[k] - np.linalg.eigvalsh(dense)[-1]) < 1e-12
 
 
 def test_product_identity_two_routes(toy_params):
@@ -286,8 +318,8 @@ def test_dominance_margin_implies_negative_definite(asym_params):
     m = derive_matrices(asym_params)
     ref = curved_reference(asym_params, 20, np.array([0.8, 0.3, -0.5]))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
-    sig = sigma_matrices(cert, m, ref)
-    eigs = np.linalg.eigvalsh(sig)[:, -1]
+    eigs = _largest_eigenvalues(cert, m, -1.0, 2.0)[0]
+    assert _close_to_column_max(eigs, np.linalg.eigvalsh(sigma_matrices(cert, m, ref))[:, -1])
     for k in range(len(ref.grid)):
         if cert.dominance_slack[k] > 0 or cert.weyl_slack[k] > 0:
             assert eigs[k] < 0.0
@@ -473,7 +505,9 @@ def test_scalar_bounds_are_the_max_of_the_per_node_bounds(asym_params):
 
 
 def test_weighted_fields_equal_the_per_node_theta_assembly(asym_params):
-    # oracle: a phi' Lambda + b gap Theta(x) from the per-node Theta table
+    # oracle: a phi' Lambda + b gap Theta(x) from the per-node Theta table.
+    # The library solves its two 6x6 halves, so the largest eigenvalues
+    # agree to roundoff, not to the bit
     for m, ref in curved_cases(asym_params, seed=12):
         cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
         theta = np.stack([theta_matrix(m, c) for c in _per_node_curvature(ref)])
@@ -483,6 +517,38 @@ def test_weighted_fields_equal_the_per_node_theta_assembly(asym_params):
             expected = b * cert.gap[:, None, None] * theta
             expected[:, idx, idx] += a * cert.dphi[:, None] * lam[None, :]
             assert np.array_equal(field(cert, m, ref), expected)
+            largest = _largest_eigenvalues(cert, m, a, b)[0]
+            assert _close_to_column_max(largest, np.linalg.eigvalsh(expected)[:, -1])
+
+
+def _oracle_valid(cert, matrices, reference):
+    """``valid`` recomputed with the interior condition on the 12x12 field."""
+    interior = interior_matrices(cert, matrices, reference)
+    margins = np.linalg.eigvalsh(interior)[:, -1]
+    scale = np.abs(interior).sum(axis=2).max(axis=1)
+    interior_ok = np.all(margins < 0.0) and np.all(margins <= -MARGIN_RTOL * scale)
+    b0, bL = cert.boundary_margins_0, cert.boundary_margins_L
+    bscale = max(np.abs(b0).max(), np.abs(bL).max(), 1e-300)
+    boundary_ok = np.all(b0 <= MARGIN_RTOL * bscale) and np.all(bL <= MARGIN_RTOL * bscale)
+    return bool(interior_ok and boundary_ok)
+
+
+def test_two_halves_match_the_12x12_fields(asym_params):
+    # oracle: eigvalsh and absolute row sums of the assembled 12x12 fields,
+    # on curved beams, the presets, m = 2 and constant weights (invalid)
+    cases = [(m, ref, 1, None) for m, ref in curved_cases(asym_params, seed=12)]
+    for scenario in PRESETS.values():
+        m = derive_matrices(scenario.params)
+        ref = build_reference(scenario, m)
+        cases += [(m, ref, 1, None), (m, ref, 2, None), (m, ref, 1, 1.0)]
+    for m, ref, order, phiL in cases:
+        cert = build_certificate(m, ref, m=order, phi0=1.0, phiL=phiL)
+        for a, b in ((-0.5, -0.5), (-1.0, 2.0)):
+            field = _weighted_field(cert, m, ref, a, b)
+            largest, scale = _largest_eigenvalues(cert, m, a, b)
+            assert _close_to_column_max(largest, np.linalg.eigvalsh(field)[:, -1])
+            assert _close_to_column_max(scale, np.abs(field).sum(axis=2).max(axis=1))
+        assert cert.valid == _oracle_valid(cert, m, ref) == (phiL is None)
 
 
 def test_certificate_csv_contains_summary(toy_params):

@@ -5,6 +5,7 @@ import pytest
 
 from beamstab import reconstruct
 from beamstab.errors import EndpointMismatch, NotARotation, ZeroQuaternion
+from beamstab.fd import cumulative_trapezoid
 from beamstab.model import (
     StateField,
     curved_reference,
@@ -316,6 +317,20 @@ def test_time_blocks_do_not_change_the_results(toy_params, monkeypatch):
         assert pose.route_gap == whole.route_gap
         assert rt == whole_rt
         assert np.array_equal(obs, whole_obs)
+
+
+def test_centerline_time_quadrature_is_the_whole_lattice_formula(toy_params, monkeypatch):
+    """Blocks of 1, 7 and T samples give the bits, signed zeros included, of
+    p0 + cumulative_trapezoid(R y1, dt) over the whole lattice."""
+    n_times = 15
+    for block in (1, 7, n_times):
+        monkeypatch.setattr(reconstruct, "TIME_BLOCK", block)
+        ref, states, pose = rich_run(toy_params, n_times)
+        y1 = np.stack([s.values[:, 0:3] for s in states])
+        vel = np.einsum("tnij,tnj->tni", pose.R, y1)
+        p0 = reference_centerline(ref)
+        expected = p0 + cumulative_trapezoid(vel, pose.times[1] - pose.times[0])
+        assert pose.p.tobytes() == expected.tobytes(), block
 
 
 def test_lattice_stages_allocate_less_than_the_history(toy_params):
