@@ -372,6 +372,6 @@ def certificate_to_csv(
     summary.append(("alpha_estimate_heuristic", alpha_estimate))
     header = ["x", "w_minus", "w_plus", "interior_max_eig", "dominance_slack", "weyl_slack"]
     return (
-        "# certificate report\n" + csv_table(header, margins.tolist())
+        "# certificate report\n" + csv_table(header, margins)
         + "\n# summary\n" + csv_table(["name", "value"], summary)
     )

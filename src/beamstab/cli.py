@@ -45,8 +45,6 @@ EXIT_VALIDATION = 2
 EXIT_CERTIFICATE = 3
 EXIT_BLOWUP = 4
 
-MAX_POSE_SNAPSHOTS = 24
-
 
 def _certified(scenario):
     """The scenario's matrices, reference and certificate."""
@@ -111,27 +109,22 @@ def cmd_simulate(scenario, args) -> tuple[int, dict[str, str]]:
 
 def cmd_reconstruct(scenario, args) -> tuple[int, dict[str, str]]:
     matrices, reference, cert, datum = _prepare_run(scenario)
-    traj, states, pose = reconstruct.run_pipeline(
-        scenario.sim, matrices, reference, datum, cert=cert
-    )
-    round_trip = reconstruct.roundtrip_error(pose, states, reference)
-    obs_times, obs_values = reconstruct.decay_observable(pose, states)
+    traj, pose = reconstruct.run_pipeline(scenario.sim, matrices, reference, datum, cert=cert)
 
     files = {
         "trajectory": solver.trajectory_to_csv(traj),
         "pose-residuals": reconstruct.pose_residuals_to_csv(pose),
     }
-    indices = sorted(set(np.linspace(0, len(states) - 1, MAX_POSE_SNAPSHOTS).astype(int)))
-    for idx in indices:
-        files[f"pose-{idx:05d}"] = reconstruct.pose_snapshot_to_csv(pose, idx)
+    for i, idx in enumerate(pose.indices):
+        files[f"pose-{idx:05d}"] = reconstruct.pose_snapshot_to_csv(pose.snapshots, i)
     try:
         alpha_obs, _, r2_obs = solver.fit_decay(
-            obs_times, obs_values, t_min=solver.round_trip_time(scenario.params)
+            pose.times, pose.observable, t_min=solver.round_trip_time(scenario.params)
         )
     except (NonPositiveValues, ValidationError):
         alpha_obs = r2_obs = float("nan")
     extra = {
-        "roundtrip_sup_error": round_trip,
+        "roundtrip_sup_error": pose.roundtrip_error,
         "quaternion_norm_defect": pose.norm_defect,
         "centerline_route_gap": pose.route_gap,
         "observable_decay_rate": alpha_obs,

@@ -22,14 +22,20 @@ truncation level of the simulated field, so they shrink at first order
 under simultaneous grid/step refinement - the lattice surrogate for the
 C^1 regularity statement that cannot be checked discretely.
 
-The stages over the space-time lattice (the rotations and the x-equation
-audit, R y1 and the centerline residuals, the round trip and the decay
-observable) run over blocks of ``TIME_BLOCK`` time samples and write into
-preallocated arrays, so none stacks the whole history of states at once;
-the time quadrature of the centerline carries its running sum from block
-to block.  A time derivative on a block reads one sample of halo on each
-side, widened at either end of the lattice to the three samples of the
-one-sided stencil, so every row sees the arithmetic of a single block.
+``reconstruct`` runs all of this in one pass over the records of its
+simulation (:func:`run_pipeline`): each record is converted and swept in
+time as the solver hands it on, and the stages over the space-time
+lattice (the rotations and the x-equation audit, R y1 and the centerline
+residuals, the round trip and the decay observable) run on blocks of
+``TIME_BLOCK`` time samples as the blocks complete.  A time derivative on
+a block reads one sample of halo on each side, widened at either end of
+the lattice to the three samples of the one-sided stencil, so the pass
+keeps a window of one block and its halo; the time quadrature of the
+centerline carries its running sum from block to block.  Every row sees
+the arithmetic of a single block, so the results do not depend on the
+block size, and the whole-lattice functions below run the same blocks.
+What the pass keeps is what ``reconstruct`` writes: the per-time
+residuals and observable, and the pose at ``MAX_POSE_SNAPSHOTS`` times.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .table import csv_table
 
 __all__ = [
     "PoseField",
+    "Reconstruction",
     "umap",
     "rotation_from_quaternion",
     "quaternion_from_rotation",
@@ -61,27 +68,47 @@ __all__ = [
 ]
 
 # keep the reconstruction lattice bounded; the stride stays deterministic.
-# At about 0.37 kB of peak memory per lattice point, 2**22 points is 1.6 GB.
+# The streamed pass holds no lattice: its memory is about 35 kB per grid
+# node whatever the number of records (helical: 93 MB resident at N = 256,
+# 226 MB at N = 4096), so these bound run time more than memory now.
 MAX_RECONSTRUCT_RECORDS = 1200
 MAX_RECONSTRUCT_POINTS = 2**22
 
 # time samples per block of the lattice stages; results do not depend on it
-TIME_BLOCK = 64
+TIME_BLOCK = 32
+
+# pose snapshots written by ``reconstruct``, evenly spread over the lattice
+MAX_POSE_SNAPSHOTS = 24
 
 
 @dataclass(frozen=True)
 class PoseField:
-    """Quaternion, rotation and centerline fields on the space-time lattice."""
+    """Quaternion, rotation and centerline fields on the space-time lattice, or some of its times."""
 
     grid: np.ndarray                  # (N+1,)
     times: np.ndarray                 # (T,)
-    q: np.ndarray                     # (T, N+1, 4)
-    R: np.ndarray                     # (T, N+1, 3, 3)
+    q: np.ndarray | None = None       # (T, N+1, 4)
+    R: np.ndarray | None = None       # (T, N+1, 3, 3)
     p: np.ndarray | None = None       # (T, N+1, 3)
     norm_defect: float = 0.0          # max | |q| - 1 |
     residual_rotation: np.ndarray | None = None    # (T,) audited x-equation
     residual_centerline: np.ndarray | None = None  # (T,) mixed-derivative defect
     route_gap: float | None = None    # sup |p - p_from_x_quadrature|
+
+
+@dataclass(frozen=True)
+class Reconstruction:
+    """What ``reconstruct`` writes of a pose lattice, as one streamed pass keeps it."""
+
+    times: np.ndarray                 # (T,)
+    norm_defect: float                # max | |q| - 1 |
+    residual_rotation: np.ndarray     # (T,) audited x-equation
+    residual_centerline: np.ndarray   # (T,) mixed-derivative defect
+    route_gap: float                  # sup |p - p_from_x_quadrature|
+    roundtrip_error: float            # sup |y - y_back| over the lattice
+    observable: np.ndarray            # (T,) the decay witness of decay_observable
+    indices: list[int]                # lattice rows of the snapshots
+    snapshots: PoseField              # times, q and p on those rows
 
 
 def umap(v: np.ndarray) -> np.ndarray:
@@ -188,10 +215,49 @@ def _exp_step(q: np.ndarray, omega: np.ndarray, h: float) -> np.ndarray:
     return np.cos(half)[..., None] * q + 2.0 * sin_term[..., None] * rotated
 
 
+def _sweep_x(values: np.ndarray, reference: PrecurvedReference, r_in: np.ndarray) -> np.ndarray:
+    """Quaternion field (N+1, 4) of the first sample, swept from the clamped end leftward.
+
+    RK4 with per-step renormalization on a cubic-spline interpolant of
+    y4 + curvature, ``values`` being the sample's (N+1, 12) physical
+    values, seeded by the rotation matrix ``r_in`` = R(L, 0).
+    """
+    from scipy.interpolate import CubicSpline
+
+    grid = reference.grid
+    spline = CubicSpline(grid, reference.curvature + values[:, 9:12], axis=0)
+    q0 = np.empty((len(grid), 4))
+    q0[-1] = quaternion_from_rotation(r_in)
+    h = -reference.dx
+    for j in range(len(grid) - 1, 0, -1):
+        x = grid[j]
+        qj = q0[j]
+        u_mid = umap(spline(x + 0.5 * h))
+        k1 = umap(spline(x)) @ qj
+        k2 = u_mid @ (qj + 0.5 * h * k1)
+        k3 = u_mid @ (qj + 0.5 * h * k2)
+        k4 = umap(spline(x + h)) @ (qj + h * k3)
+        nxt = qj + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        q0[j - 1] = nxt / np.linalg.norm(nxt)
+    return q0
+
+
+def _sweep_t(q: np.ndarray, before: np.ndarray, after: np.ndarray, dt: float) -> np.ndarray:
+    """Quaternion field one time step on: the exact-exponential midpoint rule on U(y2), renormalized.
+
+    ``before`` and ``after`` are the (N+1, 12) physical values at either end of the step.
+    """
+    omega_mid = 0.5 * (before[:, 3:6] + after[:, 3:6])
+    stepped = _exp_step(q, omega_mid, dt)
+    return stepped / np.linalg.norm(stepped, axis=-1, keepdims=True)
+
+
 def reconstruct_rotation(
     states: list[StateField],
     reference: PrecurvedReference,
     r_in: np.ndarray,
+    *,
+    q: np.ndarray | None = None,
 ) -> PoseField:
     """Rotation history from intrinsic states, seeded at the clamped end at t = 0.
 
@@ -202,60 +268,40 @@ def reconstruct_rotation(
     U(y2).  The unenforced x-equation is differenced on the computed field
     and reported per time sample in ``residual_rotation``.  ``r_in`` is
     the rotation matrix R(L, 0); the t-sweeps renormalize every step too.
+
+    ``q``, when given, is the quaternion field on ``states`` already swept,
+    as the streamed pass of :func:`run_pipeline` sweeps each record when it
+    arrives; only the rotations and the audit are then computed, and
+    ``r_in`` is not read.
     """
-    from scipy.interpolate import CubicSpline
-
-    grid = reference.grid
     times = np.array([s.time for s in states])
-    n_nodes = len(grid)
     n_times = len(times)
-    if n_times < 3 or np.abs(np.diff(times) - (times[1] - times[0])).max() > 1e-10 * max(
-        times[-1], 1.0
-    ):
-        raise ValueError("states must be sampled on a uniform time lattice (>= 3 samples)")
-    dt = times[1] - times[0]
-    dx = reference.dx
-
-    # x-sweep at t = 0, from the clamped end leftward
-    gen0 = reference.curvature + states[0].values[:, 9:12]
-    spline = CubicSpline(grid, gen0, axis=0)
-    q0 = np.empty((n_nodes, 4))
-    q0[-1] = quaternion_from_rotation(r_in)
-    h = -dx
-    for j in range(n_nodes - 1, 0, -1):
-        x = grid[j]
-        qj = q0[j]
-        u_mid = umap(spline(x + 0.5 * h))
-        k1 = umap(spline(x)) @ qj
-        k2 = u_mid @ (qj + 0.5 * h * k1)
-        k3 = u_mid @ (qj + 0.5 * h * k2)
-        k4 = umap(spline(x + h)) @ (qj + h * k3)
-        nxt = qj + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        q0[j - 1] = nxt / np.linalg.norm(nxt)
-
-    # t-sweeps, all nodes at once
-    q = np.empty((n_times, n_nodes, 4))
-    q[0] = q0
-    for k in range(n_times - 1):
-        omega_mid = 0.5 * (states[k].values[:, 3:6] + states[k + 1].values[:, 3:6])
-        stepped = _exp_step(q[k], omega_mid, dt)
-        q[k + 1] = stepped / np.linalg.norm(stepped, axis=-1, keepdims=True)
+    if q is None:
+        if n_times < 3 or np.abs(np.diff(times) - (times[1] - times[0])).max() > 1e-10 * max(
+            times[-1], 1.0
+        ):
+            raise ValueError("states must be sampled on a uniform time lattice (>= 3 samples)")
+        dt = times[1] - times[0]
+        q = np.empty((n_times, len(reference.grid), 4))
+        q[0] = _sweep_x(states[0].values, reference, r_in)
+        for k in range(n_times - 1):
+            q[k + 1] = _sweep_t(q[k], states[k].values, states[k + 1].values, dt)
 
     # rotations, and the audit of the x-equation, block by block
-    rot = np.empty((n_times, n_nodes, 3, 3))
+    rot = np.empty(q.shape[:-1] + (3, 3))
     residual = np.empty(n_times)
     norm_defect = np.empty(n_times)
     for lo, hi in _blocks(n_times):
         qb = q[lo:hi]
         norm_defect[lo:hi] = np.abs(np.linalg.norm(qb, axis=-1) - 1.0).max(axis=1)
         rot[lo:hi] = rotation_from_quaternion(qb)
-        dq_dx = diff1(qb, dx, axis=1)
+        dq_dx = diff1(qb, reference.dx, axis=1)
         gen = reference.curvature + _stack(states, lo, hi, slice(9, 12))
         predicted = np.einsum("tnij,tnj->tni", umap(gen), qb)
         residual[lo:hi] = np.linalg.norm(dq_dx - predicted, axis=-1).max(axis=1)
 
     return PoseField(
-        grid=grid,
+        grid=reference.grid,
         times=times,
         q=q,
         R=rot,
@@ -276,11 +322,59 @@ def _from_clamp(rot: np.ndarray, y: np.ndarray, h_p: np.ndarray, dx: float):
     return tangent, h_p - tail
 
 
+def _velocity(rot: np.ndarray, states: list[StateField]) -> np.ndarray:
+    """R y1, the centerline's time derivative, on a block of time samples."""
+    return np.einsum("tnij,tnj->tni", rot, _stack(states, 0, len(states), slice(0, 3)))
+
+
+def _time_sums(vel: np.ndarray, carry, dt: float):
+    """Running trapezoid sums int_0^t R y1 on one block of time samples.
+
+    ``carry`` is None on the lattice's first block, whose sum starts at 0;
+    otherwise it is the (velocity, sum) of the sample before the block, the
+    sum being None after the first sample, where nothing has been added
+    yet.  Each block's cumsum starts from the sum before it, so the
+    additions and their order are those of one cumsum over the whole
+    lattice, signed zeros included.  Returns the block's sums and the carry
+    of the next block.
+    """
+    if carry is None:
+        sums = np.zeros_like(vel)
+        sums[1:] = 0.5 * dt * (vel[1:] + vel[:-1])
+        np.cumsum(sums[1:], axis=0, out=sums[1:])
+        return sums, (vel[-1], sums[-1] if len(vel) > 1 else None)
+    last_vel, last_sum = carry
+    sums = 0.5 * dt * (vel + np.concatenate([last_vel[None], vel[:-1]]))
+    if last_sum is None:
+        np.cumsum(sums, axis=0, out=sums)
+    else:
+        sums = np.cumsum(np.concatenate([last_sum[None], sums]), axis=0)[1:]
+    return sums, (vel[-1], sums[-1])
+
+
+def _windows(pose: PoseField, states: list[StateField]):
+    """Each block (lo, hi) of a whole lattice with its halo window (see :func:`_halo`).
+
+    Yields lo, hi, the window's pose and states, and the block's rows in the
+    window.  The window's pose is given the lattice's first sample times,
+    so its step is the lattice's own ``times[1] - times[0]`` to the bit (the
+    first difference inside a window can differ from it in the last place);
+    only its values are read at other times.
+    """
+    n_times = len(pose.times)
+    for lo, hi in _blocks(n_times):
+        wlo, whi = _halo(lo, hi, n_times)
+        window = replace(pose, times=pose.times[: whi - wlo], R=pose.R[wlo:whi], p=pose.p[wlo:whi])
+        yield lo, hi, window, states[wlo:whi], slice(lo - wlo, hi - wlo)
+
+
 def reconstruct_centerline(
     states: list[StateField],
     pose: PoseField,
     p0: np.ndarray,
     h_p: np.ndarray,
+    *,
+    own: slice | None = None,
 ) -> PoseField:
     """Centerline by time quadrature of R y1 from the initial shape p0.
 
@@ -288,102 +382,63 @@ def reconstruct_centerline(
     route p2(x, t) = h_p - int_x^L R (y3 + e1); the sup gap between the two
     routes and the mixed-derivative compatibility residual
     dx(R y1) - dt(R (y3 + e1)) are stored alongside.
+
+    The audits run one block at a time on its halo window.  With ``own``,
+    ``states`` and ``pose`` are such a window (see :func:`_windows`), with
+    its centerline ``pose.p`` already integrated, and only the audits of
+    its rows ``own`` are computed: the whole lattice here and the streamed
+    pass of :func:`run_pipeline` audit every block through this call.
     """
     p0 = np.asarray(p0, dtype=float)
     h_p = np.asarray(h_p, dtype=float)
     if np.abs(p0[-1] - h_p).max() > 1e-10:
         raise EndpointMismatch(f"p0(L) differs from clamp by {np.abs(p0[-1] - h_p).max():.3g}")
 
-    n_times = len(pose.times)
     dt = pose.times[1] - pose.times[0]
     dx = pose.grid[1] - pose.grid[0]
-
-    # p = p0 + cumulative_trapezoid(vel, dt), with the running integral
-    # summed in place: each block's cumsum starts from the sum before it
-    # (none before the first step), so the additions keep their order
-    vel = np.empty(pose.R.shape[:-1])  # R y1
-    p = np.zeros_like(vel)
-    for lo, hi in _blocks(n_times):
-        vel[lo:hi] = np.einsum("tnij,tnj->tni", pose.R[lo:hi], _stack(states, lo, hi, slice(0, 3)))
-        k = max(lo, 1)
-        p[k:hi] = 0.5 * dt * (vel[k:hi] + vel[k - 1 : hi - 1])
-        np.cumsum(p[max(lo - 1, 1) : hi], axis=0, out=p[max(lo - 1, 1) : hi])
-    p += p0
-
-    gap = np.empty(n_times)
-    residual = np.empty(n_times)
-    for lo, hi in _blocks(n_times):
-        wlo, whi = _halo(lo, hi, n_times)
-        tangent, p2 = _from_clamp(pose.R[wlo:whi], _stack(states, wlo, whi), h_p, dx)
-        own = slice(lo - wlo, hi - wlo)
-        gap[lo:hi] = np.abs(p[lo:hi] - p2[own]).max(axis=(1, 2))
-        mixed = diff1(vel[lo:hi], dx, axis=1) - diff1(tangent, dt, axis=0)[own]
-        residual[lo:hi] = np.abs(mixed).max(axis=(1, 2))
-
-    return replace(pose, p=p, residual_centerline=residual, route_gap=float(gap.max()))
-
-
-def run_pipeline(
-    config: solver.SimConfig,
-    matrices: BeamMatrices,
-    reference: PrecurvedReference,
-    datum: StateField,
-    cert=None,
-):
-    """Simulate with stored records, then rebuild the pose from the clamped end.
-
-    The stride ``config.output_stride`` is raised when needed to keep at
-    most ``MAX_RECONSTRUCT_RECORDS`` records after t = 0, and at most
-    ``MAX_RECONSTRUCT_POINTS`` lattice points in all.  A ragged final
-    record is dropped (the quaternion sweeps need a uniform time lattice),
-    and the initial shape is the quadrature from the clamp.  Returns
-    (trajectory without snapshots, physical states, pose); raises
-    :class:`ValidationError` when fewer than three evenly spaced records
-    would remain.
-    """
-    _, n_steps = solver.time_step(config, matrices)
-    max_records = min(
-        MAX_RECONSTRUCT_RECORDS, MAX_RECONSTRUCT_POINTS // (config.n_cells + 1) - 1
-    )
-    stride = max(config.output_stride, math.ceil(n_steps / max_records))
-    if n_steps // stride < 2:
-        raise ValidationError(
-            [f"reconstruction needs at least 3 evenly spaced records, the run gives "
-             f"{n_steps // stride + 1}: raise sim.t_end or lower sim.output_stride"]
+    if own is not None:
+        tangent, p2 = _from_clamp(pose.R, _stack(states, 0, len(states)), h_p, dx)
+        gap = np.abs(pose.p[own] - p2[own]).max(axis=(1, 2))
+        vel = _velocity(pose.R[own], states[own])
+        mixed = diff1(vel, dx, axis=1) - diff1(tangent, dt, axis=0)[own]
+        return replace(
+            pose, residual_centerline=np.abs(mixed).max(axis=(1, 2)), route_gap=float(gap.max())
         )
-    config = replace(config, store_snapshots=True, output_stride=stride)
-    traj = solver.simulate(config, matrices, reference, datum, cert=cert, lyap_order=1)
 
-    # the states are the one copy of the history: each diagonal snapshot is
-    # dropped as its physical state replaces it
-    states = traj.snapshots[: n_steps // stride + 1]
-    traj = replace(traj, snapshots=[])
-    for i, snapshot in enumerate(states):
-        states[i] = model.to_physical(snapshot, matrices)
-    pose = reconstruct_rotation(states, reference, reference.rotation[-1])
-    h_p = model.reference_centerline(reference)[-1]
-    _, p0 = _from_clamp(pose.R[0], states[0].values, h_p, reference.dx)
-    pose = reconstruct_centerline(states, pose, p0, h_p)
-    return traj, states, pose
+    # p = p0 + cumulative_trapezoid(R y1, dt), summed block by block
+    n_times = len(pose.times)
+    p = np.empty(pose.R.shape[:-1])
+    carry = None
+    for lo, hi in _blocks(n_times):
+        p[lo:hi], carry = _time_sums(_velocity(pose.R[lo:hi], states[lo:hi]), carry, dt)
+    p += p0
+    pose = replace(pose, p=p)
+
+    gaps = []
+    residual = np.empty(n_times)
+    for lo, hi, window, window_states, rows in _windows(pose, states):
+        audit = reconstruct_centerline(window_states, window, p0, h_p, own=rows)
+        residual[lo:hi] = audit.residual_centerline
+        gaps.append(audit.route_gap)
+    return replace(pose, residual_centerline=residual, route_gap=float(np.max(gaps)))
+
+
+def _roundtrip(window: PoseField, states: list[StateField], own: slice, reference) -> float:
+    """Sup |y - y_back| on the rows ``own`` of a halo window, y_back read back from its pose."""
+    back = model.strains_velocities_from_pose(window, reference)[own]
+    return float(np.abs(back - _stack(states, own.start, own.stop)).max())
 
 
 def roundtrip_error(pose: PoseField, states, reference: PrecurvedReference) -> float:
     """Sup |y - y_back| over the lattice, y_back the intrinsic variables of ``pose``.
 
-    ``pose`` is differentiated one window of time samples at a time.  Each
-    window is given the lattice's first sample times, so its step is the
-    lattice's own ``times[1] - times[0]`` to the bit (the first difference
-    inside a window can differ from it in the last place); only the values
-    are read back.
+    ``pose`` is differentiated one halo window of time samples at a time
+    (see :func:`_windows`); only the values are read back.
     """
-    n_times = len(pose.times)
-    errors = []
-    for lo, hi in _blocks(n_times):
-        wlo, whi = _halo(lo, hi, n_times)
-        window = replace(pose, times=pose.times[: whi - wlo], R=pose.R[wlo:whi], p=pose.p[wlo:whi])
-        back = model.strains_velocities_from_pose(window, reference)[lo - wlo : hi - wlo]
-        errors.append(float(np.abs(back - _stack(states, lo, hi)).max()))
-    return max(errors)
+    return max(
+        _roundtrip(window, window_states, rows, reference)
+        for _, _, window, window_states, rows in _windows(pose, states)
+    )
 
 
 def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndarray, np.ndarray]:
@@ -403,6 +458,179 @@ def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndar
     return pose.times.copy(), values
 
 
+class _Pass:
+    """The pose of one run, built block by block as its records arrive.
+
+    Each record is turned into physical variables and swept in time when it
+    arrives.  Once a block of ``TIME_BLOCK`` records is complete (and the
+    second record has fixed the lattice step), the block is rotated, its
+    centerline integrated and its decay observable taken.  Its audits and
+    round trip wait until every row of its halo window has been rotated.
+    Per time sample the pass keeps only the scalars, and the pose only on
+    the snapshot rows.
+
+    The rows still read (the states, q, R and p from the oldest waiting
+    halo window on) live in a window of ``2 TIME_BLOCK + 4`` rows, one
+    allocation made once per pass; rows no stage reads any more are
+    overwritten by moving the rest to its front.  A block and its halo are
+    contiguous slices of it, as they were of the whole-lattice arrays.
+    (glibc malloc raises its mmap threshold to the largest chunk freed, so
+    after one pass the blocks' temporaries stay in its heap.  With fresh
+    arrays for every block they went back to the system between blocks,
+    and page faults made ``reconstruct`` about 20% slower.)
+    """
+
+    def __init__(self, matrices: BeamMatrices, reference: PrecurvedReference, n_times: int):
+        self.matrices = matrices
+        self.reference = reference
+        self.n_times = n_times
+        self.blocks = list(_blocks(n_times))
+        self.h_p = model.reference_centerline(reference)[-1]
+        self.p0 = self.carry = None
+        self.times = np.empty(n_times)
+        self.residual_rotation = np.empty(n_times)
+        self.residual_centerline = np.empty(n_times)
+        self.observable = np.empty(n_times)
+        self.norm_defects, self.gaps, self.errors = [], [], []
+        rows = np.linspace(0, n_times - 1, MAX_POSE_SNAPSHOTS).astype(int)
+        self.indices = [int(k) for k in sorted(set(rows))]
+        self.snapshot_q, self.snapshot_p = [], []
+
+        # the window, whose row i holds lattice row first + i
+        n_rows, n_nodes = min(n_times, 2 * TIME_BLOCK + 4), len(reference.grid)
+        shapes = [(12,), (4,), (3, 3), (3,)]  # physical states, q, R, p
+        sizes = [n_rows * n_nodes * math.prod(shape) for shape in shapes]
+        parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        self.window = [part.reshape((n_rows, n_nodes) + s) for part, s in zip(parts, shapes)]
+        self.y, self.q, self.R, self.p = self.window
+        self.first = self.received = self.rotated = self.audited = 0
+
+    @property
+    def dt(self) -> float:
+        return self.times[1] - self.times[0]
+
+    def _halo_of(self, block: int) -> tuple[int, int]:
+        return _halo(*self.blocks[block], self.n_times)
+
+    def _states(self, lo: int, hi: int) -> list[StateField]:
+        return [
+            StateField(self.reference.grid, "physical", self.y[k - self.first], self.times[k])
+            for k in range(lo, hi)
+        ]
+
+    def push(self, record: StateField) -> None:
+        """Take the next diagonal record of the run."""
+        k = self.received
+        self.received += 1
+        if k >= self.n_times:  # a ragged final record is simulated, not reconstructed
+            return
+        i = k - self.first
+        self.y[i] = model.to_physical(record, self.matrices).values
+        self.times[k] = record.time
+        if k == 0:
+            self.q[i] = _sweep_x(self.y[i], self.reference, self.reference.rotation[-1])
+        else:
+            self.q[i] = _sweep_t(self.q[i - 1], self.y[i - 1], self.y[i], self.dt)
+        while k >= 1 and self.rotated < len(self.blocks) and self.blocks[self.rotated][1] <= k + 1:
+            self._rotate(*self.blocks[self.rotated])
+            self.rotated += 1
+        done = self.blocks[self.rotated - 1][1] if self.rotated else 0
+        while self.audited < self.rotated and self._halo_of(self.audited)[1] <= done:
+            self._audit(*self.blocks[self.audited])
+            self.audited += 1
+        if self.received - self.first == len(self.y) and self.received < self.n_times:
+            # the next time step reads row k, the next audit its halo window
+            keep = min(k, self._halo_of(self.audited)[0])
+            for rows in self.window:
+                rows[: self.received - keep] = rows[keep - self.first : self.received - self.first]
+            self.first = keep
+
+    def _rotate(self, lo: int, hi: int) -> None:
+        rows = slice(lo - self.first, hi - self.first)
+        states = self._states(lo, hi)
+        pose = reconstruct_rotation(
+            states, self.reference, self.reference.rotation[-1], q=self.q[rows]
+        )
+        self.R[rows] = pose.R
+        self.norm_defects.append(pose.norm_defect)
+        self.residual_rotation[lo:hi] = pose.residual_rotation
+        if lo == 0:
+            _, self.p0 = _from_clamp(pose.R[0], states[0].values, self.h_p, self.reference.dx)
+        sums, self.carry = _time_sums(_velocity(pose.R, states), self.carry, self.dt)
+        np.add(sums, self.p0, out=self.p[rows])
+        self.observable[lo:hi] = decay_observable(pose, states)[1]
+        for k in self.indices:
+            if lo <= k < hi:
+                self.snapshot_q.append(self.q[k - self.first].copy())
+                self.snapshot_p.append(self.p[k - self.first].copy())
+
+    def _audit(self, lo: int, hi: int) -> None:
+        wlo, whi = _halo(lo, hi, self.n_times)
+        rows = slice(wlo - self.first, whi - self.first)
+        states = self._states(wlo, whi)
+        window = PoseField(
+            self.reference.grid, self.times[: whi - wlo], R=self.R[rows], p=self.p[rows]
+        )
+        own = slice(lo - wlo, hi - wlo)
+        audit = reconstruct_centerline(states, window, self.p0, self.h_p, own=own)
+        self.residual_centerline[lo:hi] = audit.residual_centerline
+        self.gaps.append(audit.route_gap)
+        self.errors.append(_roundtrip(window, states, own, self.reference))
+
+    def result(self) -> Reconstruction:
+        return Reconstruction(
+            times=self.times,
+            norm_defect=float(np.max(self.norm_defects)),
+            residual_rotation=self.residual_rotation,
+            residual_centerline=self.residual_centerline,
+            route_gap=float(np.max(self.gaps)),
+            roundtrip_error=max(self.errors),
+            observable=self.observable,
+            indices=self.indices,
+            snapshots=PoseField(
+                self.reference.grid, self.times[self.indices],
+                q=np.stack(self.snapshot_q), p=np.stack(self.snapshot_p),
+            ),
+        )
+
+
+def run_pipeline(
+    config: solver.SimConfig,
+    matrices: BeamMatrices,
+    reference: PrecurvedReference,
+    datum: StateField,
+    cert=None,
+) -> tuple[solver.Trajectory, Reconstruction]:
+    """Simulate, rebuilding the pose from the clamped end as the records arrive.
+
+    The stride ``config.output_stride`` is raised when needed to keep at
+    most ``MAX_RECONSTRUCT_RECORDS`` records after t = 0, and at most
+    ``MAX_RECONSTRUCT_POINTS`` lattice points in all.  A ragged final
+    record is simulated but not reconstructed (the quaternion sweeps need a
+    uniform time lattice), and the initial shape is the quadrature from the
+    clamp.  The records are consumed in one pass (see :class:`_Pass`), so
+    no history is stored.  Returns (trajectory, reconstruction); raises
+    :class:`ValidationError` when fewer than three evenly spaced records
+    would remain.
+    """
+    _, n_steps = solver.time_step(config, matrices)
+    max_records = min(
+        MAX_RECONSTRUCT_RECORDS, MAX_RECONSTRUCT_POINTS // (config.n_cells + 1) - 1
+    )
+    stride = max(config.output_stride, math.ceil(n_steps / max_records))
+    if n_steps // stride < 2:
+        raise ValidationError(
+            [f"reconstruction needs at least 3 evenly spaced records, the run gives "
+             f"{n_steps // stride + 1}: raise sim.t_end or lower sim.output_stride"]
+        )
+    run = _Pass(matrices, reference, n_steps // stride + 1)
+    config = replace(config, store_snapshots=False, output_stride=stride)
+    traj = solver.simulate(
+        config, matrices, reference, datum, cert=cert, lyap_order=1, on_record=run.push
+    )
+    return traj, run.result()
+
+
 def pose_snapshot_to_csv(pose: PoseField, index: int) -> str:
     """One time sample of a full pose: x, centerline, quaternion."""
     rows = np.column_stack([pose.grid, pose.p[index], pose.q[index]]).tolist()
@@ -411,7 +639,7 @@ def pose_snapshot_to_csv(pose: PoseField, index: int) -> str:
     )
 
 
-def pose_residuals_to_csv(pose: PoseField) -> str:
+def pose_residuals_to_csv(pose: PoseField | Reconstruction) -> str:
     """Residual summary of a full pose over time: rotation audit, centerline compatibility."""
     out = f"# norm_defect = {pose.norm_defect:.17g}\n# route_gap = {pose.route_gap:.17g}\n"
     rows = np.column_stack([pose.times, pose.residual_rotation, pose.residual_centerline]).tolist()

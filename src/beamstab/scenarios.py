@@ -31,7 +31,6 @@ __all__ = [
     "load_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
-    "scenario_to_yaml",
     "apply_override",
     "build_reference",
     "header_echo",
@@ -206,10 +205,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     for key in _SECTIONS:
         data[key] = {k: _plain(v) for k, v in asdict(getattr(scenario, key)).items()}
     return data
-
-
-def scenario_to_yaml(scenario: Scenario) -> str:
-    return yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False)
 
 
 def load_scenario(source: str) -> Scenario:

@@ -60,9 +60,9 @@ __all__ = [
 ]
 
 # Largest accepted sim.n_cells.  At this size the certificate's per-node
-# 6x6 halves are one (N+1, 2, 6, 6) array of 38 MB, and formatting its
-# report takes about 37 MB; under tracemalloc, certify on the helical preset
-# peaks at 56 MB.
+# 6x6 halves are one (N+1, 2, 6, 6) array of 38 MB; under tracemalloc,
+# certify on the helical preset peaks at 59 MB in the eigensolves of the
+# halves, and at 29 MB while it formats its report a block of rows at a time.
 MAX_CELLS = 2**16
 
 
@@ -320,13 +320,16 @@ def simulate(
     y0: StateField,
     cert=None,
     lyap_order: int = 1,
+    on_record=None,
 ) -> Trajectory:
     """Run the closed loop from a compatible physical datum.
 
     Records energies, discrete Sobolev norms, the outgoing boundary traces
     r-(0) and r+(L) and (when a certificate is supplied) the Lyapunov
-    functional every ``output_stride`` steps plus the final state.  Raises
-    :class:`BlowupDetected` as soon as any node magnitude crosses the
+    functional every ``output_stride`` steps plus the final state.  Each
+    recorded diagonal state is also handed to ``on_record``, when given, as
+    it is recorded; the solver never writes to a state it has handed on.
+    Raises :class:`BlowupDetected` as soon as any node magnitude crosses the
     configured threshold.
     """
     dt, n_steps = time_step(config, matrices)
@@ -381,6 +384,8 @@ def simulate(
         tr_pL.append(r[-1, 6:].copy())
         if config.store_snapshots:
             snapshots.append(StateField(grid, "diagonal", r.copy(), t))
+        if on_record is not None:
+            on_record(state)
 
     record(0)
     for step in range(1, n_steps + 1):

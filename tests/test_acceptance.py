@@ -19,7 +19,7 @@ from beamstab.model import (
     gbar,
 )
 from beamstab.params import derive_matrices, optimal_feedback
-from beamstab.reconstruct import decay_observable, roundtrip_error, run_pipeline
+from beamstab.reconstruct import run_pipeline
 from beamstab.scenarios import PRESETS, build_reference
 from beamstab.solver import (
     SimConfig,
@@ -254,8 +254,8 @@ def _reconstruct_run(params, matrices, n, t_end, seed=5, stride=1):
     ref = curved_reference(params, n, np.zeros(3))
     datum = generate_initial_datum(matrices, ref, 1e-2, seed=seed, order=1)
     cfg = SimConfig(n_cells=n, cfl=0.9, t_end=t_end, output_stride=stride)
-    _, states, pose = run_pipeline(cfg, matrices, ref, datum)
-    return ref, states, pose
+    _, pose = run_pipeline(cfg, matrices, ref, datum)
+    return pose
 
 
 @criterion(8, "pose reconstruction round trip")
@@ -264,9 +264,9 @@ def test_criterion_8_reconstruction(toy_setup):
     runs = {n: _reconstruct_run(scenario.params, matrices, n, t_end=0.5) for n in (64, 128)}
 
     sup_errors, rot_residuals, cl_residuals = {}, {}, {}
-    for n, (ref, states, pose) in runs.items():
+    for n, pose in runs.items():
         assert pose.norm_defect < 1e-10
-        sup_errors[n] = roundtrip_error(pose, states, ref)
+        sup_errors[n] = pose.roundtrip_error
         rot_residuals[n] = float(pose.residual_rotation.max())
         cl_residuals[n] = float(pose.residual_centerline.max())
 
@@ -275,9 +275,8 @@ def test_criterion_8_reconstruction(toy_setup):
         assert 1.7 <= factor <= 2.3, series
 
     # decay witness of the reconstructed motion
-    ref, states, pose = _reconstruct_run(scenario.params, matrices, 96, t_end=6.0, stride=8)
-    times, values = decay_observable(pose, states)
-    c2, _, _ = fit_decay(times, values, t_min=1.0)
+    pose = _reconstruct_run(scenario.params, matrices, 96, t_end=6.0, stride=8)
+    c2, _, _ = fit_decay(pose.times, pose.observable, t_min=1.0)
     assert c2 > 0.0
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pose_oracle
 from beamstab import reconstruct
 from beamstab.errors import EndpointMismatch, NotARotation, ZeroQuaternion
 from beamstab.fd import cumulative_trapezoid
@@ -14,7 +15,7 @@ from beamstab.model import (
 )
 from beamstab.params import derive_matrices
 from beamstab.reconstruct import (
-    PoseField,
+    MAX_POSE_SNAPSHOTS,
     decay_observable,
     pose_residuals_to_csv,
     pose_snapshot_to_csv,
@@ -26,7 +27,13 @@ from beamstab.reconstruct import (
     run_pipeline,
     umap,
 )
-from beamstab.solver import SimConfig, fit_decay, generate_initial_datum, simulate, time_step
+from beamstab.solver import (
+    SimConfig,
+    fit_decay,
+    generate_initial_datum,
+    time_step,
+    trajectory_to_csv,
+)
 
 
 def axis_rotation(axis: int, angle: float) -> np.ndarray:
@@ -183,11 +190,13 @@ def simulate_and_reconstruct(params, matrices, n, t_end=0.5, seed=5):
     ref = curved_reference(params, n, np.zeros(3))
     datum = generate_initial_datum(matrices, ref, 1e-2, seed=seed, order=1)
     cfg = SimConfig(n_cells=n, cfl=0.9, t_end=t_end, output_stride=1)
-    _, states, pose = run_pipeline(cfg, matrices, ref, datum)
-    return ref, states, pose
+    _, pose = run_pipeline(cfg, matrices, ref, datum)
+    return ref, pose
 
 
 def test_pipeline_keeps_one_copy_of_the_history(toy_params, toy_matrices):
+    """The pipeline keeps no copy of the history: the trajectory has no
+    snapshots, and the reconstruction is per-time scalars and snapshots."""
     ref = curved_reference(toy_params, 32, np.zeros(3), toy_matrices)
     datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=5, order=1)
     raggedness = []
@@ -195,29 +204,65 @@ def test_pipeline_keeps_one_copy_of_the_history(toy_params, toy_matrices):
         cfg = SimConfig(n_cells=32, cfl=0.9, t_end=t_end, output_stride=3)
         _, n_steps = time_step(cfg, toy_matrices)
         raggedness.append(n_steps % 3)
-        traj, states, pose = run_pipeline(cfg, toy_matrices, ref, datum)
+        traj, pose = run_pipeline(cfg, toy_matrices, ref, datum)
         kept = n_steps // 3 + 1
         # a ragged final record is simulated but not reconstructed
         assert len(traj.times) == kept + (1 if n_steps % 3 else 0)
         assert traj.snapshots == []
-        assert len(states) == kept == len(pose.times)
-        assert [s.repr for s in states] == ["physical"] * kept
-        assert np.array_equal([s.time for s in states], traj.times[:kept])
+        assert len(pose.times) == kept
+        assert np.array_equal(pose.times, traj.times[:kept])
     assert sorted(raggedness) == [0, 1, 2]
 
 
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_streamed_pass_is_the_whole_lattice_pipeline(toy_params, toy_matrices, monkeypatch):
+    """``run_pipeline`` gives the bits of the whole-lattice oracle on every
+    output ``reconstruct`` writes, at blocks of 1, 7 and T samples.
+
+    The runs end on a ragged record (n_steps % stride = 1 and 2) or not,
+    and include lattices of 3 and 4 samples, where the halo of the last
+    block reaches back across a block edge.
+    """
+    ref = curved_reference(toy_params, 16, np.array([1.0, 0.0, 0.5]), toy_matrices)
+    datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=5, order=1)
+    dt_max = 0.9 * ref.dx / np.abs(toy_matrices.wave_speeds).max()  # the step at cfl 0.9
+    for n_steps, stride in ((9, 4), (11, 3), (50, 3), (61, 2), (40, 1)):
+        cfg = SimConfig(n_cells=16, t_end=(n_steps - 0.5) * dt_max, output_stride=stride)
+        assert time_step(cfg, toy_matrices)[1] == n_steps
+        n_times = n_steps // stride + 1
+        for block in (1, 7, n_times):
+            monkeypatch.setattr(reconstruct, "TIME_BLOCK", block)
+            traj, pose = run_pipeline(cfg, toy_matrices, ref, datum)
+            whole_traj, states, whole = pose_oracle.run_pipeline(cfg, toy_matrices, ref, datum)
+            case = (n_steps, stride, block)
+            assert trajectory_to_csv(traj) == trajectory_to_csv(whole_traj), case
+            assert _bits(pose.times) == _bits(whole.times), case
+            for name in ("residual_rotation", "residual_centerline", "norm_defect", "route_gap"):
+                assert _bits(getattr(pose, name)) == _bits(getattr(whole, name)), (case, name)
+            roundtrip = pose_oracle.roundtrip_error(whole, states, ref)
+            assert _bits(pose.roundtrip_error) == _bits(roundtrip), case
+            assert _bits(pose.observable) == _bits(pose_oracle.decay_observable(whole, states)[1])
+            rows = sorted(set(np.linspace(0, n_times - 1, MAX_POSE_SNAPSHOTS).astype(int)))
+            assert pose.indices == rows, case
+            for name in ("times", "q", "p"):
+                expected = getattr(whole, name)[rows]
+                assert _bits(getattr(pose.snapshots, name)) == _bits(expected), (case, name)
+
+
 def test_roundtrip_first_order_convergence(toy_params, toy_matrices):
-    ref1, states1, pose1 = simulate_and_reconstruct(toy_params, toy_matrices, 64)
-    ref2, states2, pose2 = simulate_and_reconstruct(toy_params, toy_matrices, 128)
+    _, pose1 = simulate_and_reconstruct(toy_params, toy_matrices, 64)
+    _, pose2 = simulate_and_reconstruct(toy_params, toy_matrices, 128)
     for pose in (pose1, pose2):
         assert pose.norm_defect < 1e-10
-        defect = np.abs(
-            np.einsum("tnji,tnjk->tnik", pose.R, pose.R) - np.eye(3)
-        ).max()
+        rot = rotation_from_quaternion(pose.snapshots.q)
+        defect = np.abs(np.einsum("tnji,tnjk->tnik", rot, rot) - np.eye(3)).max()
         assert defect < 1e-9
 
-    e1 = roundtrip_error(pose1, states1, ref1)
-    e2 = roundtrip_error(pose2, states2, ref2)
+    e1 = pose1.roundtrip_error
+    e2 = pose2.roundtrip_error
     assert 1.7 <= e1 / e2 <= 2.3
     rr1, rr2 = pose1.residual_rotation.max(), pose2.residual_rotation.max()
     assert 1.7 <= rr1 / rr2 <= 2.3
@@ -252,22 +297,20 @@ def test_decay_observable(toy_params, toy_matrices):
 
 
 def test_observable_decays_on_stable_run(toy_params, toy_matrices):
-    ref, states, pose = simulate_and_reconstruct(toy_params, toy_matrices, 48, t_end=6.0)
-    times, values = decay_observable(pose, states)
-    alpha, _, _ = fit_decay(times, values, t_min=1.0)
+    _, pose = simulate_and_reconstruct(toy_params, toy_matrices, 48, t_end=6.0)
+    alpha, _, _ = fit_decay(pose.times, pose.observable, t_min=1.0)
     assert alpha > 0.0
 
 
 def test_norm_drift_with_and_without_renormalization(toy_params, toy_matrices):
     """Both sweeps renormalize every step, so the quaternion norm drift stays at roundoff."""
-    ref, states, _ = simulate_and_reconstruct(toy_params, toy_matrices, 48, t_end=1.0)
-    pose = reconstruct_rotation(states, ref, ref.rotation[-1])
+    _, pose = simulate_and_reconstruct(toy_params, toy_matrices, 48, t_end=1.0)
     assert pose.norm_defect <= 1e-10
 
 
 def test_pose_csv_outputs(toy_params, toy_matrices):
-    ref, states, pose = simulate_and_reconstruct(toy_params, toy_matrices, 32, t_end=0.3)
-    snap = pose_snapshot_to_csv(pose, 0)
+    ref, pose = simulate_and_reconstruct(toy_params, toy_matrices, 32, t_end=0.3)
+    snap = pose_snapshot_to_csv(pose.snapshots, 0)
     assert snap.splitlines()[1] == "x,p1,p2,p3,q0,q1,q2,q3"
     assert len(snap.splitlines()) == len(ref.grid) + 2
     resid = pose_residuals_to_csv(pose)
@@ -319,6 +362,30 @@ def test_time_blocks_do_not_change_the_results(toy_params, monkeypatch):
         assert np.array_equal(obs, whole_obs)
 
 
+def test_whole_lattice_functions_are_the_oracle(toy_params, monkeypatch):
+    """The whole-lattice functions, run on the block kernels of the streamed
+    pass, give the bits of the whole-lattice oracle at blocks of 1, 7 and T."""
+    n_times = 15
+    ref, states, _ = rich_run(toy_params, n_times)
+    h_p = reference_centerline(ref)[-1]
+    for block in (1, 7, n_times):
+        monkeypatch.setattr(reconstruct, "TIME_BLOCK", block)
+        pose = reconstruct_rotation(states, ref, ref.rotation[-1])
+        whole = pose_oracle.reconstruct_rotation(states, ref, ref.rotation[-1])
+        p0 = reconstruct._from_clamp(whole.R[0], states[0].values, h_p, ref.dx)[1]
+        pose = reconstruct_centerline(states, pose, p0, h_p)
+        whole = pose_oracle.reconstruct_centerline(states, whole, p0, h_p)
+        for name in ("times", "q", "R", "norm_defect", "residual_rotation", "p",
+                     "residual_centerline", "route_gap"):
+            assert _bits(getattr(pose, name)) == _bits(getattr(whole, name)), (block, name)
+        assert _bits(roundtrip_error(pose, states, ref)) == _bits(
+            pose_oracle.roundtrip_error(whole, states, ref)
+        )
+        assert _bits(decay_observable(pose, states)) == _bits(
+            pose_oracle.decay_observable(whole, states)
+        )
+
+
 def test_centerline_time_quadrature_is_the_whole_lattice_formula(toy_params, monkeypatch):
     """Blocks of 1, 7 and T samples give the bits, signed zeros included, of
     p0 + cumulative_trapezoid(R y1, dt) over the whole lattice."""
@@ -333,30 +400,56 @@ def test_centerline_time_quadrature_is_the_whole_lattice_formula(toy_params, mon
         assert pose.p.tobytes() == expected.tobytes(), block
 
 
-def test_lattice_stages_allocate_less_than_the_history(toy_params):
+def _allocated(call, returned) -> int:
+    """Traced peak of ``call()`` above its start, less the bytes of what it returns."""
+    call()  # imports and first-call caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base - returned(out)
+
+
+def test_lattice_stages_allocate_less_than_the_history(toy_params, toy_matrices):
     """No stage stacks the whole history: what each allocates beyond what it
-    returns stays below the byte size of the stacked states."""
+    returns stays below the byte size of the stacked states.  What the
+    streamed pipeline allocates beyond what it returns does not grow with
+    the number of time samples."""
     n_times = 8 * reconstruct.TIME_BLOCK + 1
     ref, states, pose = rich_run(toy_params, n_times)
     history = sum(s.values.nbytes for s in states)
 
-    def allocated(call, returned):
-        call()  # imports and first-call caches stay out of the measurement
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak - base - returned(out)
-
-    rotation = allocated(
+    rotation = _allocated(
         lambda: reconstruct_rotation(states, ref, ref.rotation[-1]),
         lambda p: p.times.nbytes + p.q.nbytes + p.R.nbytes + p.residual_rotation.nbytes,
     )
-    roundtrip = allocated(lambda: roundtrip_error(pose, states, ref), lambda e: 0)
-    observable = allocated(
+    roundtrip = _allocated(lambda: roundtrip_error(pose, states, ref), lambda e: 0)
+    observable = _allocated(
         lambda: decay_observable(pose, states), lambda out: out[0].nbytes + out[1].nbytes
     )
     assert max(rotation, roundtrip, observable) < history, (rotation, roundtrip, observable)
+
+    def returned(out):
+        traj, rec = out
+        arrays = [value for value in vars(traj).values() if isinstance(value, np.ndarray)]
+        arrays += [traj.final_state.values, rec.times, rec.residual_rotation,
+                   rec.residual_centerline, rec.observable, rec.snapshots.times,
+                   rec.snapshots.q, rec.snapshots.p]
+        return sum(a.nbytes for a in arrays)
+
+    n_cells = 64
+    ref = curved_reference(toy_params, n_cells, np.array([1.0, 0.0, 0.5]), toy_matrices)
+    datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=5, order=1)
+    dt_max = 0.9 * ref.dx / np.abs(toy_matrices.wave_speeds).max()  # the step at cfl 0.9
+    pipeline = {}
+    for blocks in (8, 32):
+        n_steps = blocks * reconstruct.TIME_BLOCK
+        cfg = SimConfig(n_cells=n_cells, t_end=(n_steps - 0.5) * dt_max)
+        pipeline[blocks] = _allocated(
+            lambda: run_pipeline(cfg, toy_matrices, ref, datum), returned
+        )
+    block = reconstruct.TIME_BLOCK * len(ref.grid) * 12 * 8  # one block of states
+    assert pipeline[32] - pipeline[8] < 3 * block, (pipeline, block)

@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 
+from beamstab import table
 from beamstab.table import csv_table
 
 
@@ -55,11 +56,17 @@ def test_string_cells_with_separators_read_back_through_csv_reader():
     assert text.splitlines()[2] == '"say ""hi""",1,1'
 
 
-def test_array_rows_and_empty_tables():
+def test_array_rows_and_empty_tables(monkeypatch):
     rng = np.random.default_rng(3)
     values = rng.normal(size=(17, 5)) * 10.0 ** rng.integers(-300, 300, size=(17, 5))
     header = [f"c{j}" for j in range(5)]
-    assert csv_table(header, values) == _oracle(header, values)
-    assert csv_table(header, values.tolist()) == _oracle(header, values)
+    quoted = [(f"s,{k}", *row) for k, row in enumerate(values.tolist())]
+    whole = csv_table(["s", *header], quoted)
+    # one block, blocks that divide the rows, and a ragged last block
+    for block in (table.ROW_BLOCK, 1, 4, 17):
+        monkeypatch.setattr(table, "ROW_BLOCK", block)
+        assert csv_table(header, values) == _oracle(header, values)
+        assert csv_table(header, values.tolist()) == _oracle(header, values)
+        assert csv_table(["s", *header], quoted) == whole
     assert csv_table(header, []) == "c0,c1,c2,c3,c4\n"
     assert csv_table(header, np.zeros((0, 5))) == "c0,c1,c2,c3,c4\n"
