@@ -213,8 +213,7 @@ def gbar_pair(matrices: BeamMatrices, u: np.ndarray, v: np.ndarray) -> np.ndarra
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    q = matrices.quadratic.transpose(1, 0, 2).reshape(12, 144)
-    coeffs = (u @ q).reshape(u.shape[:-1] + (12, 12))
+    coeffs = (u @ matrices.quadratic_rows).reshape(u.shape[:-1] + (12, 12))
     return (coeffs @ v[..., None])[..., 0]
 
 

@@ -20,12 +20,14 @@ factors.  From those we assemble
 A diagonal matrix is stored as the 1-D array of its diagonal; only the
 transforms ``L``, ``L^{-1}`` and the flux ``A`` are dense 12x12 arrays,
 and ``quadratic`` is a dense (12, 12, 12) array with 48 nonzero entries.
-Sizes are tiny and fixed, so no laziness is worth having.
+Sizes are tiny and fixed; the one derived view, the (12, 144) operand of
+the nonlinearity's contraction, is taken on first use and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +112,11 @@ class BeamMatrices:
     def reflection_bound(self) -> float:
         """C_kappa = max_i kappa_i^2."""
         return reflection_bound(self.kappa)
+
+    @cached_property
+    def quadratic_rows(self) -> np.ndarray:
+        """``quadratic`` as the (12, 144) matrix Q[j, (i, k)]: u @ it is sum_j u_j Q[i, j, k]."""
+        return self.quadratic.transpose(1, 0, 2).reshape(12, 144)
 
 
 def reflection_bound(kappa_diag: np.ndarray) -> float:

@@ -37,8 +37,8 @@ block size, and the whole-lattice functions below run the same blocks.
 What the pass keeps is what ``reconstruct`` writes: the per-time
 residuals and observable, and the pose at ``MAX_POSE_SNAPSHOTS`` times.
 So its memory grows with the grid, not with the records: on the helical
-preset with 1139 records, ``reconstruct`` peaks at 93 MB resident at
-N = 256 and at 121 MB at N = 1024, against 84 MB for ``simulate`` alone
+preset with 1139 records, ``reconstruct`` peaks at 48 MB resident at
+N = 256 and at 76 MB at N = 1024, against 48 MB for ``simulate`` alone
 at N = 256.
 """
 
@@ -72,9 +72,9 @@ __all__ = [
 ]
 
 # keep the reconstruction lattice bounded; the stride stays deterministic.
-# The streamed pass holds no lattice: its memory is about 35 kB per grid
-# node whatever the number of records (helical: 93 MB resident at N = 256,
-# 226 MB at N = 4096), so these bound run time more than memory now.
+# The streamed pass holds no lattice: its memory is about 37 kB per grid
+# node whatever the number of records (helical: 48 MB resident at N = 256,
+# 194 MB at N = 4096), so these bound run time more than memory now.
 MAX_RECONSTRUCT_RECORDS = 1200
 MAX_RECONSTRUCT_POINTS = 2**22
 
@@ -94,6 +94,7 @@ class PoseField:
     q: np.ndarray | None = None       # (T, N+1, 4)
     R: np.ndarray | None = None       # (T, N+1, 3, 3)
     p: np.ndarray | None = None       # (T, N+1, 3)
+    velocity: np.ndarray | None = None  # (T, N+1, 3) R y1, the time derivative of p
     norm_defect: float = 0.0          # max | |q| - 1 |
     residual_rotation: np.ndarray | None = None    # (T,) audited x-equation
     residual_centerline: np.ndarray | None = None  # (T,) mixed-derivative defect
@@ -220,30 +221,10 @@ def _exp_step(q: np.ndarray, omega: np.ndarray, h: float) -> np.ndarray:
 
 
 def _sweep_x(values: np.ndarray, reference: PrecurvedReference, r_in: np.ndarray) -> np.ndarray:
-    """Quaternion field (N+1, 4) of the first sample, swept from the clamped end leftward.
+    """Quaternion field (N+1, 4) at t = 0, swept from the clamped end: :func:`.xsweep.sweep_x`."""
+    from .xsweep import sweep_x  # here: the commands without a sweep never compile it
 
-    RK4 with per-step renormalization on a cubic-spline interpolant of
-    y4 + curvature, ``values`` being the sample's (N+1, 12) physical
-    values, seeded by the rotation matrix ``r_in`` = R(L, 0).
-    """
-    from scipy.interpolate import CubicSpline
-
-    grid = reference.grid
-    spline = CubicSpline(grid, reference.curvature + values[:, 9:12], axis=0)
-    q0 = np.empty((len(grid), 4))
-    q0[-1] = quaternion_from_rotation(r_in)
-    h = -reference.dx
-    for j in range(len(grid) - 1, 0, -1):
-        x = grid[j]
-        qj = q0[j]
-        u_mid = umap(spline(x + 0.5 * h))
-        k1 = umap(spline(x)) @ qj
-        k2 = u_mid @ (qj + 0.5 * h * k1)
-        k3 = u_mid @ (qj + 0.5 * h * k2)
-        k4 = umap(spline(x + h)) @ (qj + h * k3)
-        nxt = qj + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        q0[j - 1] = nxt / np.linalg.norm(nxt)
-    return q0
+    return sweep_x(values, reference, r_in)
 
 
 def _sweep_t(q: np.ndarray, before: np.ndarray, after: np.ndarray, dt: float) -> np.ndarray:
@@ -368,7 +349,10 @@ def _windows(pose: PoseField, states: list[StateField]):
     n_times = len(pose.times)
     for lo, hi in _blocks(n_times):
         wlo, whi = _halo(lo, hi, n_times)
-        window = replace(pose, times=pose.times[: whi - wlo], R=pose.R[wlo:whi], p=pose.p[wlo:whi])
+        window = replace(
+            pose, times=pose.times[: whi - wlo], R=pose.R[wlo:whi], p=pose.p[wlo:whi],
+            velocity=pose.velocity[wlo:whi],
+        )
         yield lo, hi, window, states[wlo:whi], slice(lo - wlo, hi - wlo)
 
 
@@ -389,9 +373,11 @@ def reconstruct_centerline(
 
     The audits run one block at a time on its halo window.  With ``own``,
     ``states`` and ``pose`` are such a window (see :func:`_windows`), with
-    its centerline ``pose.p`` already integrated, and only the audits of
-    its rows ``own`` are computed: the whole lattice here and the streamed
-    pass of :func:`run_pipeline` audit every block through this call.
+    its centerline ``pose.p`` already integrated from ``pose.velocity``,
+    and only the audits of its rows ``own`` are computed: the whole
+    lattice here and the streamed pass of :func:`run_pipeline` audit every
+    block through this call.  The whole-lattice pose returned carries R y1
+    in ``velocity``.
     """
     p0 = np.asarray(p0, dtype=float)
     h_p = np.asarray(h_p, dtype=float)
@@ -403,8 +389,7 @@ def reconstruct_centerline(
     if own is not None:
         tangent, p2 = _from_clamp(pose.R, _stack(states, 0, len(states)), h_p, dx)
         gap = np.abs(pose.p[own] - p2[own]).max(axis=(1, 2))
-        vel = _velocity(pose.R[own], states[own])
-        mixed = diff1(vel, dx, axis=1) - diff1(tangent, dt, axis=0)[own]
+        mixed = diff1(pose.velocity[own], dx, axis=1) - diff1(tangent, dt, axis=0)[own]
         return replace(
             pose, residual_centerline=np.abs(mixed).max(axis=(1, 2)), route_gap=float(gap.max())
         )
@@ -412,11 +397,13 @@ def reconstruct_centerline(
     # p = p0 + cumulative_trapezoid(R y1, dt), summed block by block
     n_times = len(pose.times)
     p = np.empty(pose.R.shape[:-1])
+    vel = np.empty_like(p)
     carry = None
     for lo, hi in _blocks(n_times):
-        p[lo:hi], carry = _time_sums(_velocity(pose.R[lo:hi], states[lo:hi]), carry, dt)
+        vel[lo:hi] = _velocity(pose.R[lo:hi], states[lo:hi])
+        p[lo:hi], carry = _time_sums(vel[lo:hi], carry, dt)
     p += p0
-    pose = replace(pose, p=p)
+    pose = replace(pose, p=p, velocity=vel)
 
     gaps = []
     residual = np.empty(n_times)
@@ -468,14 +455,14 @@ class _Pass:
     Each record is turned into physical variables and swept in time when it
     arrives.  Once a block of ``TIME_BLOCK`` records is complete (and the
     second record has fixed the lattice step), the block is rotated, its
-    centerline integrated and its decay observable taken.  Its audits and
-    round trip wait until every row of its halo window has been rotated.
-    Per time sample the pass keeps only the scalars, and the pose only on
-    the snapshot rows.
+    centerline integrated from R y1 and its decay observable taken.  Its
+    audits, which read the same R y1, and its round trip wait until every
+    row of its halo window has been rotated.  Per time sample the pass
+    keeps only the scalars, and the pose only on the snapshot rows.
 
-    The rows still read (the states, q, R and p from the oldest waiting
-    halo window on) live in a window of ``2 TIME_BLOCK + 4`` rows, one
-    allocation made once per pass; rows no stage reads any more are
+    The rows still read (the states, q, R, p and R y1 from the oldest
+    waiting halo window on) live in a window of ``2 TIME_BLOCK + 4`` rows,
+    one allocation made once per pass; rows no stage reads any more are
     overwritten by moving the rest to its front.  A block and its halo are
     contiguous slices of it, as they were of the whole-lattice arrays.
     (glibc malloc raises its mmap threshold to the largest chunk freed, so
@@ -502,11 +489,11 @@ class _Pass:
 
         # the window, whose row i holds lattice row first + i
         n_rows, n_nodes = min(n_times, 2 * TIME_BLOCK + 4), len(reference.grid)
-        shapes = [(12,), (4,), (3, 3), (3,)]  # physical states, q, R, p
+        shapes = [(12,), (4,), (3, 3), (3,), (3,)]  # physical states, q, R, p, R y1
         sizes = [n_rows * n_nodes * math.prod(shape) for shape in shapes]
         parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
         self.window = [part.reshape((n_rows, n_nodes) + s) for part, s in zip(parts, shapes)]
-        self.y, self.q, self.R, self.p = self.window
+        self.y, self.q, self.R, self.p, self.velocity = self.window
         self.first = self.received = self.rotated = self.audited = 0
 
     @property
@@ -560,7 +547,9 @@ class _Pass:
         self.residual_rotation[lo:hi] = pose.residual_rotation
         if lo == 0:
             _, self.p0 = _from_clamp(pose.R[0], states[0].values, self.h_p, self.reference.dx)
-        sums, self.carry = _time_sums(_velocity(pose.R, states), self.carry, self.dt)
+        vel = _velocity(pose.R, states)
+        self.velocity[rows] = vel
+        sums, self.carry = _time_sums(vel, self.carry, self.dt)
         np.add(sums, self.p0, out=self.p[rows])
         self.observable[lo:hi] = decay_observable(pose, states)[1]
         for k in self.indices:
@@ -573,7 +562,8 @@ class _Pass:
         rows = slice(wlo - self.first, whi - self.first)
         states = self._states(wlo, whi)
         window = PoseField(
-            self.reference.grid, self.times[: whi - wlo], R=self.R[rows], p=self.p[rows]
+            self.reference.grid, self.times[: whi - wlo], R=self.R[rows], p=self.p[rows],
+            velocity=self.velocity[rows],
         )
         own = slice(lo - wlo, hi - wlo)
         audit = reconstruct_centerline(states, window, self.p0, self.h_p, own=own)

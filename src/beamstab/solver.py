@@ -363,25 +363,26 @@ def simulate(
     r = y0.values @ matrices.to_char.T
     apply_bc(r)
 
-    rec_times, rec_ep, rec_ed, rec_lyap, rec_h1, rec_h2 = [], [], [], [], [], []
-    tr_m0, tr_pL = [], []
+    # t = 0, every output_stride-th step and the last one
+    n_records = 1 + -(-n_steps // config.output_stride)
+    times, e_phys, e_char, lyap, h1, h2 = (np.empty(n_records) for _ in range(6))
+    tr_m0, tr_pL = np.empty((n_records, 6)), np.empty((n_records, 6))
     snapshots: list[StateField] = []
 
     def record(step: int) -> None:
+        k = -(-step // config.output_stride)  # the record's row
         t = step * dt
         state = StateField(grid, "diagonal", r, t)
-        e_p, e_d = energies(state, matrices)
+        e_phys[k], e_char[k] = energies(state, matrices)
         y = r @ matrices.from_char.T
-        rec_times.append(t)
-        rec_ep.append(e_p)
-        rec_ed.append(e_d)
-        rec_h1.append(sobolev_norms(y, dx, 1))
+        times[k] = t
+        h1[k] = sobolev_norms(y, dx, 1)
         if lyap_order == 2:
-            rec_h2.append(sobolev_norms(y, dx, 2))
+            h2[k] = sobolev_norms(y, dx, 2)
         if cert is not None:
-            rec_lyap.append(lyapunov_value(state, cert, matrices, reference, k=lyap_order))
-        tr_m0.append(r[0, :6].copy())
-        tr_pL.append(r[-1, 6:].copy())
+            lyap[k] = lyapunov_value(state, cert, matrices, reference, k=lyap_order)
+        tr_m0[k] = r[0, :6]
+        tr_pL[k] = r[-1, 6:]
         if config.store_snapshots:
             snapshots.append(StateField(grid, "diagonal", r.copy(), t))
         if on_record is not None:
@@ -403,14 +404,14 @@ def simulate(
 
     return Trajectory(
         config=config,
-        times=np.array(rec_times),
-        energy_phys=np.array(rec_ep),
-        energy_char=np.array(rec_ed),
-        lyap=np.array(rec_lyap) if cert is not None else None,
-        h1=np.array(rec_h1),
-        h2=np.array(rec_h2) if lyap_order == 2 else None,
-        trace_minus_0=np.array(tr_m0),
-        trace_plus_L=np.array(tr_pL),
+        times=times,
+        energy_phys=e_phys,
+        energy_char=e_char,
+        lyap=lyap if cert is not None else None,
+        h1=h1,
+        h2=h2 if lyap_order == 2 else None,
+        trace_minus_0=tr_m0,
+        trace_plus_L=tr_pL,
         final_state=StateField(grid, "diagonal", r.copy(), n_steps * dt),
         snapshots=snapshots,
         steps=n_steps,

@@ -3,8 +3,10 @@
 This is the reconstruction as it ran before ``run_pipeline`` became one
 pass over the records: the simulation stores every record, the physical
 states are the one copy of the history, and each stage reads whole-lattice
-arrays of q, R, p and R y1 block by block.  The library's streamed pass
-and its whole-lattice functions must give these bits.
+arrays of q, R, p and R y1 block by block.  The x-sweep at t = 0 runs on
+scipy's ``CubicSpline``, which the library's own spline replaces.  The
+library's streamed pass and its whole-lattice functions must give these
+bits.
 """
 
 import math
@@ -32,6 +34,33 @@ from beamstab.reconstruct import (
 )
 
 
+def sweep_x(values: np.ndarray, reference: PrecurvedReference, r_in: np.ndarray) -> np.ndarray:
+    """Quaternion field (N+1, 4) at t = 0, swept from the clamped end leftward.
+
+    RK4 with per-step renormalization on scipy's not-a-knot
+    ``CubicSpline`` of y4 + curvature, evaluated at each stage point as the
+    sweep reaches it; ``values`` are the (N+1, 12) physical values.
+    """
+    from scipy.interpolate import CubicSpline
+
+    grid = reference.grid
+    spline = CubicSpline(grid, reference.curvature + values[:, 9:12], axis=0)
+    q0 = np.empty((len(grid), 4))
+    q0[-1] = quaternion_from_rotation(r_in)
+    h = -reference.dx
+    for j in range(len(grid) - 1, 0, -1):
+        x = grid[j]
+        qj = q0[j]
+        u_mid = umap(spline(x + 0.5 * h))
+        k1 = umap(spline(x)) @ qj
+        k2 = u_mid @ (qj + 0.5 * h * k1)
+        k3 = u_mid @ (qj + 0.5 * h * k2)
+        k4 = umap(spline(x + h)) @ (qj + h * k3)
+        nxt = qj + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        q0[j - 1] = nxt / np.linalg.norm(nxt)
+    return q0
+
+
 def reconstruct_rotation(
     states: list[StateField],
     reference: PrecurvedReference,
@@ -40,15 +69,12 @@ def reconstruct_rotation(
     """Rotation history from intrinsic states, seeded at the clamped end at t = 0.
 
     ``states`` are physical-representation samples on a uniform time lattice.
-    The x-sweep at t = 0 runs from x = L leftward (RK4 with per-step
-    renormalization on a cubic-spline interpolant of y4 + curvature); each
+    The x-sweep at t = 0 runs from x = L leftward (:func:`sweep_x`); each
     node is then advanced in time by the exact-exponential midpoint rule on
     U(y2).  The unenforced x-equation is differenced on the computed field
     and reported per time sample in ``residual_rotation``.  ``r_in`` is
     the rotation matrix R(L, 0); the t-sweeps renormalize every step too.
     """
-    from scipy.interpolate import CubicSpline
-
     grid = reference.grid
     times = np.array([s.time for s in states])
     n_nodes = len(grid)
@@ -60,26 +86,9 @@ def reconstruct_rotation(
     dt = times[1] - times[0]
     dx = reference.dx
 
-    # x-sweep at t = 0, from the clamped end leftward
-    gen0 = reference.curvature + states[0].values[:, 9:12]
-    spline = CubicSpline(grid, gen0, axis=0)
-    q0 = np.empty((n_nodes, 4))
-    q0[-1] = quaternion_from_rotation(r_in)
-    h = -dx
-    for j in range(n_nodes - 1, 0, -1):
-        x = grid[j]
-        qj = q0[j]
-        u_mid = umap(spline(x + 0.5 * h))
-        k1 = umap(spline(x)) @ qj
-        k2 = u_mid @ (qj + 0.5 * h * k1)
-        k3 = u_mid @ (qj + 0.5 * h * k2)
-        k4 = umap(spline(x + h)) @ (qj + h * k3)
-        nxt = qj + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        q0[j - 1] = nxt / np.linalg.norm(nxt)
-
     # t-sweeps, all nodes at once
     q = np.empty((n_times, n_nodes, 4))
-    q[0] = q0
+    q[0] = sweep_x(states[0].values, reference, r_in)
     for k in range(n_times - 1):
         omega_mid = 0.5 * (states[k].values[:, 3:6] + states[k + 1].values[:, 3:6])
         stepped = _exp_step(q[k], omega_mid, dt)

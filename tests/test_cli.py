@@ -323,6 +323,21 @@ class TestReconstructCommand:
         for row in rows[1:3] + rows[-2:]:
             assert all(math.isnan(float(cell)) for cell in row[1:]), row
 
+    def test_imports_no_scipy(self, tmp_path):
+        """The command runs on numpy alone: scipy is never imported."""
+        code = (
+            "import sys\n"
+            "from beamstab import cli\n"
+            f"rc = cli.main(['reconstruct', '--scenario', 'helical', '--out', {str(tmp_path)!r},\n"
+            "              '--override', 'sim.n_cells=32', '--override', 'sim.t_end=1.0'])\n"
+            "assert rc == 0, rc\n"
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "assert not loaded, loaded[:5]\n"
+        )
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "helical-pose-residuals.csv").exists()
+
     def test_short_run_is_a_validation_error(self, tmp_path, capsys):
         rc = main(["reconstruct", "--scenario", "helical", "--out", str(tmp_path),
                    "--override", "sim.t_end=0.001"])

@@ -187,3 +187,17 @@ def test_dump_matrices_blocks(toy_matrices):
     line = next(ln for ln in text.splitlines() if ln.startswith("r1,"))
     values = [float(v) for v in line.split(",")[1:]]
     assert len(values) in (3, 6, 12)
+
+
+def test_quadratic_rows_taken_once_per_matrices(asym_params):
+    """The contraction operand is the tensor's (12, 144) view, built on first
+    read and kept; a copy with another tensor builds its own, and it is not
+    a field, so neither the dump nor the finiteness check sees it."""
+    m = derive_matrices(asym_params)
+    rows = m.quadratic_rows
+    assert rows is m.quadratic_rows
+    assert np.array_equal(rows, m.quadratic.transpose(1, 0, 2).reshape(12, 144))
+    zero = dataclasses.replace(m, quadratic=np.zeros_like(m.quadratic))
+    assert not zero.quadratic_rows.any()
+    assert "quadratic_rows" not in {f.name for f in dataclasses.fields(m)}
+    assert "quadratic" not in dump_matrices(m)

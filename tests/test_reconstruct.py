@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pose_oracle
-from beamstab import reconstruct
+from beamstab import reconstruct, xsweep
 from beamstab.errors import EndpointMismatch, NotARotation, ZeroQuaternion
 from beamstab.fd import cumulative_trapezoid
 from beamstab.model import (
@@ -14,6 +14,7 @@ from beamstab.model import (
     reference_centerline,
 )
 from beamstab.params import derive_matrices
+from beamstab.scenarios import build_reference, load_scenario
 from beamstab.reconstruct import (
     MAX_POSE_SNAPSHOTS,
     decay_observable,
@@ -186,6 +187,61 @@ class TestReconstructCenterline:
             reconstruct_centerline(states, pose, line, line[-1] + 1e-6)
 
 
+def _stage_points(grid):
+    """The RK4 stage points x, x + h/2, x + h of the x-sweep's steps, h = -dx."""
+    h = -float(grid[1] - grid[0])
+    x = grid[1:]
+    return np.stack([x, x + 0.5 * h, x + h], axis=1).ravel()
+
+
+@pytest.mark.parametrize("n_cells", [16, 17, 64, 256, 1024, 8192])
+def test_spline_is_scipys_cubic_spline(n_cells):
+    """The library's not-a-knot spline gives scipy's coefficients and values
+    bit for bit, over lengths and value scales, at the sweep's stage points."""
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(n_cells)
+    for length in (0.7, 1.0, 2.0, 10.0):
+        grid = np.linspace(0.0, length, n_cells + 1)
+        at = _stage_points(grid)
+        for scale in (1e-6, 1e-2, 1.0, 1e3):
+            y = scale * rng.normal(size=(len(grid), 3)) + rng.normal(size=3)
+            oracle = CubicSpline(grid, y, axis=0)
+            coeffs = xsweep.not_a_knot(grid, y)
+            case = (length, scale)
+            assert coeffs.shape == oracle.c.shape, case
+            assert np.array_equal(coeffs.view(np.uint64), oracle.c.view(np.uint64)), case
+            values = xsweep.evaluate(grid, coeffs, at)
+            assert np.array_equal(values.view(np.uint64), oracle(at).view(np.uint64)), case
+
+
+def test_tridiagonal_solve_is_lapacks_pivoting_elimination():
+    """Random systems, most of which swap rows, give ``solve_banded``'s bits."""
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(3)
+    for n in (4, 5, 9, 33):
+        for _ in range(20):
+            dl, d, du = rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1)
+            b = rng.normal(size=(n, 3))
+            banded = np.zeros((3, n))
+            banded[0, 1:], banded[1], banded[2, :-1] = du, d, dl
+            x = xsweep._tridiagonal_solve(dl, d, du, b)
+            assert x.tobytes() == solve_banded((1, 1), banded, b).tobytes()
+
+
+@pytest.mark.parametrize("preset", ["straight-toy", "straight-steel", "helical"])
+def test_sweep_x_is_the_scipy_sweep(preset):
+    """The x-sweep at t = 0 gives the bits of the sweep on scipy's spline."""
+    scenario = load_scenario(preset)
+    matrices = derive_matrices(scenario.params)
+    ref = build_reference(scenario, matrices)
+    datum = generate_initial_datum(matrices, ref, 1e-2, seed=5, order=1)
+    r_in = ref.rotation[-1]
+    q0 = reconstruct._sweep_x(datum.values, ref, r_in)
+    assert q0.tobytes() == pose_oracle.sweep_x(datum.values, ref, r_in).tobytes()
+
+
 def simulate_and_reconstruct(params, matrices, n, t_end=0.5, seed=5):
     ref = curved_reference(params, n, np.zeros(3))
     datum = generate_initial_datum(matrices, ref, 1e-2, seed=seed, order=1)
@@ -212,6 +268,21 @@ def test_pipeline_keeps_one_copy_of_the_history(toy_params, toy_matrices):
         assert len(pose.times) == kept
         assert np.array_equal(pose.times, traj.times[:kept])
     assert sorted(raggedness) == [0, 1, 2]
+
+
+def test_velocity_computed_once_per_row(toy_params, toy_matrices, monkeypatch):
+    """R y1 is formed once per lattice row: the audits read the rows the
+    time quadrature formed."""
+    rows = []
+    original = reconstruct._velocity
+
+    def counting(rot, states):
+        rows.extend(s.time for s in states)
+        return original(rot, states)
+
+    monkeypatch.setattr(reconstruct, "_velocity", counting)
+    _, pose = simulate_and_reconstruct(toy_params, toy_matrices, 16, t_end=1.0)
+    assert rows == pose.times.tolist()
 
 
 def _bits(value) -> bytes:

@@ -207,6 +207,32 @@ class TestSimulate:
         assert np.array_equal(traj.trace_minus_0, r[:, 0, :6])
         assert np.array_equal(traj.trace_plus_L, r[:, -1, 6:])
 
+    @pytest.mark.parametrize("stride", [1, 3, 4, 7, 10**9])
+    def test_records_fill_their_arrays(self, toy_matrices, toy_reference, stride):
+        """One row per record, at t = 0, every stride-th step and the last one,
+        each row the value of its own recorded state, ragged end or not."""
+        from beamstab.certificate import build_certificate
+
+        cert = build_certificate(toy_matrices, toy_reference, m=1, phi0=1.0, phiL=None)
+        datum = generate_initial_datum(toy_matrices, toy_reference, 1e-2, seed=8, order=1)
+        cfg = SimConfig(n_cells=32, cfl=0.9, t_end=0.7, output_stride=stride,
+                        store_snapshots=True)
+        traj = simulate(cfg, toy_matrices, toy_reference, datum, cert=cert, lyap_order=2)
+        dt = 0.7 / traj.steps
+        steps = sorted({*range(0, traj.steps + 1, min(stride, traj.steps)), traj.steps})
+        assert traj.times.tolist() == [step * dt for step in steps]
+        dx = toy_reference.dx
+        for k, snap in enumerate(traj.snapshots):
+            y = snap.values @ toy_matrices.from_char.T
+            assert (traj.energy_phys[k], traj.energy_char[k]) == energies(snap, toy_matrices)
+            assert traj.h1[k] == sobolev_norms(y, dx, 1)
+            assert traj.h2[k] == sobolev_norms(y, dx, 2)
+            assert traj.lyap[k] == lyapunov_value(snap, cert, toy_matrices, toy_reference, k=2)
+        assert len(traj.snapshots) == len(steps)
+        for series in (traj.energy_phys, traj.energy_char, traj.h1, traj.h2, traj.lyap,
+                       traj.trace_minus_0, traj.trace_plus_L):
+            assert len(series) == len(steps)
+
     def test_energy_monotone_small_amplitude(self, toy_matrices, toy_reference):
         datum = generate_initial_datum(toy_matrices, toy_reference, 1e-2, seed=8, order=1)
         cfg = SimConfig(n_cells=32, cfl=0.9, t_end=2.0, output_stride=1)
