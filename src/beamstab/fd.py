@@ -13,14 +13,19 @@ import numpy as np
 
 def diff1(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """First derivative of uniformly sampled data (2nd order)."""
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    if v.shape[0] < 3:
+    v = np.asarray(values, dtype=float)
+    if v.shape[axis] < 3:
         raise ValueError("need at least 3 samples for the one-sided stencils")
+    lead = (slice(None),) * (axis % v.ndim)
+
+    def at(index):
+        return v[lead + (index,)]
+
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    out[lead + (slice(1, -1),)] = (at(slice(2, None)) - at(slice(None, -2))) / (2.0 * h)
+    out[lead + (0,)] = (-3.0 * at(0) + 4.0 * at(1) - at(2)) / (2.0 * h)
+    out[lead + (-1,)] = (3.0 * at(-1) - 4.0 * at(-2) + at(-3)) / (2.0 * h)
+    return out
 
 
 def diff2(values: np.ndarray, h: float) -> np.ndarray:

@@ -248,6 +248,23 @@ def to_physical(state: StateField, matrices: BeamMatrices) -> StateField:
 # --- pose -> intrinsic variables ---------------------------------------------
 
 
+def _column_dot(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Entry (i, j) of a^T b for stacks of 3x3 matrices: column i of a dotted with column j of b."""
+    return a[..., 0, i] * b[..., 0, j] + a[..., 1, i] * b[..., 1, j] + a[..., 2, i] * b[..., 2, j]
+
+
+def _skew_vec(rot: np.ndarray, deriv: np.ndarray) -> np.ndarray:
+    """vec(R^T dR) from the three antisymmetric differences of R^T dR that ``vec`` reads."""
+    return 0.5 * np.stack(
+        [
+            _column_dot(rot, deriv, 2, 1) - _column_dot(rot, deriv, 1, 2),
+            _column_dot(rot, deriv, 0, 2) - _column_dot(rot, deriv, 2, 0),
+            _column_dot(rot, deriv, 1, 0) - _column_dot(rot, deriv, 0, 1),
+        ],
+        axis=-1,
+    )
+
+
 def strains_velocities_from_pose(pose, reference: PrecurvedReference) -> np.ndarray:
     """Intrinsic variables of a sampled pose history.
 
@@ -259,29 +276,34 @@ def strains_velocities_from_pose(pose, reference: PrecurvedReference) -> np.ndar
         V = R^T dt p,        W = vec(R^T dt R),
         Gamma = R^T dx p - e1,  Upsilon = vec(R^T dx R) - curvature.
 
-    Returns the physical values (T, N+1, 12).  Raises :class:`NotARotation`
-    when a rotation sample is not orthogonal.
+    Only the entries that are read are formed, each as a dot product of
+    two columns: the six distinct entries of R^T R for the orthogonality
+    check, and the three antisymmetric differences of R^T dt R and
+    R^T dx R that ``vec`` takes.  Returns the physical values
+    (T, N+1, 12).  Raises :class:`NotARotation` when a rotation sample is
+    not orthogonal.
     """
     times = np.asarray(pose.times, dtype=float)
     rot = np.asarray(pose.R, dtype=float)
     pos = np.asarray(pose.p, dtype=float)
     dx = reference.grid[1] - reference.grid[0]
     dt = times[1] - times[0]
-    rt = np.swapaxes(rot, -1, -2)
 
-    defect = np.abs(rt @ rot - np.eye(3)).max()
+    defect = max(
+        np.abs(_column_dot(rot, rot, i, j) - (i == j)).max()
+        for i in range(3)
+        for j in range(i, 3)
+    )
     if defect > 1e-6:
         raise NotARotation(f"rotation samples have orthogonality defect {defect:.3g}")
 
     dp_dt = diff1(pos, dt, axis=0)
     dp_dx = diff1(pos, dx, axis=1)
-    dr_dt = diff1(rot, dt, axis=0)
-    dr_dx = diff1(rot, dx, axis=1)
 
     v_lin = np.einsum("tnji,tnj->tni", rot, dp_dt)
-    w_ang = vec(rt @ dr_dt)
+    w_ang = _skew_vec(rot, diff1(rot, dt, axis=0))
     gamma = np.einsum("tnji,tnj->tni", rot, dp_dx) - E1
-    upsilon = vec(rt @ dr_dx) - reference.curvature
+    upsilon = _skew_vec(rot, diff1(rot, dx, axis=1)) - reference.curvature
     return np.concatenate([v_lin, w_ang, gamma, upsilon], axis=-1)
 
 

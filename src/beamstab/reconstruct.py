@@ -23,15 +23,16 @@ under simultaneous grid/step refinement - the lattice surrogate for the
 C^1 regularity statement that cannot be checked discretely.
 
 ``reconstruct`` runs all of this in one pass over the records of its
-simulation (:func:`run_pipeline`): each record is converted and swept in
-time as the solver hands it on, and the stages over the space-time
-lattice (the rotations and the x-equation audit, R y1 and the centerline
-residuals, the round trip and the decay observable) run on blocks of
-``TIME_BLOCK`` time samples as the blocks complete.  A time derivative on
-a block reads one sample of halo on each side, widened at either end of
-the lattice to the three samples of the one-sided stencil, so the pass
-keeps a window of one block and its halo; the time quadrature of the
-centerline carries its running sum from block to block.  Every row sees
+simulation (:func:`run_pipeline`): each record's physical state, which
+the solver formed for its step, is swept in time as the solver hands it
+on, and the stages over the space-time lattice (the rotations and the
+x-equation audit, R y1 and the centerline residuals, the round trip and
+the decay observable) run on blocks of ``TIME_BLOCK`` time samples as
+the blocks complete.  A time derivative on a block reads one sample of
+halo on each side, widened at either end of the lattice to the three
+samples of the one-sided stencil, so the pass keeps a window of one block
+and its halo; the time quadrature of the centerline carries its running
+sum from block to block.  Every row sees
 the arithmetic of a single block, so the results do not depend on the
 block size, and the whole-lattice functions below run the same blocks.
 What the pass keeps is what ``reconstruct`` writes: the per-time
@@ -452,13 +453,14 @@ def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndar
 class _Pass:
     """The pose of one run, built block by block as its records arrive.
 
-    Each record is turned into physical variables and swept in time when it
-    arrives.  Once a block of ``TIME_BLOCK`` records is complete (and the
-    second record has fixed the lattice step), the block is rotated, its
-    centerline integrated from R y1 and its decay observable taken.  Its
-    audits, which read the same R y1, and its round trip wait until every
-    row of its halo window has been rotated.  Per time sample the pass
-    keeps only the scalars, and the pose only on the snapshot rows.
+    Each record arrives in physical variables, as the solver formed them
+    for its step, and is swept in time.  Once a block of ``TIME_BLOCK``
+    records is complete (and the second record has fixed the lattice
+    step), the block is rotated, its centerline integrated from R y1 and
+    its decay observable taken.  Its audits, which read the same R y1, and
+    its round trip wait until every row of its halo window has been
+    rotated.  Per time sample the pass keeps only the scalars, and the
+    pose only on the snapshot rows.
 
     The rows still read (the states, q, R, p and R y1 from the oldest
     waiting halo window on) live in a window of ``2 TIME_BLOCK + 4`` rows,
@@ -471,8 +473,7 @@ class _Pass:
     and page faults made ``reconstruct`` about 20% slower.)
     """
 
-    def __init__(self, matrices: BeamMatrices, reference: PrecurvedReference, n_times: int):
-        self.matrices = matrices
+    def __init__(self, reference: PrecurvedReference, n_times: int):
         self.reference = reference
         self.n_times = n_times
         self.blocks = list(_blocks(n_times))
@@ -510,13 +511,13 @@ class _Pass:
         ]
 
     def push(self, record: StateField) -> None:
-        """Take the next diagonal record of the run."""
+        """Take the physical state of the run's next record."""
         k = self.received
         self.received += 1
         if k >= self.n_times:  # a ragged final record is simulated, not reconstructed
             return
         i = k - self.first
-        self.y[i] = model.to_physical(record, self.matrices).values
+        self.y[i] = record.values
         self.times[k] = record.time
         if k == 0:
             self.q[i] = _sweep_x(self.y[i], self.reference, self.reference.rotation[-1])
@@ -607,7 +608,7 @@ def run_pipeline(
     :class:`ValidationError` when fewer than three evenly spaced records
     would remain.
     """
-    _, n_steps = solver.time_step(config, matrices)
+    _, n_steps = solver.time_step(config, matrices, reference)
     max_records = min(
         MAX_RECONSTRUCT_RECORDS, MAX_RECONSTRUCT_POINTS // (config.n_cells + 1) - 1
     )
@@ -617,7 +618,7 @@ def run_pipeline(
             [f"reconstruction needs at least 3 evenly spaced records, the run gives "
              f"{n_steps // stride + 1}: raise sim.t_end or lower sim.output_stride"]
         )
-    run = _Pass(matrices, reference, n_steps // stride + 1)
+    run = _Pass(reference, n_steps // stride + 1)
     config = replace(config, store_snapshots=False, output_stride=stride)
     traj = solver.simulate(
         config, matrices, reference, datum, cert=cert, lyap_order=1, on_record=run.push

@@ -10,8 +10,17 @@ r+(0) = kappa r-(0) and r-(L) = -r+(L).  Components 1..6 move left,
 the source -B r + g(r) are advanced together by Heun's two-stage method,
 with the boundary relations re-imposed after every stage (incoming
 characteristics overwritten, outgoing ones left to the interior update).
-The shared time step comes from the largest speed, dt = cfl dx / max|D|
-(:func:`time_step`).
+The shared time step comes from the largest speed, dt = cfl dx / max|D|,
+and is shortened further when the coupling is stiff, so that dt rho(B) is
+at most 1/4 (:func:`time_step`).
+
+Each simulated state (the initial one, each Heun stage and each step's
+result) has its lower-order terms formed once: y = L^{-1} r through
+``model.to_physical``, the coupling product B r and the nonlinearity
+g(r) = gbar(y) L^T.  The next step's first stage, the record (energies,
+H1/H2 norms and the Lyapunov functional, which rebuilds dt r from the same
+equation) and the ``on_record`` consumer all read them.  Every formula
+keeps its operations in the same order, so the shared terms change no bit.
 
 The first-order scheme is the default; `upwind2` reconstructs face values
 with unlimited centered (Fromm) slopes and linearly extrapolated ghost
@@ -28,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import (
     BlowupDetected,
     CFLViolation,
@@ -35,11 +45,12 @@ from .errors import (
     ValidationError,
 )
 from .fd import diff1, diff2, trapezoid
-from .model import (
+from .model import (  # noqa: F401  g_diag: perfbench traces the name in this module
     PrecurvedReference,
     StateField,
     g_diag,
     g_diag_pair,
+    gbar,
 )
 from .params import BeamMatrices
 from .table import csv_table
@@ -194,16 +205,47 @@ def generate_initial_datum(
     return StateField(grid, "physical", values, 0.0)
 
 
+@dataclass(frozen=True)
+class _Terms:
+    """The lower-order part of the equation at one diagonal state, formed once.
+
+    Every reader of the state (a Heun stage, the record, the pose pass)
+    reads these instead of forming them again.
+    """
+
+    state: StateField       # r, diagonal
+    physical: StateField    # y = L^{-1} r
+    coupled: np.ndarray     # B r
+    nonlinear: np.ndarray   # g(r) = gbar(y) L^T
+
+
+def _couple(reference: PrecurvedReference, r: np.ndarray) -> np.ndarray:
+    """The coupling product B r, node by node."""
+    return np.einsum("ij,nj->ni", reference.coupling_char, r)
+
+
+def _terms(state: StateField, matrices: BeamMatrices, reference: PrecurvedReference) -> _Terms:
+    """y, B r and g(r) of a diagonal state."""
+    physical = model.to_physical(state, matrices)
+    nonlinear = gbar(matrices, physical.values) @ matrices.to_char.T
+    return _Terms(state, physical, _couple(reference, state.values), nonlinear)
+
+
+def _energies(
+    r: np.ndarray, y: np.ndarray, dx: float, matrices: BeamMatrices
+) -> tuple[float, float]:
+    """Energies of a diagonal state r whose physical values y the caller holds."""
+    e_p = float(trapezoid((y**2 * matrices.energy_phys).sum(axis=1), dx))
+    e_d = float(trapezoid((r**2 * matrices.energy_char).sum(axis=1), dx))
+    return e_p, e_d
+
+
 def energies(state: StateField, matrices: BeamMatrices) -> tuple[float, float]:
     """Beam energy of a diagonal state by trapezoid quadrature, in both representations."""
     if state.repr != "diagonal":
         raise ValidationError(["energies expects a diagonal state"])
-    r = state.values
-    y = r @ matrices.from_char.T
     dx = float(state.grid[1] - state.grid[0])
-    e_p = float(trapezoid((y**2 * matrices.energy_phys).sum(axis=1), dx))
-    e_d = float(trapezoid((r**2 * matrices.energy_char).sum(axis=1), dx))
-    return e_p, e_d
+    return _energies(state.values, model.to_physical(state, matrices).values, dx, matrices)
 
 
 def sobolev_norms(values: np.ndarray, dx: float, order: int = 1) -> float:
@@ -215,22 +257,36 @@ def sobolev_norms(values: np.ndarray, dx: float, order: int = 1) -> float:
 
 
 def _pde_rhs(
-    r: np.ndarray,
-    grad: np.ndarray,
-    matrices: BeamMatrices,
-    reference: PrecurvedReference,
-    include_nonlinearity: bool = True,
+    grad: np.ndarray, coupled: np.ndarray, nonlinear: np.ndarray, matrices: BeamMatrices
 ) -> np.ndarray:
-    """Right side -diag(-D, D) grad - B r + g(r) of the characteristic system.
+    """Right side (-diag(-D, D) grad - B r) + g(r) of the characteristic system.
 
     ``grad`` is dx r from whichever stencil the caller uses: the upwind one
     when stepping, the shared centered one when reconstructing dt r.
+    ``coupled`` and ``nonlinear`` are B r and g(r), or for the
+    differentiated equation B dt r and the Jacobian of g applied to dt r.
     """
     out = -matrices.wave_speeds[None, :] * grad
-    out -= np.einsum("ij,nj->ni", reference.coupling_char, r)
-    if include_nonlinearity:
-        out += g_diag(matrices, r)
+    out -= coupled
+    out += nonlinear
     return out
+
+
+def _lyapunov(
+    terms: _Terms, cert, matrices: BeamMatrices, reference: PrecurvedReference, k: int
+) -> float:
+    """The functional of :func:`lyapunov_value`, dt r read from the state's terms."""
+    r = terms.state.values
+    dx = float(terms.state.grid[1] - terms.state.grid[0])
+    q = cert.q_diag
+    total = float(trapezoid((r**2 * q).sum(axis=1), dx))
+    rt = _pde_rhs(diff1(r, dx, axis=0), terms.coupled, terms.nonlinear, matrices)
+    total += float(trapezoid((rt**2 * q).sum(axis=1), dx))
+    if k == 2:
+        jac = g_diag_pair(matrices, r, rt) + g_diag_pair(matrices, rt, r)
+        rtt = _pde_rhs(diff1(rt, dx, axis=0), _couple(reference, rt), jac, matrices)
+        total += float(trapezoid((rtt**2 * q).sum(axis=1), dx))
+    return total
 
 
 def lyapunov_value(
@@ -250,17 +306,7 @@ def lyapunov_value(
         raise ValidationError(["lyapunov_value expects a diagonal state"])
     if k not in (1, 2):
         raise ValidationError([f"k must be 1 or 2, got {k!r}"])
-    r = state.values
-    dx = float(state.grid[1] - state.grid[0])
-    q = cert.q_diag
-    total = float(trapezoid((r**2 * q).sum(axis=1), dx))
-    rt = _pde_rhs(r, diff1(r, dx, axis=0), matrices, reference)
-    total += float(trapezoid((rt**2 * q).sum(axis=1), dx))
-    if k == 2:
-        rtt = _pde_rhs(rt, diff1(rt, dx, axis=0), matrices, reference, include_nonlinearity=False)
-        rtt += g_diag_pair(matrices, r, rt) + g_diag_pair(matrices, rt, r)
-        total += float(trapezoid((rtt**2 * q).sum(axis=1), dx))
-    return total
+    return _lyapunov(_terms(state, matrices, reference), cert, matrices, reference, k)
 
 
 def _upwind_gradient(r: np.ndarray, dx: float, scheme: str) -> np.ndarray:
@@ -292,19 +338,33 @@ def _upwind_gradient(r: np.ndarray, dx: float, scheme: str) -> np.ndarray:
     return out
 
 
-def time_step(config: SimConfig, matrices: BeamMatrices) -> tuple[float, int]:
-    """(dt, n_steps): the fewest steps with dt <= cfl dx / max|D|, dx = L / n_cells.
+def time_step(
+    config: SimConfig, matrices: BeamMatrices, reference: PrecurvedReference
+) -> tuple[float, int]:
+    """(dt, n_steps): the fewest steps with dt <= cfl dx / max|D| and dt rho(B) <= 1/4.
 
-    Raises :class:`CFLViolation` for an invalid config or a run over ``step_cap``.
+    dx = L / n_cells, and rho(B) is the spectral radius of the reference's
+    coupling.  The coupling's bound binds only for a stiff coupling: on
+    the presets dt rho(B) is at most 0.035 (straight-steel).  Raises
+    :class:`CFLViolation` for an invalid config or a run over ``step_cap``.
     """
+    # largest dt rho(B): a stiff twist (helical at N = 32, curvature [1000, 0, 0])
+    # decays over 2 s at 1/4, and its energy grows a millionfold at 1/2
+    coupling_step = 0.25
     config.validate()
     dx = matrices.params.length / config.n_cells
-    dt_max = config.cfl * dx / float(np.abs(matrices.wave_speeds).max())
+    dt_transport = config.cfl * dx / float(np.abs(matrices.wave_speeds).max())
+    rho = float(np.abs(np.linalg.eigvals(reference.coupling_char)).max())
+    dt_max = coupling_step / rho if rho * dt_transport > coupling_step else dt_transport
     # a dt_max that underflows to 0 (a subnormal cfl) needs unboundedly many steps
     needed = config.t_end / dt_max if dt_max > 0.0 else math.inf
     n_steps = max(1, math.ceil(needed)) if needed < math.inf else needed
     if n_steps > config.step_cap:
-        raise CFLViolation(f"run needs {n_steps} steps, step_cap is {config.step_cap}")
+        raise CFLViolation(
+            f"run needs {n_steps:.4g} steps, sim.step_cap is {config.step_cap}: dt {dt_max:.3g} "
+            f"from sim.cfl and the wave speeds, or from the coupling of reference.curvature "
+            f"(spectral radius {rho:.3g})"
+        )
     return config.t_end / n_steps, n_steps
 
 
@@ -327,12 +387,14 @@ def simulate(
     Records energies, discrete Sobolev norms, the outgoing boundary traces
     r-(0) and r+(L) and (when a certificate is supplied) the Lyapunov
     functional every ``output_stride`` steps plus the final state.  Each
-    recorded diagonal state is also handed to ``on_record``, when given, as
-    it is recorded; the solver never writes to a state it has handed on.
-    Raises :class:`BlowupDetected` as soon as any node magnitude crosses the
-    configured threshold.
+    record's physical state y = L^{-1} r is also handed to ``on_record``,
+    when given, as it is recorded; the solver never writes to a state it
+    has handed on.  The record and ``on_record`` read the terms the step
+    formed for the state (see the module docstring), so y, B r and g(r)
+    are formed once per simulated state.  Raises :class:`BlowupDetected` as
+    soon as any node magnitude crosses the configured threshold.
     """
-    dt, n_steps = time_step(config, matrices)
+    dt, n_steps = time_step(config, matrices, reference)
     if len(y0.grid) != config.n_cells + 1:
         raise ValidationError(
             [f"datum has {len(y0.grid) - 1} cells, config wants {config.n_cells}"]
@@ -356,9 +418,22 @@ def simulate(
         state[0, 6:] = matrices.kappa * state[0, :6]
         state[-1, :6] = -state[-1, 6:]
 
-    def rhs(state: np.ndarray) -> np.ndarray:
-        grad = _upwind_gradient(state, dx, config.scheme)
-        return _pde_rhs(state, grad, matrices, reference)
+    def terms(state: np.ndarray, t: float) -> _Terms:
+        return _terms(StateField(grid, "diagonal", state, t), matrices, reference)
+
+    def rhs(now: _Terms) -> np.ndarray:
+        grad = _upwind_gradient(now.state.values, dx, config.scheme)
+        return _pde_rhs(grad, now.coupled, now.nonlinear, matrices)
+
+    def heun(now: _Terms, t: float) -> np.ndarray:
+        """The state one step on; the stage's arrays are freed before the record."""
+        f1 = rhs(now)
+        r1 = now.state.values + dt * f1
+        apply_bc(r1)
+        f2 = rhs(terms(r1, t))
+        out = now.state.values + 0.5 * dt * (f1 + f2)
+        apply_bc(out)
+        return out
 
     r = y0.values @ matrices.to_char.T
     apply_bc(r)
@@ -369,38 +444,34 @@ def simulate(
     tr_m0, tr_pL = np.empty((n_records, 6)), np.empty((n_records, 6))
     snapshots: list[StateField] = []
 
-    def record(step: int) -> None:
+    def record(step: int, now: _Terms) -> None:
         k = -(-step // config.output_stride)  # the record's row
         t = step * dt
-        state = StateField(grid, "diagonal", r, t)
-        e_phys[k], e_char[k] = energies(state, matrices)
-        y = r @ matrices.from_char.T
+        r, y = now.state.values, now.physical.values
+        e_phys[k], e_char[k] = _energies(r, y, dx, matrices)
         times[k] = t
         h1[k] = sobolev_norms(y, dx, 1)
         if lyap_order == 2:
             h2[k] = sobolev_norms(y, dx, 2)
         if cert is not None:
-            lyap[k] = lyapunov_value(state, cert, matrices, reference, k=lyap_order)
+            lyap[k] = _lyapunov(now, cert, matrices, reference, lyap_order)
         tr_m0[k] = r[0, :6]
         tr_pL[k] = r[-1, 6:]
         if config.store_snapshots:
             snapshots.append(StateField(grid, "diagonal", r.copy(), t))
         if on_record is not None:
-            on_record(state)
+            on_record(now.physical)
 
-    record(0)
+    now = terms(r, 0.0)
+    record(0, now)
     for step in range(1, n_steps + 1):
-        f1 = rhs(r)
-        r1 = r + dt * f1
-        apply_bc(r1)
-        f2 = rhs(r1)
-        r = r + 0.5 * dt * (f1 + f2)
-        apply_bc(r)
+        r = heun(now, step * dt)
         peak = float(np.abs(r).max())
         if not np.isfinite(peak) or peak > config.blowup_threshold:
             raise BlowupDetected(step * dt, peak)
+        now = terms(r, step * dt)
         if step % config.output_stride == 0 or step == n_steps:
-            record(step)
+            record(step, now)
 
     return Trajectory(
         config=config,

@@ -1,4 +1,5 @@
-"""The whole-lattice pose pipeline, kept as the oracle of the streamed one.
+"""The whole-lattice pose pipeline, kept as the oracle of the streamed one,
+and the full-product map from a pose back to intrinsic variables.
 
 This is the reconstruction as it ran before ``run_pipeline`` became one
 pass over the records: the simulation stores every record, the physical
@@ -15,9 +16,9 @@ from dataclasses import replace
 import numpy as np
 
 from beamstab import model, solver
-from beamstab.errors import EndpointMismatch, ValidationError
+from beamstab.errors import EndpointMismatch, NotARotation, ValidationError
 from beamstab.fd import diff1
-from beamstab.model import PrecurvedReference, StateField
+from beamstab.model import E1, PrecurvedReference, StateField, vec
 from beamstab.params import BeamMatrices
 from beamstab.reconstruct import (
     MAX_RECONSTRUCT_POINTS,
@@ -32,6 +33,36 @@ from beamstab.reconstruct import (
     rotation_from_quaternion,
     umap,
 )
+
+
+def strains_velocities_from_pose(pose, reference: PrecurvedReference) -> np.ndarray:
+    """Intrinsic variables of a sampled pose history, from full 3x3 products.
+
+    The definition ``model.strains_velocities_from_pose`` replaces: R^T R,
+    R^T dt R and R^T dx R are formed as whole batched matmuls, and ``vec``
+    reads three of the nine entries of each derivative product.
+    """
+    times = np.asarray(pose.times, dtype=float)
+    rot = np.asarray(pose.R, dtype=float)
+    pos = np.asarray(pose.p, dtype=float)
+    dx = reference.grid[1] - reference.grid[0]
+    dt = times[1] - times[0]
+    rt = np.swapaxes(rot, -1, -2)
+
+    defect = np.abs(rt @ rot - np.eye(3)).max()
+    if defect > 1e-6:
+        raise NotARotation(f"rotation samples have orthogonality defect {defect:.3g}")
+
+    dp_dt = diff1(pos, dt, axis=0)
+    dp_dx = diff1(pos, dx, axis=1)
+    dr_dt = diff1(rot, dt, axis=0)
+    dr_dx = diff1(rot, dx, axis=1)
+
+    v_lin = np.einsum("tnji,tnj->tni", rot, dp_dt)
+    w_ang = vec(rt @ dr_dt)
+    gamma = np.einsum("tnji,tnj->tni", rot, dp_dx) - E1
+    upsilon = vec(rt @ dr_dx) - reference.curvature
+    return np.concatenate([v_lin, w_ang, gamma, upsilon], axis=-1)
 
 
 def sweep_x(values: np.ndarray, reference: PrecurvedReference, r_in: np.ndarray) -> np.ndarray:
@@ -182,7 +213,7 @@ def run_pipeline(
     :class:`ValidationError` when fewer than three evenly spaced records
     would remain.
     """
-    _, n_steps = solver.time_step(config, matrices)
+    _, n_steps = solver.time_step(config, matrices, reference)
     max_records = min(
         MAX_RECONSTRUCT_RECORDS, MAX_RECONSTRUCT_POINTS // (config.n_cells + 1) - 1
     )

@@ -32,6 +32,7 @@ from beamstab.scenarios import (
     ReferenceSpec,
     Scenario,
     apply_override,
+    build_reference,
     header_echo,
     load_scenario,
     scenario_from_dict,
@@ -349,7 +350,8 @@ class TestReconstructCommand:
         # k2 shear = 9 > young = 4: the fastest wave is a shear wave, so a
         # step count from sqrt(young / rho) would undercount by a third
         scenario = apply_override(load_scenario("straight-toy"), "params.shear=9")
-        assert time_step(scenario.sim, derive_matrices(scenario.params))[1] == 8534
+        matrices = derive_matrices(scenario.params)
+        assert time_step(scenario.sim, matrices, build_reference(scenario))[1] == 8534
 
         cap = 40
         monkeypatch.setattr(reconstruct, "MAX_RECONSTRUCT_RECORDS", cap)
@@ -573,6 +575,18 @@ def test_bad_value_exits_2_naming_the_field(tmp_path, args, field):
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert field in proc.stderr
+
+
+def test_stiff_coupling_is_a_step_count_not_a_blowup(tmp_path):
+    """A coupling too stiff for the step count exits 2 naming the curvature and
+    the step cap, where the transport-only step count blew up (exit 4)."""
+    proc = run_python(["-m", "beamstab.cli", "simulate", "--scenario", "helical",
+                       "--out", str(tmp_path), "--override", "sim.n_cells=32",
+                       "--override", "sim.t_end=0.05",
+                       "--override", "reference.curvature=[1e150,0,0]"])
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert "reference.curvature" in proc.stderr and "sim.step_cap" in proc.stderr
 
 
 @pytest.mark.parametrize("value, code, message", [

@@ -1,6 +1,6 @@
 import numpy as np
 
-from beamstab.fd import cumulative_trapezoid
+from beamstab.fd import cumulative_trapezoid, diff1
 
 
 def running_sum_oracle(values, h):
@@ -65,3 +65,24 @@ def test_matches_the_three_inline_quadratures_it_replaced():
     p[0] = p0
     p[1:] = p0[None, :, :] + np.cumsum(0.5 * dt * (vel[1:] + vel[:-1]), axis=0)
     assert np.array_equal(p0 + cumulative_trapezoid(vel, dt), p)
+
+
+def moved_axis_oracle(values, h, axis):
+    """diff1's stencils on axis 0 of the data with ``axis`` moved to the front."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def test_diff1_along_any_axis_is_the_moved_axis_stencil():
+    rng = np.random.default_rng(6)
+    for shape in [(3,), (17, 12), (5, 17, 3), (4, 9, 3, 3)]:
+        values = rng.normal(size=shape)
+        for data in (values, np.swapaxes(values, 0, -1)):
+            for axis in range(-data.ndim, data.ndim):
+                if data.shape[axis] >= 3:
+                    expected = moved_axis_oracle(data, 0.37, axis)
+                    assert np.array_equal(diff1(data, 0.37, axis), expected)

@@ -1,10 +1,12 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pose_oracle
-from beamstab import reconstruct, xsweep
+from beamstab import model, reconstruct, solver, xsweep
+from beamstab.certificate import build_certificate
 from beamstab.errors import EndpointMismatch, NotARotation, ZeroQuaternion
 from beamstab.fd import cumulative_trapezoid
 from beamstab.model import (
@@ -258,7 +260,7 @@ def test_pipeline_keeps_one_copy_of_the_history(toy_params, toy_matrices):
     raggedness = []
     for t_end in (0.25, 0.26, 0.27):
         cfg = SimConfig(n_cells=32, cfl=0.9, t_end=t_end, output_stride=3)
-        _, n_steps = time_step(cfg, toy_matrices)
+        _, n_steps = time_step(cfg, toy_matrices, ref)
         raggedness.append(n_steps % 3)
         traj, pose = run_pipeline(cfg, toy_matrices, ref, datum)
         kept = n_steps // 3 + 1
@@ -285,6 +287,28 @@ def test_velocity_computed_once_per_row(toy_params, toy_matrices, monkeypatch):
     assert rows == pose.times.tolist()
 
 
+def test_each_simulated_state_is_evaluated_once(toy_params, toy_matrices, monkeypatch):
+    """On a stride-1 run with a certificate, y = L^-1 r, the coupling product
+    and the nonlinearity are each formed 2 n_steps + 1 times, once per
+    simulated state: the record, its Lyapunov functional and the pass read
+    the terms the step formed, and the pass converts no record again."""
+    ref = curved_reference(toy_params, 16, np.array([1.0, 0.0, 0.5]), toy_matrices)
+    cert = build_certificate(toy_matrices, ref, m=1, phi0=1.0, phiL=None)
+    datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=5, order=1)
+    cfg = SimConfig(n_cells=16, cfl=0.9, t_end=0.3, output_stride=1)
+    calls = {"to_physical": 0, "_couple": 0, "gbar": 0}
+    for module, name in ((model, "to_physical"), (solver, "_couple"), (solver, "gbar")):
+        def counting(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    traj, pose = run_pipeline(cfg, toy_matrices, ref, datum, cert=cert)
+    assert len(pose.times) == traj.steps + 1
+    n_states = 2 * traj.steps + 1
+    assert calls == {"to_physical": n_states, "_couple": n_states, "gbar": n_states}
+
+
 def _bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
@@ -302,7 +326,7 @@ def test_streamed_pass_is_the_whole_lattice_pipeline(toy_params, toy_matrices, m
     dt_max = 0.9 * ref.dx / np.abs(toy_matrices.wave_speeds).max()  # the step at cfl 0.9
     for n_steps, stride in ((9, 4), (11, 3), (50, 3), (61, 2), (40, 1)):
         cfg = SimConfig(n_cells=16, t_end=(n_steps - 0.5) * dt_max, output_stride=stride)
-        assert time_step(cfg, toy_matrices)[1] == n_steps
+        assert time_step(cfg, toy_matrices, ref)[1] == n_steps
         n_times = n_steps // stride + 1
         for block in (1, 7, n_times):
             monkeypatch.setattr(reconstruct, "TIME_BLOCK", block)
@@ -524,3 +548,77 @@ def test_lattice_stages_allocate_less_than_the_history(toy_params, toy_matrices)
         )
     block = reconstruct.TIME_BLOCK * len(ref.grid) * 12 * 8  # one block of states
     assert pipeline[32] - pipeline[8] < 3 * block, (pipeline, block)
+
+
+def _random_pose(rng, ref, n_times):
+    """A smooth random pose window: rotations from a quaternion field, any centerline."""
+    times = np.linspace(0.0, 0.05 * n_times, n_times)
+    t, x = np.meshgrid(times, ref.grid, indexing="ij")
+    coeffs = rng.normal(size=(5, 4))
+    q = (coeffs[0] + np.multiply.outer(t, coeffs[1]) + np.multiply.outer(x, coeffs[2])
+         + np.multiply.outer(np.sin(2.0 * t + x), coeffs[3])
+         + np.multiply.outer(t * x, coeffs[4]))
+    p = np.stack([x, np.sin(t + x), np.cos(3.0 * t) * x], axis=-1) + rng.normal(size=3)
+
+    class Pose:
+        pass
+
+    pose = Pose()
+    pose.times, pose.R, pose.p = times, rotation_from_quaternion(q), p
+    return pose
+
+
+def _assert_matches_full_products(pose, ref):
+    """The column-dot pose map against the full-product oracle.
+
+    V and Gamma are formed by the same products and match bit for bit.  W
+    and Upsilon take differences of column dot products where the oracle
+    reads them from whole matmuls; each entry is within 1e-15 of the
+    largest angular rate whose terms the products sum (|W|, and for
+    Upsilon |Upsilon + curvature|, the rate of R^T dx R).
+    """
+    fast = model.strains_velocities_from_pose(pose, ref)
+    full = pose_oracle.strains_velocities_from_pose(pose, ref)
+    for linear in (slice(0, 3), slice(6, 9)):
+        assert np.array_equal(fast[..., linear], full[..., linear])
+    for block, offset in ((slice(3, 6), 0.0), (slice(9, 12), ref.curvature)):
+        rate = np.linalg.norm(full[..., block] + offset, axis=-1).max()
+        assert np.abs(fast[..., block] - full[..., block]).max() <= 1e-15 * rate
+
+
+def test_pose_map_matches_full_products_on_random_windows(toy_params):
+    rng = np.random.default_rng(21)
+    for curvature in ([0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [-3.0, 2.0, 0.7]):
+        ref = curved_reference(toy_params, 24, np.array(curvature))
+        for n_times in (3, 5, 41):
+            _assert_matches_full_products(_random_pose(rng, ref, n_times), ref)
+
+
+def test_pose_map_matches_full_products_on_simulated_windows(toy_params, toy_matrices):
+    ref = curved_reference(toy_params, 32, np.array([1.0, 0.0, 0.5]), toy_matrices)
+    datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=5, order=1)
+    cfg = SimConfig(n_cells=32, cfl=0.9, t_end=0.5, output_stride=1)
+    _, _, whole = pose_oracle.run_pipeline(cfg, toy_matrices, ref, datum)
+    for lo, hi in ((0, 3), (0, 41), (20, 61), (len(whole.times) - 41, len(whole.times))):
+        window = replace(whole, times=whole.times[: hi - lo], R=whole.R[lo:hi], p=whole.p[lo:hi])
+        _assert_matches_full_products(window, ref)
+
+
+def test_pose_map_and_oracle_flag_the_same_rotations(toy_params):
+    """Both raise NotARotation exactly when the orthogonality defect passes 1e-6."""
+    rng = np.random.default_rng(22)
+    ref = curved_reference(toy_params, 16, np.array([1.0, 0.0, 0.5]))
+    pose = _random_pose(rng, ref, 5)
+    rotations = pose.R
+    for defect in (0.5e-6, 0.99e-6, 1.01e-6, 2e-6):
+        # (1 + e) R has R^T R - I = (2e + e^2) I
+        pose.R = rotations.copy()
+        pose.R[2, 7] *= np.sqrt(1.0 + defect)
+        outcomes = []
+        for fn in (model.strains_velocities_from_pose, pose_oracle.strains_velocities_from_pose):
+            try:
+                fn(pose, ref)
+                outcomes.append(False)
+            except NotARotation:
+                outcomes.append(True)
+        assert outcomes == [defect > 1e-6] * 2, defect

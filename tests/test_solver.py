@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,13 @@ from beamstab.errors import (
     ValidationError,
 )
 from beamstab.fd import diff1, trapezoid
-from beamstab.model import PrecurvedReference, StateField, curved_reference, to_physical
+from beamstab.model import PrecurvedReference, StateField, curved_reference, g_diag, to_physical
 from beamstab.params import derive_matrices
+from beamstab.scenarios import PRESETS, build_reference, load_scenario
 from beamstab.solver import (
     SimConfig,
     _boundary_residual,
+    _couple,
     _pde_rhs,
     energies,
     fit_decay,
@@ -21,6 +26,7 @@ from beamstab.solver import (
     simulate,
     snapshot_to_csv,
     sobolev_norms,
+    time_step,
     trajectory_to_csv,
 )
 from conftest import curved_cases, linear, with_reflection
@@ -43,7 +49,7 @@ def test_coupling_equals_the_per_node_table(asym_params):
         r = rng.normal(size=(len(ref.grid), 12))
         table = np.broadcast_to(ref.coupling_char, (len(ref.grid), 12, 12))
         oracle = np.einsum("nij,nj->ni", table, r)
-        coupling = -_pde_rhs(r, np.zeros_like(r), m, ref, include_nonlinearity=False)
+        coupling = _couple(ref, r)
         assert np.array_equal(coupling, oracle)
 
 
@@ -81,7 +87,8 @@ def order1_residual(y0, matrices, reference):
     right side with the centered gradient.
     """
     r0 = y0.values @ matrices.to_char.T
-    rt = _pde_rhs(r0, diff1(r0, y0.grid[1] - y0.grid[0], axis=0), matrices, reference)
+    grad = diff1(r0, y0.grid[1] - y0.grid[0], axis=0)
+    rt = _pde_rhs(grad, _couple(reference, r0), g_diag(matrices, r0), matrices)
     y1 = StateField(y0.grid, "physical", rt @ matrices.from_char.T, 0.0)
     return _boundary_residual(y1, matrices)
 
@@ -254,6 +261,40 @@ class TestSimulate:
         with pytest.raises(CFLViolation):
             simulate(cfg, toy_matrices, toy_reference, zero)
 
+    @pytest.mark.parametrize("with_cert", [True, False])
+    @pytest.mark.parametrize("lyap_order", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_records_are_the_public_functions_of_the_state(
+        self, toy_params, toy_matrices, stride, lyap_order, with_cert
+    ):
+        """Each record reads the terms the step formed for its state, and gets
+        the bits of energies, sobolev_norms and lyapunov_value on that state;
+        on_record receives the state's physical values."""
+        from beamstab.certificate import build_certificate
+
+        ref = curved_reference(toy_params, 32, np.array([1.0, 0.0, 0.5]), toy_matrices)
+        cert = build_certificate(toy_matrices, ref, m=1, phi0=1.0, phiL=None) if with_cert else None
+        datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=8, order=1)
+        cfg = SimConfig(n_cells=32, cfl=0.9, t_end=0.4, output_stride=stride,
+                        store_snapshots=True)
+        handed = []
+        traj = simulate(cfg, toy_matrices, ref, datum, cert=cert, lyap_order=lyap_order,
+                        on_record=handed.append)
+        assert (traj.lyap is None) == (not with_cert)
+        assert (traj.h2 is None) == (lyap_order == 1)
+        dx = ref.dx
+        for k, snap in enumerate(traj.snapshots):
+            y = to_physical(snap, toy_matrices)
+            assert handed[k].repr == "physical" and handed[k].time == snap.time
+            assert np.array_equal(handed[k].values, y.values)
+            assert (traj.energy_phys[k], traj.energy_char[k]) == energies(snap, toy_matrices)
+            assert traj.h1[k] == sobolev_norms(y.values, dx, 1)
+            if lyap_order == 2:
+                assert traj.h2[k] == sobolev_norms(y.values, dx, 2)
+            if with_cert:
+                assert traj.lyap[k] == lyapunov_value(snap, cert, toy_matrices, ref, k=lyap_order)
+        assert len(handed) == len(traj.snapshots) == len(traj.times)
+
     def test_grid_mismatch(self, toy_matrices, toy_reference):
         zero = StateField(toy_reference.grid, "physical",
                           np.zeros((len(toy_reference.grid), 12)), 0.0)
@@ -266,6 +307,35 @@ class TestSimulate:
         zero = StateField(2.0 * toy_reference.grid, "physical", np.zeros((n + 1, 12)), 0.0)
         with pytest.raises(ValidationError, match="beam length"):
             simulate(SimConfig(n_cells=n), toy_matrices, toy_reference, zero)
+
+
+def test_time_step_sees_the_coupling():
+    """dt rho(B) <= 1/4 bounds the step only where the coupling is stiff: no
+    preset changes its step count, and a stiff twist shortens the step."""
+    for name in PRESETS:
+        scenario = load_scenario(name)
+        matrices = derive_matrices(scenario.params)
+        cfg = scenario.sim
+        dt_transport = cfg.cfl * (scenario.params.length / cfg.n_cells) / np.abs(
+            matrices.wave_speeds
+        ).max()
+        _, n_steps = time_step(cfg, matrices, build_reference(scenario))
+        assert n_steps == math.ceil(cfg.t_end / dt_transport), name
+
+    scenario = load_scenario("helical")
+    matrices = derive_matrices(scenario.params)
+    cfg = replace(scenario.sim, n_cells=32, t_end=0.5)
+    straight = curved_reference(scenario.params, 32, np.zeros(3), matrices)
+    _, transport_steps = time_step(cfg, matrices, straight)
+    for twist in (10.0, 1e3):
+        ref = curved_reference(scenario.params, 32, np.array([twist, 0.0, 0.0]), matrices)
+        rho = np.abs(np.linalg.eigvals(ref.coupling_char)).max()
+        dt, n_steps = time_step(cfg, matrices, ref)
+        assert dt * rho <= 0.25 and n_steps > transport_steps
+    ref = curved_reference(scenario.params, 32, np.array([1e150, 0.0, 0.0]), matrices)
+    with pytest.raises(CFLViolation) as err:
+        time_step(cfg, matrices, ref)
+    assert "reference.curvature" in str(err.value) and "sim.step_cap" in str(err.value)
 
 
 def test_transport_pulse_method_of_characteristics(toy_params):
