@@ -39,7 +39,6 @@ from .params import BeamMatrices, derive_matrices
 
 __all__ = [
     "hat",
-    "vec",
     "PrecurvedReference",
     "StateField",
     "curved_reference",
@@ -67,19 +66,6 @@ def hat(u: np.ndarray) -> np.ndarray:
     out[..., 2, 0] = -u[..., 1]
     out[..., 2, 1] = u[..., 0]
     return out
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Axial vector of the skew part of a 3x3 matrix (inverse of hat)."""
-    m = np.asarray(m, dtype=float)
-    return 0.5 * np.stack(
-        [
-            m[..., 2, 1] - m[..., 1, 2],
-            m[..., 0, 2] - m[..., 2, 0],
-            m[..., 1, 0] - m[..., 0, 1],
-        ],
-        axis=-1,
-    )
 
 
 @dataclass(frozen=True)
@@ -254,7 +240,7 @@ def _column_dot(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
 
 
 def _skew_vec(rot: np.ndarray, deriv: np.ndarray) -> np.ndarray:
-    """vec(R^T dR) from the three antisymmetric differences of R^T dR that ``vec`` reads."""
+    """vec(R^T dR), the axial vector of its skew part, from its three antisymmetric differences."""
     return 0.5 * np.stack(
         [
             _column_dot(rot, deriv, 2, 1) - _column_dot(rot, deriv, 1, 2),
@@ -279,9 +265,9 @@ def strains_velocities_from_pose(pose, reference: PrecurvedReference) -> np.ndar
     Only the entries that are read are formed, each as a dot product of
     two columns: the six distinct entries of R^T R for the orthogonality
     check, and the three antisymmetric differences of R^T dt R and
-    R^T dx R that ``vec`` takes.  Returns the physical values
-    (T, N+1, 12).  Raises :class:`NotARotation` when a rotation sample is
-    not orthogonal.
+    R^T dx R whose halves are vec, the inverse of ``hat``.  Returns the
+    physical values (T, N+1, 12).  Raises :class:`NotARotation` when a
+    rotation sample is not orthogonal.
     """
     times = np.asarray(pose.times, dtype=float)
     rot = np.asarray(pose.R, dtype=float)

@@ -66,7 +66,6 @@ __all__ = [
     "reconstruct_rotation",
     "reconstruct_centerline",
     "run_pipeline",
-    "roundtrip_error",
     "decay_observable",
     "pose_snapshot_to_csv",
     "pose_residuals_to_csv",
@@ -338,25 +337,6 @@ def _time_sums(vel: np.ndarray, carry, dt: float):
     return sums, (vel[-1], sums[-1])
 
 
-def _windows(pose: PoseField, states: list[StateField]):
-    """Each block (lo, hi) of a whole lattice with its halo window (see :func:`_halo`).
-
-    Yields lo, hi, the window's pose and states, and the block's rows in the
-    window.  The window's pose is given the lattice's first sample times,
-    so its step is the lattice's own ``times[1] - times[0]`` to the bit (the
-    first difference inside a window can differ from it in the last place);
-    only its values are read at other times.
-    """
-    n_times = len(pose.times)
-    for lo, hi in _blocks(n_times):
-        wlo, whi = _halo(lo, hi, n_times)
-        window = replace(
-            pose, times=pose.times[: whi - wlo], R=pose.R[wlo:whi], p=pose.p[wlo:whi],
-            velocity=pose.velocity[wlo:whi],
-        )
-        yield lo, hi, window, states[wlo:whi], slice(lo - wlo, hi - wlo)
-
-
 def reconstruct_centerline(
     states: list[StateField],
     pose: PoseField,
@@ -372,13 +352,16 @@ def reconstruct_centerline(
     routes and the mixed-derivative compatibility residual
     dx(R y1) - dt(R (y3 + e1)) are stored alongside.
 
-    The audits run one block at a time on its halo window.  With ``own``,
-    ``states`` and ``pose`` are such a window (see :func:`_windows`), with
-    its centerline ``pose.p`` already integrated from ``pose.velocity``,
-    and only the audits of its rows ``own`` are computed: the whole
-    lattice here and the streamed pass of :func:`run_pipeline` audit every
-    block through this call.  The whole-lattice pose returned carries R y1
-    in ``velocity``.
+    The audits run one block at a time on its halo window (see
+    :func:`_halo`).  With ``own``, ``states`` and ``pose`` are such a
+    window, with its centerline ``pose.p`` already integrated from
+    ``pose.velocity``, and only the audits of its rows ``own`` are
+    computed: the whole lattice here and the streamed pass of
+    :func:`run_pipeline` audit every block through this call.  A window's
+    pose is given the lattice's first sample times, so its step is the
+    lattice's own ``times[1] - times[0]`` to the bit (the first difference
+    inside a window can differ from it in the last place).  The
+    whole-lattice pose returned carries R y1 in ``velocity``.
     """
     p0 = np.asarray(p0, dtype=float)
     h_p = np.asarray(h_p, dtype=float)
@@ -408,29 +391,17 @@ def reconstruct_centerline(
 
     gaps = []
     residual = np.empty(n_times)
-    for lo, hi, window, window_states, rows in _windows(pose, states):
-        audit = reconstruct_centerline(window_states, window, p0, h_p, own=rows)
+    for lo, hi in _blocks(n_times):
+        wlo, whi = _halo(lo, hi, n_times)
+        window = replace(
+            pose, times=pose.times[: whi - wlo], R=pose.R[wlo:whi], p=pose.p[wlo:whi],
+            velocity=pose.velocity[wlo:whi],
+        )
+        own = slice(lo - wlo, hi - wlo)
+        audit = reconstruct_centerline(states[wlo:whi], window, p0, h_p, own=own)
         residual[lo:hi] = audit.residual_centerline
         gaps.append(audit.route_gap)
     return replace(pose, residual_centerline=residual, route_gap=float(np.max(gaps)))
-
-
-def _roundtrip(window: PoseField, states: list[StateField], own: slice, reference) -> float:
-    """Sup |y - y_back| on the rows ``own`` of a halo window, y_back read back from its pose."""
-    back = model.strains_velocities_from_pose(window, reference)[own]
-    return float(np.abs(back - _stack(states, own.start, own.stop)).max())
-
-
-def roundtrip_error(pose: PoseField, states, reference: PrecurvedReference) -> float:
-    """Sup |y - y_back| over the lattice, y_back the intrinsic variables of ``pose``.
-
-    ``pose`` is differentiated one halo window of time samples at a time
-    (see :func:`_windows`); only the values are read back.
-    """
-    return max(
-        _roundtrip(window, window_states, rows, reference)
-        for _, _, window, window_states, rows in _windows(pose, states)
-    )
 
 
 def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndarray, np.ndarray]:
@@ -570,7 +541,8 @@ class _Pass:
         audit = reconstruct_centerline(states, window, self.p0, self.h_p, own=own)
         self.residual_centerline[lo:hi] = audit.residual_centerline
         self.gaps.append(audit.route_gap)
-        self.errors.append(_roundtrip(window, states, own, self.reference))
+        back = model.strains_velocities_from_pose(window, self.reference)[own]
+        self.errors.append(float(np.abs(back - _stack(states, own.start, own.stop)).max()))
 
     def result(self) -> Reconstruction:
         return Reconstruction(

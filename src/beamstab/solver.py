@@ -205,30 +205,22 @@ def generate_initial_datum(
     return StateField(grid, "physical", values, 0.0)
 
 
-@dataclass(frozen=True)
-class _Terms:
-    """The lower-order part of the equation at one diagonal state, formed once.
-
-    Every reader of the state (a Heun stage, the record, the pose pass)
-    reads these instead of forming them again.
-    """
-
-    state: StateField       # r, diagonal
-    physical: StateField    # y = L^{-1} r
-    coupled: np.ndarray     # B r
-    nonlinear: np.ndarray   # g(r) = gbar(y) L^T
-
-
 def _couple(reference: PrecurvedReference, r: np.ndarray) -> np.ndarray:
     """The coupling product B r, node by node."""
     return np.einsum("ij,nj->ni", reference.coupling_char, r)
 
 
-def _terms(state: StateField, matrices: BeamMatrices, reference: PrecurvedReference) -> _Terms:
-    """y, B r and g(r) of a diagonal state."""
+def _terms(state: StateField, matrices: BeamMatrices, reference: PrecurvedReference) -> tuple:
+    """The lower-order part of the equation at one diagonal state, formed once.
+
+    Returns (r, physical, coupled, nonlinear): the values r, the physical
+    state y = L^{-1} r, B r and g(r) = gbar(y) L^T.  Every reader of the
+    state (a Heun stage, the record, the pose pass) reads these instead of
+    forming them again.
+    """
     physical = model.to_physical(state, matrices)
     nonlinear = gbar(matrices, physical.values) @ matrices.to_char.T
-    return _Terms(state, physical, _couple(reference, state.values), nonlinear)
+    return state.values, physical, _couple(reference, state.values), nonlinear
 
 
 def _energies(
@@ -273,14 +265,13 @@ def _pde_rhs(
 
 
 def _lyapunov(
-    terms: _Terms, cert, matrices: BeamMatrices, reference: PrecurvedReference, k: int
+    terms: tuple, dx: float, cert, matrices: BeamMatrices, reference: PrecurvedReference, k: int
 ) -> float:
     """The functional of :func:`lyapunov_value`, dt r read from the state's terms."""
-    r = terms.state.values
-    dx = float(terms.state.grid[1] - terms.state.grid[0])
+    r, _, coupled, nonlinear = terms
     q = cert.q_diag
     total = float(trapezoid((r**2 * q).sum(axis=1), dx))
-    rt = _pde_rhs(diff1(r, dx, axis=0), terms.coupled, terms.nonlinear, matrices)
+    rt = _pde_rhs(diff1(r, dx, axis=0), coupled, nonlinear, matrices)
     total += float(trapezoid((rt**2 * q).sum(axis=1), dx))
     if k == 2:
         jac = g_diag_pair(matrices, r, rt) + g_diag_pair(matrices, rt, r)
@@ -306,7 +297,8 @@ def lyapunov_value(
         raise ValidationError(["lyapunov_value expects a diagonal state"])
     if k not in (1, 2):
         raise ValidationError([f"k must be 1 or 2, got {k!r}"])
-    return _lyapunov(_terms(state, matrices, reference), cert, matrices, reference, k)
+    dx = float(state.grid[1] - state.grid[0])
+    return _lyapunov(_terms(state, matrices, reference), dx, cert, matrices, reference, k)
 
 
 def _upwind_gradient(r: np.ndarray, dx: float, scheme: str) -> np.ndarray:
@@ -418,20 +410,22 @@ def simulate(
         state[0, 6:] = matrices.kappa * state[0, :6]
         state[-1, :6] = -state[-1, 6:]
 
-    def terms(state: np.ndarray, t: float) -> _Terms:
+    def terms(state: np.ndarray, t: float) -> tuple:
         return _terms(StateField(grid, "diagonal", state, t), matrices, reference)
 
-    def rhs(now: _Terms) -> np.ndarray:
-        grad = _upwind_gradient(now.state.values, dx, config.scheme)
-        return _pde_rhs(grad, now.coupled, now.nonlinear, matrices)
+    def rhs(now: tuple) -> np.ndarray:
+        r, _, coupled, nonlinear = now
+        grad = _upwind_gradient(r, dx, config.scheme)
+        return _pde_rhs(grad, coupled, nonlinear, matrices)
 
-    def heun(now: _Terms, t: float) -> np.ndarray:
+    def heun(now: tuple, t: float) -> np.ndarray:
         """The state one step on; the stage's arrays are freed before the record."""
+        r = now[0]
         f1 = rhs(now)
-        r1 = now.state.values + dt * f1
+        r1 = r + dt * f1
         apply_bc(r1)
         f2 = rhs(terms(r1, t))
-        out = now.state.values + 0.5 * dt * (f1 + f2)
+        out = r + 0.5 * dt * (f1 + f2)
         apply_bc(out)
         return out
 
@@ -444,23 +438,24 @@ def simulate(
     tr_m0, tr_pL = np.empty((n_records, 6)), np.empty((n_records, 6))
     snapshots: list[StateField] = []
 
-    def record(step: int, now: _Terms) -> None:
+    def record(step: int, now: tuple) -> None:
         k = -(-step // config.output_stride)  # the record's row
         t = step * dt
-        r, y = now.state.values, now.physical.values
+        r, physical, _, _ = now
+        y = physical.values
         e_phys[k], e_char[k] = _energies(r, y, dx, matrices)
         times[k] = t
         h1[k] = sobolev_norms(y, dx, 1)
         if lyap_order == 2:
             h2[k] = sobolev_norms(y, dx, 2)
         if cert is not None:
-            lyap[k] = _lyapunov(now, cert, matrices, reference, lyap_order)
+            lyap[k] = _lyapunov(now, dx, cert, matrices, reference, lyap_order)
         tr_m0[k] = r[0, :6]
         tr_pL[k] = r[-1, 6:]
         if config.store_snapshots:
             snapshots.append(StateField(grid, "diagonal", r.copy(), t))
         if on_record is not None:
-            on_record(now.physical)
+            on_record(physical)
 
     now = terms(r, 0.0)
     record(0, now)

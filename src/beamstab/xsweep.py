@@ -7,9 +7,11 @@ reports amplify a one-ulp change in that interpolant to about 1e-11, so
 the spline here is, to the bit, the not-a-knot ``CubicSpline`` (version
 1.17) that the sweep once imported and that the tests keep as its
 oracle: its formulas term for term, the node slopes solved by LAPACK
-``dgtsv``'s pivoting elimination, and the pieces evaluated in ``PPoly``'s
-order.  The bits agree as long as neither side contracts a multiply and
-an add into one fused operation.
+``dgtsv``'s elimination, and the pieces evaluated in ``PPoly``'s order.
+On the evenly spaced grids that ``curved_reference`` builds, ``dgtsv``
+swaps no row, so only its no-swap elimination is kept.  The bits agree
+as long as neither side contracts a multiply and an add into one fused
+operation.
 
 Only the first record of a reconstruction is swept in x, and
 :mod:`beamstab.reconstruct` imports this module when it first sweeps, so
@@ -58,36 +60,24 @@ def sweep_x(values: np.ndarray, reference: PrecurvedReference, r_in: np.ndarray)
 def _tridiagonal_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solution of the tridiagonal system (dl, d, du) x = b, b being (n, k).
 
-    Gaussian elimination with partial pivoting in the order of operations
-    of LAPACK's ``dgtsv``: the pivot choice reads only the matrix, so the
-    k right-hand sides are eliminated together, row by row.
+    LAPACK ``dgtsv``'s elimination where it swaps no row, in its order of
+    operations: the k right-hand sides are eliminated together, row by
+    row.  ``dgtsv`` swaps rows i and i + 1 where |d[i]| < |dl[i]|, which
+    the not-a-knot system of an evenly spaced grid never meets.
     """
     n = len(d)
     dl, d, du = dl.tolist(), d.tolist(), du.tolist()
     b = b.copy()
     for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            if i < n - 2:
-                dl[i] = 0.0
-        else:  # interchange rows i and i + 1; dl[i] takes the fill-in above du
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            temp = b[i].copy()
-            b[i] = b[i + 1]
-            b[i + 1] = temp - fact * b[i + 1]
+        assert abs(d[i]) >= abs(dl[i]), "the elimination would swap rows"
+        fact = dl[i] / d[i]
+        d[i + 1] = d[i + 1] - fact * du[i]
+        b[i + 1] = b[i + 1] - fact * b[i]
     b[n - 1] = b[n - 1] / d[n - 1]
     b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
     for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+        # dgtsv subtracts its zero fill-in too, which can turn -0.0 into +0.0
+        b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
     return b
 
 
@@ -97,7 +87,8 @@ def not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Interval i holds c[0] z^3 + c[1] z^2 + c[2] z + c[3] in z = x - x[i].
     The node slopes s solve the tridiagonal system of the spline's C^2
     conditions, closed at each end by continuity of the third derivative
-    across the second node.  ``x`` must increase strictly; n >= 4.
+    across the second node.  ``x`` must be evenly spaced, so that the
+    slopes are solved with no row swap; n >= 4.
     """
     n = len(x)
     assert n >= 4, "the not-a-knot spline needs four nodes"

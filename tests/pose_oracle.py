@@ -1,5 +1,6 @@
 """The whole-lattice pose pipeline, kept as the oracle of the streamed one,
-and the full-product map from a pose back to intrinsic variables.
+and the full-product map from a pose back to intrinsic variables with
+its ``vec``.
 
 This is the reconstruction as it ran before ``run_pipeline`` became one
 pass over the records: the simulation stores every record, the physical
@@ -18,7 +19,7 @@ import numpy as np
 from beamstab import model, solver
 from beamstab.errors import EndpointMismatch, NotARotation, ValidationError
 from beamstab.fd import diff1
-from beamstab.model import E1, PrecurvedReference, StateField, vec
+from beamstab.model import E1, PrecurvedReference, StateField
 from beamstab.params import BeamMatrices
 from beamstab.reconstruct import (
     MAX_RECONSTRUCT_POINTS,
@@ -33,6 +34,19 @@ from beamstab.reconstruct import (
     rotation_from_quaternion,
     umap,
 )
+
+
+def vec(m: np.ndarray) -> np.ndarray:
+    """Axial vector of the skew part of a 3x3 matrix (inverse of hat)."""
+    m = np.asarray(m, dtype=float)
+    return 0.5 * np.stack(
+        [
+            m[..., 2, 1] - m[..., 1, 2],
+            m[..., 0, 2] - m[..., 2, 0],
+            m[..., 1, 0] - m[..., 0, 1],
+        ],
+        axis=-1,
+    )
 
 
 def strains_velocities_from_pose(pose, reference: PrecurvedReference) -> np.ndarray:

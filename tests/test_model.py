@@ -20,11 +20,11 @@ from beamstab.model import (
     hat,
     strains_velocities_from_pose,
     to_physical,
-    vec,
 )
 from beamstab.params import derive_matrices
 from beamstab.scenarios import PRESETS, build_reference
 from conftest import random_params
+from pose_oracle import vec
 
 
 def to_diagonal(state, matrices):
