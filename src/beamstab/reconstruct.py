@@ -29,10 +29,11 @@ on, and the stages over the space-time lattice (the rotations and the
 x-equation audit, R y1 and the centerline residuals, the round trip and
 the decay observable) run on blocks of ``TIME_BLOCK`` time samples as
 the blocks complete.  A time derivative on a block reads one sample of
-halo on each side, widened at either end of the lattice to the three
-samples of the one-sided stencil, so the pass keeps a window of one block
-and its halo; the time quadrature of the centerline carries its running
-sum from block to block.  Every row sees
+halo on each side, widened at the lattice's end to the three samples of
+the one-sided stencil, so a block's audits wait for the block after it:
+the pass keeps a window of ``2 TIME_BLOCK + 1`` rows and audits one block
+behind.  The time quadrature of the centerline carries its running sum
+from block to block.  Every row sees
 the arithmetic of a single block, so the results do not depend on the
 block size, and the whole-lattice functions below run the same blocks.
 What the pass keeps is what ``reconstruct`` writes: the per-time
@@ -78,7 +79,9 @@ __all__ = [
 MAX_RECONSTRUCT_RECORDS = 1200
 MAX_RECONSTRUCT_POINTS = 2**22
 
-# time samples per block of the lattice stages; results do not depend on it
+# time samples per block of the lattice stages; results do not depend on it.
+# At least 2, so that the first block holds the first time step and each
+# block's halo ends on the next block's first row (see ``_Pass``).
 TIME_BLOCK = 32
 
 # pose snapshots written by ``reconstruct``, evenly spread over the lattice
@@ -187,6 +190,7 @@ def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
 
 def _blocks(n_times: int):
     """Bounds (lo, hi) of consecutive blocks of ``TIME_BLOCK`` time samples."""
+    assert TIME_BLOCK >= 2
     for lo in range(0, n_times, TIME_BLOCK):
         yield lo, min(lo + TIME_BLOCK, n_times)
 
@@ -194,10 +198,12 @@ def _blocks(n_times: int):
 def _halo(lo: int, hi: int, n_times: int) -> tuple[int, int]:
     """Rows a time derivative on rows lo:hi reads with the stencils of ``diff1``.
 
-    One sample on each side, and at either end of the lattice the three
-    samples of the one-sided stencil.
+    One sample on each side, and at the lattice's end the three samples of
+    the one-sided stencil (at its start a block of ``TIME_BLOCK >= 2``
+    samples and its halo already hold them).  So the halo of a block ends
+    on the next block's first row, and the last block's on its own last.
     """
-    return max(0, min(lo - 1, n_times - 3)), min(n_times, max(hi + 1, 3))
+    return max(0, min(lo - 1, n_times - 3)), min(n_times, hi + 1)
 
 
 def _stack(states: list[StateField], lo: int, hi: int, cols: slice = slice(None)) -> np.ndarray:
@@ -315,25 +321,19 @@ def _velocity(rot: np.ndarray, states: list[StateField]) -> np.ndarray:
 def _time_sums(vel: np.ndarray, carry, dt: float):
     """Running trapezoid sums int_0^t R y1 on one block of time samples.
 
-    ``carry`` is None on the lattice's first block, whose sum starts at 0;
-    otherwise it is the (velocity, sum) of the sample before the block, the
-    sum being None after the first sample, where nothing has been added
-    yet.  Each block's cumsum starts from the sum before it, so the
-    additions and their order are those of one cumsum over the whole
-    lattice, signed zeros included.  Returns the block's sums and the carry
-    of the next block.
+    ``carry`` is None on the lattice's first block, whose sums are those of
+    :func:`.fd.cumulative_trapezoid`; otherwise it is the (velocity, sum)
+    of the sample before the block.  Each later block's cumsum starts from
+    the sum before it, so the additions and their order are those of one
+    cumsum over the whole lattice, signed zeros included.  Returns the
+    block's sums and the carry of the next block.
     """
     if carry is None:
-        sums = np.zeros_like(vel)
-        sums[1:] = 0.5 * dt * (vel[1:] + vel[:-1])
-        np.cumsum(sums[1:], axis=0, out=sums[1:])
-        return sums, (vel[-1], sums[-1] if len(vel) > 1 else None)
-    last_vel, last_sum = carry
-    sums = 0.5 * dt * (vel + np.concatenate([last_vel[None], vel[:-1]]))
-    if last_sum is None:
-        np.cumsum(sums, axis=0, out=sums)
+        sums = cumulative_trapezoid(vel, dt)
     else:
-        sums = np.cumsum(np.concatenate([last_sum[None], sums]), axis=0)[1:]
+        last_vel, last_sum = carry
+        steps = 0.5 * dt * (vel + np.concatenate([last_vel[None], vel[:-1]]))
+        sums = np.cumsum(np.concatenate([last_sum[None], steps]), axis=0)[1:]
     return sums, (vel[-1], sums[-1])
 
 
@@ -425,19 +425,20 @@ class _Pass:
     """The pose of one run, built block by block as its records arrive.
 
     Each record arrives in physical variables, as the solver formed them
-    for its step, and is swept in time.  Once a block of ``TIME_BLOCK``
-    records is complete (and the second record has fixed the lattice
-    step), the block is rotated, its centerline integrated from R y1 and
-    its decay observable taken.  Its audits, which read the same R y1, and
-    its round trip wait until every row of its halo window has been
-    rotated.  Per time sample the pass keeps only the scalars, and the
-    pose only on the snapshot rows.
+    for its step, and is swept in time.  The record that completes a block
+    of ``TIME_BLOCK`` records rotates the block, integrates its centerline
+    from R y1 and takes its decay observable; then it audits the block
+    before it, whose halo ends on this block's first row (the centerline
+    residuals, which read the same R y1, and the round trip), and at the
+    lattice's end the last block too.  Per time sample the pass keeps only
+    the scalars, and the pose only on the snapshot rows.
 
-    The rows still read (the states, q, R, p and R y1 from the oldest
-    waiting halo window on) live in a window of ``2 TIME_BLOCK + 4`` rows,
-    one allocation made once per pass; rows no stage reads any more are
-    overwritten by moving the rest to its front.  A block and its halo are
-    contiguous slices of it, as they were of the whole-lattice arrays.
+    The rows still read (the states, q, R, p and R y1) live in a window of
+    ``2 TIME_BLOCK + 1`` rows, one allocation made once per pass: the block
+    waiting for its audit, the row before it and the block being filled.
+    Once a block is audited, the rows from one before the next block on
+    move to the window's front.  A block and its halo are contiguous
+    slices of it, as they were of the whole-lattice arrays.
     (glibc malloc raises its mmap threshold to the largest chunk freed, so
     after one pass the blocks' temporaries stay in its heap.  With fresh
     arrays for every block they went back to the system between blocks,
@@ -447,7 +448,6 @@ class _Pass:
     def __init__(self, reference: PrecurvedReference, n_times: int):
         self.reference = reference
         self.n_times = n_times
-        self.blocks = list(_blocks(n_times))
         self.h_p = model.reference_centerline(reference)[-1]
         self.p0 = self.carry = None
         self.times = np.empty(n_times)
@@ -460,20 +460,18 @@ class _Pass:
         self.snapshot_q, self.snapshot_p = [], []
 
         # the window, whose row i holds lattice row first + i
-        n_rows, n_nodes = min(n_times, 2 * TIME_BLOCK + 4), len(reference.grid)
+        assert TIME_BLOCK >= 2
+        n_rows, n_nodes = min(n_times, 2 * TIME_BLOCK + 1), len(reference.grid)
         shapes = [(12,), (4,), (3, 3), (3,), (3,)]  # physical states, q, R, p, R y1
         sizes = [n_rows * n_nodes * math.prod(shape) for shape in shapes]
         parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
         self.window = [part.reshape((n_rows, n_nodes) + s) for part, s in zip(parts, shapes)]
         self.y, self.q, self.R, self.p, self.velocity = self.window
-        self.first = self.received = self.rotated = self.audited = 0
+        self.first = self.received = 0
 
     @property
     def dt(self) -> float:
         return self.times[1] - self.times[0]
-
-    def _halo_of(self, block: int) -> tuple[int, int]:
-        return _halo(*self.blocks[block], self.n_times)
 
     def _states(self, lo: int, hi: int) -> list[StateField]:
         return [
@@ -494,19 +492,19 @@ class _Pass:
             self.q[i] = _sweep_x(self.y[i], self.reference, self.reference.rotation[-1])
         else:
             self.q[i] = _sweep_t(self.q[i - 1], self.y[i - 1], self.y[i], self.dt)
-        while k >= 1 and self.rotated < len(self.blocks) and self.blocks[self.rotated][1] <= k + 1:
-            self._rotate(*self.blocks[self.rotated])
-            self.rotated += 1
-        done = self.blocks[self.rotated - 1][1] if self.rotated else 0
-        while self.audited < self.rotated and self._halo_of(self.audited)[1] <= done:
-            self._audit(*self.blocks[self.audited])
-            self.audited += 1
-        if self.received - self.first == len(self.y) and self.received < self.n_times:
-            # the next time step reads row k, the next audit its halo window
-            keep = min(k, self._halo_of(self.audited)[0])
-            for rows in self.window:
-                rows[: self.received - keep] = rows[keep - self.first : self.received - self.first]
-            self.first = keep
+        if self.received % TIME_BLOCK and self.received < self.n_times:
+            return
+        lo = k - k % TIME_BLOCK
+        self._rotate(lo, self.received)
+        if lo:
+            self._audit(lo - TIME_BLOCK, lo)
+        if self.received == self.n_times:
+            self._audit(lo, self.received)
+        # the next time step reads row k, the next audit rows lo - 1 on
+        keep = max(lo - 1, 0)
+        for rows in self.window:
+            rows[: self.received - keep] = rows[keep - self.first : self.received - self.first]
+        self.first = keep
 
     def _rotate(self, lo: int, hi: int) -> None:
         rows = slice(lo - self.first, hi - self.first)

@@ -141,7 +141,7 @@ def _from_mapping(cls, data, path):
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
-        raise ScenarioError(f"unknown keys under {path}: {', '.join(sorted(unknown))}")
+        raise ScenarioError(f"unknown keys under {path}: {', '.join(sorted(map(str, unknown)))}")
     missing = {f.name for f in fields(cls)
                if f.default is MISSING and f.default_factory is MISSING} - set(data)
     if missing:
@@ -171,7 +171,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("scenario must be a mapping")
     unknown = set(data) - (set(_SECTIONS) | {"name"})
     if unknown:
-        raise ScenarioError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
+        raise ScenarioError(f"unknown top-level keys: {', '.join(sorted(map(str, unknown)))}")
     if "name" not in data or "params" not in data:
         raise ScenarioError("scenario needs at least 'name' and 'params'")
     name = str(data["name"])

@@ -658,37 +658,108 @@ _YAML_TOKENS = [
 ]
 
 
+_OVERRIDE_VALUES = st.one_of(
+    st.integers().map(str),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(repr),
+    st.sampled_from(_YAML_TOKENS),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    path=st.sampled_from(_override_paths()),
-    value=st.one_of(
-        st.integers().map(str),
-        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(repr),
-        st.sampled_from(_YAML_TOKENS),
+    overrides=st.lists(
+        st.tuples(st.sampled_from(_override_paths()), _OVERRIDE_VALUES), min_size=1, max_size=3
     ),
 )
-@example(path="datum.seed", value="-1")
-@example(path="sim.cfl", value="5e-324")
-@example(path="params", value="{}")
-@example(path="name", value="a/b")
-@example(path="sim.n_cells", value="[")
-@example(path="params.rho", value="-9223372036854775809")
-@example(path="params.rho", value="8.98846567431158e+307")
-@example(path="params.length", value="2.225073858507e-311")
-@example(path="params.length", value="1e-300")
-@example(path="certificate.phi0", value="8.98846567431158e+307")
-@example(path="reference.curvature", value="[1e308,0,0]")
+@example(overrides=[("datum.seed", "-1")])
+@example(overrides=[("sim.cfl", "5e-324")])
+@example(overrides=[("params", "{}")])
+@example(overrides=[("name", "a/b")])
+@example(overrides=[("sim.n_cells", "[")])
+@example(overrides=[("params.rho", "-9223372036854775809")])
+@example(overrides=[("params.rho", "8.98846567431158e+307")])
+@example(overrides=[("params.length", "2.225073858507e-311")])
+@example(overrides=[("params.length", "1e-300")])
+@example(overrides=[("certificate.phi0", "8.98846567431158e+307")])
+@example(overrides=[("reference.curvature", "[1e308,0,0]")])
+@example(overrides=[("params.mu1", "1e-300"), ("params.mu2", "1e300"), ("datum.order", "0")])
 @pytest.mark.parametrize("command", ["simulate", "certify", "reconstruct", "dump-matrices"])
-def test_any_override_ends_in_an_exit_code(tmp_path_factory, command, path, value):
+def test_any_override_ends_in_an_exit_code(tmp_path_factory, command, overrides):
+    """One to three overrides at once end in a documented exit code."""
     out = tmp_path_factory.mktemp("contract")
-    argv = [command, "--scenario", "straight-toy", "--out", str(out),
-            "--override", f"{path}={value}", "--override", "sim.n_cells=32",
-            "--override", "sim.t_end=0.05", "--override", "sim.step_cap=400"]
+    argv = [command, "--scenario", "straight-toy", "--out", str(out)]
+    for path, value in overrides:
+        argv += ["--override", f"{path}={value}"]
+    argv += ["--override", "sim.n_cells=32", "--override", "sim.t_end=0.05",
+             "--override", "sim.step_cap=400"]
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse
         rc = exc.code
     assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_CERTIFICATE, EXIT_BLOWUP)
+
+
+# document values: every YAML type, and numbers at the edges of each check.
+# The numbers are few, so a mutated sim.t_end or sim.step_cap keeps the run short.
+_DOC_NUMBERS = [0, 1, -1, 2, 16, 3.5, 1e-300, 5e-324, 1e308, 2**63, -(2**63) - 1,
+                float("nan"), float("inf"), float("-inf")]
+_DOC_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.sampled_from(_DOC_NUMBERS)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+_DOC_KEYS = st.one_of(st.text(max_size=6), st.integers(-2, 2), st.booleans(), st.none(),
+                      st.sampled_from(["name", "params", "sim", "rho", "n_cells", "kind"]))
+
+
+@st.composite
+def _scenario_documents(draw):
+    """A short straight-toy run as a YAML document, with one to three sections
+    or keys missing, extra or of the wrong type (the document itself too)."""
+    data = scenario_to_dict(load_scenario("straight-toy"))
+    data["sim"].update(n_cells=32, t_end=0.05, step_cap=400)
+    for _ in range(draw(st.integers(1, 3))):
+        sections = [k for k, v in data.items() if isinstance(v, dict)]
+        target = draw(st.sampled_from([None, "document", *sections]))
+        if target == "document":
+            data = draw(_DOC_VALUES)
+            break
+        node = data if target is None else data[target]
+        keys = sorted(node, key=repr)
+        kind = draw(st.sampled_from(["missing", "extra", "mistyped"] if keys else ["extra"]))
+        if kind == "extra":
+            node[draw(_DOC_KEYS)] = draw(_DOC_VALUES)
+        elif kind == "missing":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = draw(_DOC_VALUES)
+    return yaml.safe_dump(data, sort_keys=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(document=_scenario_documents())
+@example(document="name: a\nparams: {}\n1: 2\n")
+@example(document="name: a\nparams: {rho: 1, 2: 3, null: 4}\n")
+@pytest.mark.parametrize("command", ["simulate", "certify", "reconstruct", "dump-matrices"])
+def test_any_scenario_document_ends_in_an_exit_code(tmp_path_factory, command, document):
+    """Whole scenario files with missing, extra and mistyped sections and keys
+    end in a documented exit code, never in a traceback."""
+    out = tmp_path_factory.mktemp("document")
+    path = out / "scenario.yaml"
+    path.write_text(document)
+    rc = main([command, "--scenario", str(path), "--out", str(out)])
+    assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_CERTIFICATE, EXIT_BLOWUP)
+
+
+def test_non_string_keys_are_named(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    for text, message in (("name: a\nparams: {}\n1: 2\n", "unknown top-level keys: 1"),
+                          ("name: a\nparams: {rho: 1, 2: 3}\n", "unknown keys under params: 2")):
+        path.write_text(text)
+        assert main(["certify", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 _SWEEP_TOKENS = [

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pose_oracle
 from beamstab import model, reconstruct, solver, xsweep
@@ -343,38 +344,78 @@ def _bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
+def _toy_run(params, matrices, n_steps, stride):
+    """A toy run of ``n_steps`` steps on N = 16, recorded every ``stride``."""
+    ref = curved_reference(params, 16, np.array([1.0, 0.0, 0.5]), matrices)
+    datum = generate_initial_datum(matrices, ref, 1e-2, seed=5, order=1)
+    dt_max = 0.9 * ref.dx / np.abs(matrices.wave_speeds).max()  # the step at cfl 0.9
+    cfg = SimConfig(n_cells=16, t_end=(n_steps - 0.5) * dt_max, output_stride=stride)
+    assert time_step(cfg, matrices, ref)[1] == n_steps
+    return cfg, ref, datum
+
+
+def _assert_pipeline_is_the_oracle(cfg, matrices, ref, datum, case):
+    """``run_pipeline`` gives the oracle's bits on every output ``reconstruct`` writes."""
+    traj, pose = run_pipeline(cfg, matrices, ref, datum)
+    whole_traj, states, whole = pose_oracle.run_pipeline(cfg, matrices, ref, datum)
+    assert trajectory_to_csv(traj) == trajectory_to_csv(whole_traj), case
+    assert _bits(pose.times) == _bits(whole.times), case
+    for name in ("residual_rotation", "residual_centerline", "norm_defect", "route_gap"):
+        assert _bits(getattr(pose, name)) == _bits(getattr(whole, name)), (case, name)
+    roundtrip = pose_oracle.roundtrip_error(whole, states, ref)
+    assert _bits(pose.roundtrip_error) == _bits(roundtrip), case
+    assert _bits(pose.observable) == _bits(pose_oracle.decay_observable(whole, states)[1])
+    rows = sorted(set(np.linspace(0, len(whole.times) - 1, MAX_POSE_SNAPSHOTS).astype(int)))
+    assert pose.indices == rows, case
+    for name in ("times", "q", "p"):
+        expected = getattr(whole, name)[rows]
+        assert _bits(getattr(pose.snapshots, name)) == _bits(expected), (case, name)
+
+
 def test_streamed_pass_is_the_whole_lattice_pipeline(toy_params, toy_matrices, monkeypatch):
     """``run_pipeline`` gives the bits of the whole-lattice oracle on every
-    output ``reconstruct`` writes, at blocks of 1, 7 and T samples.
+    output ``reconstruct`` writes, at blocks of 2, 7 and T samples.
 
     The runs end on a ragged record (n_steps % stride = 1 and 2) or not,
     and include lattices of 3 and 4 samples, where the halo of the last
-    block reaches back across a block edge.
+    block reaches back across a block edge, and of 3 and 17 samples, whose
+    last block of 2 holds a single sample.
     """
-    ref = curved_reference(toy_params, 16, np.array([1.0, 0.0, 0.5]), toy_matrices)
-    datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=5, order=1)
-    dt_max = 0.9 * ref.dx / np.abs(toy_matrices.wave_speeds).max()  # the step at cfl 0.9
     for n_steps, stride in ((9, 4), (11, 3), (50, 3), (61, 2), (40, 1)):
-        cfg = SimConfig(n_cells=16, t_end=(n_steps - 0.5) * dt_max, output_stride=stride)
-        assert time_step(cfg, toy_matrices, ref)[1] == n_steps
+        cfg, ref, datum = _toy_run(toy_params, toy_matrices, n_steps, stride)
         n_times = n_steps // stride + 1
-        for block in (1, 7, n_times):
+        for block in (2, 7, n_times):
             monkeypatch.setattr(reconstruct, "TIME_BLOCK", block)
-            traj, pose = run_pipeline(cfg, toy_matrices, ref, datum)
-            whole_traj, states, whole = pose_oracle.run_pipeline(cfg, toy_matrices, ref, datum)
-            case = (n_steps, stride, block)
-            assert trajectory_to_csv(traj) == trajectory_to_csv(whole_traj), case
-            assert _bits(pose.times) == _bits(whole.times), case
-            for name in ("residual_rotation", "residual_centerline", "norm_defect", "route_gap"):
-                assert _bits(getattr(pose, name)) == _bits(getattr(whole, name)), (case, name)
-            roundtrip = pose_oracle.roundtrip_error(whole, states, ref)
-            assert _bits(pose.roundtrip_error) == _bits(roundtrip), case
-            assert _bits(pose.observable) == _bits(pose_oracle.decay_observable(whole, states)[1])
-            rows = sorted(set(np.linspace(0, n_times - 1, MAX_POSE_SNAPSHOTS).astype(int)))
-            assert pose.indices == rows, case
-            for name in ("times", "q", "p"):
-                expected = getattr(whole, name)[rows]
-                assert _bits(getattr(pose.snapshots, name)) == _bits(expected), (case, name)
+            _assert_pipeline_is_the_oracle(cfg, toy_matrices, ref, datum, (n_steps, stride, block))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    block=st.integers(2, 9),
+    n_times=st.integers(3, 40),
+    stride=st.integers(1, 3),
+    ragged=st.integers(0, 2),
+)
+def test_any_block_size_gives_the_oracle_bits(toy_params, toy_matrices, block, n_times, stride,
+                                              ragged):
+    """Any block of 2 to 9 samples, on any lattice of 3 to 40 samples with
+    or without a ragged final record, gives the whole-lattice oracle's bits."""
+    n_steps = (n_times - 1) * stride + ragged % stride
+    cfg, ref, datum = _toy_run(toy_params, toy_matrices, n_steps, stride)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reconstruct, "TIME_BLOCK", block)
+        _assert_pipeline_is_the_oracle(cfg, toy_matrices, ref, datum, (n_steps, stride, block))
+
+
+def test_a_block_of_one_sample_is_refused(toy_params, monkeypatch):
+    """A block of one sample holds no time step, and its halo ends past the
+    next block's first row, so the pass and the block loop refuse it."""
+    monkeypatch.setattr(reconstruct, "TIME_BLOCK", 1)
+    ref = curved_reference(toy_params, 16, np.array([1.0, 0.0, 0.5]))
+    with pytest.raises(AssertionError):
+        reconstruct._Pass(ref, 9)
+    with pytest.raises(AssertionError):
+        next(reconstruct._blocks(9))
 
 
 def test_roundtrip_first_order_convergence(toy_params, toy_matrices):
@@ -464,9 +505,9 @@ def rich_run(params, n_times, n_cells=16):
 
 
 def test_time_blocks_do_not_change_the_results(toy_params, monkeypatch):
-    """Blocks of 1 and 7 samples give the bits of one block over the whole lattice.
+    """Blocks of 2 and 7 samples give the bits of one block over the whole lattice.
 
-    With T = 15 the last block of 7 holds a single sample, whose time
+    With T = 15 the last block of either holds a single sample, whose time
     derivatives read the three samples of the one-sided stencil.
     """
     n_times = 15
@@ -478,7 +519,7 @@ def test_time_blocks_do_not_change_the_results(toy_params, monkeypatch):
         return pose, roundtrip, decay_observable(pose, states)[1]
 
     whole, whole_rt, whole_obs = run(n_times)
-    for block in (1, 7):
+    for block in (2, 7):
         pose, rt, obs = run(block)
         for field in ("q", "R", "residual_rotation", "p", "residual_centerline"):
             assert np.array_equal(getattr(pose, field), getattr(whole, field)), (block, field)
@@ -490,11 +531,11 @@ def test_time_blocks_do_not_change_the_results(toy_params, monkeypatch):
 
 def test_whole_lattice_functions_are_the_oracle(toy_params, monkeypatch):
     """The whole-lattice functions, run on the block kernels of the streamed
-    pass, give the bits of the whole-lattice oracle at blocks of 1, 7 and T."""
+    pass, give the bits of the whole-lattice oracle at blocks of 2, 7 and T."""
     n_times = 15
     ref, states, _ = rich_run(toy_params, n_times)
     h_p = reference_centerline(ref)[-1]
-    for block in (1, 7, n_times):
+    for block in (2, 7, n_times):
         monkeypatch.setattr(reconstruct, "TIME_BLOCK", block)
         pose = reconstruct_rotation(states, ref, ref.rotation[-1])
         whole = pose_oracle.reconstruct_rotation(states, ref, ref.rotation[-1])
@@ -510,10 +551,10 @@ def test_whole_lattice_functions_are_the_oracle(toy_params, monkeypatch):
 
 
 def test_centerline_time_quadrature_is_the_whole_lattice_formula(toy_params, monkeypatch):
-    """Blocks of 1, 7 and T samples give the bits, signed zeros included, of
+    """Blocks of 2, 7 and T samples give the bits, signed zeros included, of
     p0 + cumulative_trapezoid(R y1, dt) over the whole lattice."""
     n_times = 15
-    for block in (1, 7, n_times):
+    for block in (2, 7, n_times):
         monkeypatch.setattr(reconstruct, "TIME_BLOCK", block)
         ref, states, pose = rich_run(toy_params, n_times)
         y1 = np.stack([s.values[:, 0:3] for s in states])
