@@ -16,6 +16,9 @@ class ValidationError(BeamstabError):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 
+    def __reduce__(self):
+        return type(self), (self.problems,)
+
 
 class WindowViolation(BeamstabError):
     """Requested weight endpoint lies outside the admissible window."""
@@ -36,6 +39,9 @@ class BlowupDetected(BeamstabError):
         self.time = time
         self.magnitude = magnitude
         super().__init__(f"state blew up at t={time:.6g} (max |r| = {magnitude:.3g})")
+
+    def __reduce__(self):
+        return type(self), (self.time, self.magnitude)
 
 
 class NonPositiveValues(BeamstabError):

@@ -38,15 +38,25 @@ the arithmetic of a single block, so the results do not depend on the
 block size, and the whole-lattice functions below run the same blocks.
 What the pass keeps is what ``reconstruct`` writes: the per-time
 residuals and observable, and the pose at ``MAX_POSE_SNAPSHOTS`` times.
-So its memory grows with the grid, not with the records: on the helical
-preset with 1139 records, ``reconstruct`` peaks at 48 MB resident at
-N = 256 and at 76 MB at N = 1024, against 48 MB for ``simulate`` alone
-at N = 256.
+So its memory grows with the grid, not with the records.
+
+On Linux ``reconstruct`` is two processes that run at once
+(:func:`.forked.simulate`).  A child forked after the pass is set up
+simulates: it holds the solver's state and the recorded series, and
+writes each record to a pipe.  The command's process runs the pass on the
+records as they arrive: it holds the pass's window and what the pass
+keeps.  So the command's peak no longer includes the simulation: on the
+helical preset with 1139 records the command's process peaks at 48 MB
+resident at N = 256 and at 76 MB at N = 1024, and its child at about
+28 and 30 MB.  Elsewhere the simulation runs in the command's process
+and hands each record to the pass in turn.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,6 +96,10 @@ TIME_BLOCK = 32
 
 # pose snapshots written by ``reconstruct``, evenly spread over the lattice
 MAX_POSE_SNAPSHOTS = 24
+
+# simulate in a forked child while this process runs the pass (see
+# ``forked.py``); elsewhere the two run in turn here.  The bits do not depend on it.
+_FORK = sys.platform == "linux" and hasattr(os, "fork")
 
 
 @dataclass(frozen=True)
@@ -574,9 +588,10 @@ def run_pipeline(
     record is simulated but not reconstructed (the quaternion sweeps need a
     uniform time lattice), and the initial shape is the quadrature from the
     clamp.  The records are consumed in one pass (see :class:`_Pass`), so
-    no history is stored.  Returns (trajectory, reconstruction); raises
-    :class:`ValidationError` when fewer than three evenly spaced records
-    would remain.
+    no history is stored; on Linux the simulation runs meanwhile in a
+    forked child (:func:`.forked.simulate`).  Returns (trajectory,
+    reconstruction); raises :class:`ValidationError` when fewer than three
+    evenly spaced records would remain.
     """
     _, n_steps = solver.time_step(config, matrices, reference)
     max_records = min(
@@ -590,9 +605,11 @@ def run_pipeline(
         )
     run = _Pass(reference, n_steps // stride + 1)
     config = replace(config, store_snapshots=False, output_stride=stride)
-    traj = solver.simulate(
-        config, matrices, reference, datum, cert=cert, lyap_order=1, on_record=run.push
-    )
+    if _FORK:
+        from .forked import simulate  # here: the other commands never compile it
+    else:
+        simulate = solver.simulate
+    traj = simulate(config, matrices, reference, datum, cert=cert, lyap_order=1, on_record=run.push)
     return traj, run.result()
 
 

@@ -174,7 +174,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"unknown top-level keys: {', '.join(sorted(map(str, unknown)))}")
     if "name" not in data or "params" not in data:
         raise ScenarioError("scenario needs at least 'name' and 'params'")
-    name = str(data["name"])
+    name = data["name"]
+    if not isinstance(name, str):
+        raise ScenarioError(f"name must be a string, got {name!r}")
     # the name is the stem of every output file
     if not 0 < len(name) <= 200 or any(c in name for c in "/\\\0"):
         raise ScenarioError(

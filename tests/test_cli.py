@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import shlex
 import sys
 from dataclasses import replace
@@ -14,7 +15,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import beamstab
-from beamstab import cli, model, params, reconstruct
+from beamstab import cli, model, params, reconstruct, solver
 from beamstab.cli import EXIT_BLOWUP, EXIT_CERTIFICATE, EXIT_OK, EXIT_VALIDATION, main
 from beamstab.errors import (
     BeamstabError,
@@ -204,6 +205,19 @@ class TestExitCodes:
                    *fast_overrides, "--override", "sim.blowup_threshold=1e-9"])
         assert rc == EXIT_BLOWUP
 
+    def test_reconstruct_reports_a_blowup_as_simulate_does(self, tmp_path, fast_overrides,
+                                                          capsys):
+        """The blow-up is raised in reconstruct's forked simulation and
+        reported from this process with simulate's exit code and message."""
+        messages = []
+        for command in ("simulate", "reconstruct"):
+            rc = main([command, "--scenario", "straight-toy", "--out", str(tmp_path),
+                       *fast_overrides, "--override", "sim.blowup_threshold=1e-9"])
+            assert rc == EXIT_BLOWUP, command
+            messages.append(capsys.readouterr().err)
+        assert messages[0].startswith("blow-up: state blew up at t=")
+        assert messages[1] == messages[0]
+
     def test_unknown_scenario(self, tmp_path):
         rc = main(["certify", "--scenario", "missing.yaml", "--out", str(tmp_path)])
         assert rc == EXIT_VALIDATION
@@ -382,15 +396,42 @@ class TestReconstructCommand:
         assert 3 <= len(records) and 33 * len(records) <= budget
 
     def test_pipeline_calls_are_traced(self, tmp_path):
-        trace = _perfbench("tracing").Trace()
-        with trace.installed():
-            rc = main(["reconstruct", "--scenario", "helical", "--out", str(tmp_path),
-                       "--override", "sim.n_cells=32", "--override", "sim.t_end=0.5"])
-        assert rc == EXIT_OK
-        for name in ("solver.simulate", "model.to_physical", "model.reference_centerline",
-                     "reconstruct.reconstruct_rotation", "reconstruct.reconstruct_centerline",
-                     "model.strains_velocities_from_pose"):
-            assert name in trace.names, name
+        """The pose calls are traced on ``reconstruct``.  Its simulation runs
+        in a forked child, whose spans stay there, so the simulation's calls
+        are traced on ``simulate``, which runs the same loop in-process."""
+        tracing = _perfbench("tracing")
+        small = ["--scenario", "helical", "--out", str(tmp_path),
+                 "--override", "sim.n_cells=32", "--override", "sim.t_end=0.5"]
+        for command, names in (
+            ("reconstruct", ("model.reference_centerline", "reconstruct.reconstruct_rotation",
+                             "reconstruct.reconstruct_centerline",
+                             "model.strains_velocities_from_pose")),
+            ("simulate", ("solver.simulate", "model.to_physical")),
+        ):
+            trace = tracing.Trace()
+            with trace.installed():
+                assert main([command, *small]) == EXIT_OK
+            for name in names:
+                assert name in trace.names, (command, name)
+
+    def test_a_simulation_without_a_result_is_a_package_error(self, tmp_path, monkeypatch,
+                                                              capsys):
+        """A forked simulation that ends without a result exits 2 with a
+        message, not a traceback, and leaves no child behind."""
+        parent = os.getpid()
+
+        def die(*args, **kwargs):
+            assert os.getpid() != parent, "not simulated in a child"
+            os._exit(1)
+
+        monkeypatch.setattr(solver, "simulate", die)
+        rc = main(["reconstruct", "--scenario", "straight-toy", "--out", str(tmp_path),
+                   "--override", "sim.n_cells=32", "--override", "sim.t_end=0.5"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "ended without a result (exit status 1)" in err and "Traceback" not in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestWorkPerCommand:
@@ -760,6 +801,20 @@ def test_non_string_keys_are_named(tmp_path, capsys):
         path.write_text(text)
         assert main(["certify", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", [None, 1, ["a"], True], ids=["null", "1", "list", "true"])
+def test_a_name_of_another_type_is_rejected(tmp_path, capsys, value):
+    """The name is checked, not converted: only a string names the output files."""
+    data = scenario_to_dict(load_scenario("straight-toy"))
+    data["name"] = value
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data))
+    argv = ["certify", "--scenario", str(path), "--out", str(tmp_path),
+            "--override", "sim.n_cells=32"]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: name must be a string, got ")
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]
 
 
 _SWEEP_TOKENS = [

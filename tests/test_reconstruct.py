@@ -1,12 +1,14 @@
+import mmap
+import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pose_oracle
-from beamstab import model, reconstruct, solver, xsweep
+from beamstab import forked, model, reconstruct, solver, xsweep
 from beamstab.certificate import build_certificate
 from beamstab.errors import EndpointMismatch, NotARotation, ZeroQuaternion
 from beamstab.fd import cumulative_trapezoid
@@ -327,17 +329,110 @@ def test_each_simulated_state_is_evaluated_once(toy_params, toy_matrices, monkey
     cert = build_certificate(toy_matrices, ref, m=1, phi0=1.0, phiL=None)
     datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=5, order=1)
     cfg = SimConfig(n_cells=16, cfl=0.9, t_end=0.3, output_stride=1)
-    calls = {"to_physical": 0, "_couple": 0, "gbar": 0}
-    for module, name in ((model, "to_physical"), (solver, "_couple"), (solver, "gbar")):
-        def counting(*args, _original=getattr(module, name), _name=name):
-            calls[_name] += 1
+    # counted in memory the forked child shares, so the child's calls count too
+    counts = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)
+    targets = ((model, "to_physical"), (solver, "_couple"), (solver, "gbar"))
+    for i, (module, name) in enumerate(targets):
+        def counting(*args, _original=getattr(module, name), _i=i):
+            counts[_i] += 1
             return _original(*args)
 
         monkeypatch.setattr(module, name, counting)
     traj, pose = run_pipeline(cfg, toy_matrices, ref, datum, cert=cert)
     assert len(pose.times) == traj.steps + 1
     n_states = 2 * traj.steps + 1
+    calls = {name: int(count) for (_, name), count in zip(targets, counts)}
     assert calls == {"to_physical": n_states, "_couple": n_states, "gbar": n_states}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_bits(a, b, path="result"):
+    """Two results field by field: arrays by their bytes, dataclasses recursively."""
+    if is_dataclass(a) and not isinstance(a, type):
+        assert type(a) is type(b), path
+        for f in fields(a):
+            _assert_same_bits(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, (tuple, list)):
+        assert type(a) is type(b) and len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same_bits(x, y, f"{path}[{i}]")
+    elif isinstance(a, (np.ndarray, float)):
+        assert _bits(a) == _bits(b) and np.shape(a) == np.shape(b), path
+    else:
+        assert a == b, path
+
+
+def test_the_in_process_branch_gives_the_forked_bits(toy_params, toy_matrices, monkeypatch):
+    """Where no fork is used, the simulation runs in this process before
+    the pass has its records, and every returned value has the same bits."""
+    cfg, ref, datum = _toy_run(toy_params, toy_matrices, 61, 2)
+    cert = build_certificate(toy_matrices, ref, m=1, phi0=1.0, phiL=None)
+    assert reconstruct._FORK
+    forked = run_pipeline(cfg, toy_matrices, ref, datum, cert=cert)
+    _assert_no_child_left()
+    monkeypatch.setattr(reconstruct, "_FORK", False)
+    _assert_same_bits(forked, run_pipeline(cfg, toy_matrices, ref, datum, cert=cert))
+
+
+def test_a_pass_error_stops_the_simulation(toy_params, toy_matrices, monkeypatch):
+    """An error of the pass on its third block propagates at once: this
+    process closes the pipe, the child fails its next write and ends long
+    before its last record, and no child is left behind.  The run is long
+    enough that the child fills the pipe before the pass fails."""
+    ref = curved_reference(toy_params, 128, np.array([1.0, 0.0, 0.5]), toy_matrices)
+    datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=5, order=1)
+    cfg = SimConfig(n_cells=128, cfl=0.9, t_end=1.5, output_stride=1)
+    n_records = time_step(cfg, toy_matrices, ref)[1] + 1
+    in_pipe = forked.PIPE_BYTES // (len(ref.grid) * 12 * 8)  # records a full pipe holds
+    assert n_records - 3 * reconstruct.TIME_BLOCK > 2 * in_pipe
+
+    rotated = []
+    rotate = reconstruct._Pass._rotate
+
+    def failing(self, lo, hi):
+        rotated.append(lo)
+        if len(rotated) == 3:
+            raise ZeroQuaternion("raised by the test")
+        rotate(self, lo, hi)
+
+    sent = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)  # shared with the child
+    simulate = solver.simulate
+
+    def counting(*args, on_record, **kwargs):
+        def send(record):
+            sent[0] += 1
+            on_record(record)
+
+        return simulate(*args, on_record=send, **kwargs)
+
+    monkeypatch.setattr(reconstruct._Pass, "_rotate", failing)
+    monkeypatch.setattr(solver, "simulate", counting)
+    with pytest.raises(ZeroQuaternion, match="raised by the test"):
+        run_pipeline(cfg, toy_matrices, ref, datum)
+    _assert_no_child_left()
+    assert len(rotated) == 3
+    assert 3 * reconstruct.TIME_BLOCK <= sent[0] < n_records - in_pipe
+
+
+def test_an_error_in_the_child_is_raised_with_its_traceback(toy_params, toy_matrices, monkeypatch):
+    """An exception of the simulation is raised here with its type and
+    message, caused by the child's traceback as text."""
+    parent = os.getpid()
+
+    def failing(*args, **kwargs):
+        assert os.getpid() != parent, "not simulated in a child"
+        raise ArithmeticError("raised in the child")
+
+    monkeypatch.setattr(solver, "simulate", failing)
+    cfg, ref, datum = _toy_run(toy_params, toy_matrices, 9, 1)
+    with pytest.raises(ArithmeticError, match="raised in the child") as info:
+        run_pipeline(cfg, toy_matrices, ref, datum)
+    _assert_no_child_left()
+    assert "in failing" in str(info.value.__cause__)
 
 
 def _bits(value) -> bytes:
