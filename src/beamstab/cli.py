@@ -12,7 +12,8 @@ scenario.  Timings go to stdout only.
 Exit codes: 0 success, 3 certificate failure (an invalid certificate, an
 empty weight window or phiL outside it), 4 blow-up during simulation, and
 2 for every other package error (validation and scenario problems,
-reconstruction and fitting failures).
+reconstruction and fitting failures) and for an output path that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -228,6 +229,11 @@ _COMMANDS = {
 }
 
 
+def _cannot_write(path: Path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -235,16 +241,22 @@ def main(argv=None) -> int:
         for item in args.override:
             scenario = scenarios.apply_override(scenario, item)
         out = Path(args.out or os.environ.get("BEAMSTAB_OUT") or "beamstab-out")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _cannot_write(out, exc)
         code, files = _COMMANDS[args.command](scenario, args)
         echo = "".join(f"# {k} = {v}\n" for k, v in scenarios.header_echo(scenario).items())
         for suffix, text in files.items():
             path = out / f"{scenario.name}-{suffix}.csv"
             # two writes: echo + text would copy the table once more, 0.5 MB of
             # peak memory for certify at N=8192
-            with path.open("w") as fh:
-                fh.write(echo)
-                fh.write(text)
+            try:
+                with path.open("w") as fh:
+                    fh.write(echo)
+                    fh.write(text)
+            except OSError as exc:
+                return _cannot_write(path, exc)
             print(f"wrote {path}")
         return code
     except BeamstabError as exc:

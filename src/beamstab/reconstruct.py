@@ -33,9 +33,16 @@ halo on each side, widened at the lattice's end to the three samples of
 the one-sided stencil, so a block's audits wait for the block after it:
 the pass keeps a window of ``2 TIME_BLOCK + 1`` rows and audits one block
 behind.  The time quadrature of the centerline carries its running sum
-from block to block.  Every row sees
-the arithmetic of a single block, so the results do not depend on the
-block size, and the whole-lattice functions below run the same blocks.
+from block to block.  Every row sees the arithmetic of a single block, so
+the results do not depend on the block size.
+
+Each stage is defined once, as a block function on arrays:
+:func:`_rotations`, :func:`_velocity` with :func:`_time_sums`,
+:func:`_centerline_audit` and :func:`_observable`.  The pass runs them on
+slices of its window; the whole-lattice functions
+(:func:`reconstruct_rotation`, :func:`reconstruct_centerline`,
+:func:`decay_observable`) run them on the blocks of a list of states, and
+are kept for the benchmark's per-layer timings and for the tests.
 What the pass keeps is what ``reconstruct`` writes: the per-time
 residuals and observable, and the pose at ``MAX_POSE_SNAPSHOTS`` times.
 So its memory grows with the grid, not with the records.
@@ -111,7 +118,6 @@ class PoseField:
     q: np.ndarray | None = None       # (T, N+1, 4)
     R: np.ndarray | None = None       # (T, N+1, 3, 3)
     p: np.ndarray | None = None       # (T, N+1, 3)
-    velocity: np.ndarray | None = None  # (T, N+1, 3) R y1, the time derivative of p
     norm_defect: float = 0.0          # max | |q| - 1 |
     residual_rotation: np.ndarray | None = None    # (T,) audited x-equation
     residual_centerline: np.ndarray | None = None  # (T,) mixed-derivative defect
@@ -220,9 +226,9 @@ def _halo(lo: int, hi: int, n_times: int) -> tuple[int, int]:
     return max(0, min(lo - 1, n_times - 3)), min(n_times, hi + 1)
 
 
-def _stack(states: list[StateField], lo: int, hi: int, cols: slice = slice(None)) -> np.ndarray:
-    """Columns ``cols`` of the values of ``states[lo:hi]`` as one (hi - lo, N+1, ...) array."""
-    return np.stack([s.values[:, cols] for s in states[lo:hi]])
+def _stack(states: list[StateField], lo: int, hi: int) -> np.ndarray:
+    """The values of ``states[lo:hi]`` as one (hi - lo, N+1, 12) array."""
+    return np.stack([s.values for s in states[lo:hi]])
 
 
 def _exp_step(q: np.ndarray, omega: np.ndarray, h: float) -> np.ndarray:
@@ -257,12 +263,22 @@ def _sweep_t(q: np.ndarray, before: np.ndarray, after: np.ndarray, dt: float) ->
     return stepped / np.linalg.norm(stepped, axis=-1, keepdims=True)
 
 
+def _rotations(q: np.ndarray, y: np.ndarray, reference: PrecurvedReference):
+    """Rotations of a block of quaternions (T, N+1, 4), with the audit of the x-equation.
+
+    ``y`` holds the block's (T, N+1, 12) physical values.  Returns R
+    (T, N+1, 3, 3) and, per row, max | |q| - 1 | and the residual of the
+    unenforced dx q = U(y4 + curvature) q, differenced on the block.
+    """
+    norm_defect = np.abs(np.linalg.norm(q, axis=-1) - 1.0).max(axis=1)
+    dq_dx = diff1(q, reference.dx, axis=1)
+    predicted = np.einsum("tnij,tnj->tni", umap(reference.curvature + y[..., 9:12]), q)
+    residual = np.linalg.norm(dq_dx - predicted, axis=-1).max(axis=1)
+    return rotation_from_quaternion(q), norm_defect, residual
+
+
 def reconstruct_rotation(
-    states: list[StateField],
-    reference: PrecurvedReference,
-    r_in: np.ndarray,
-    *,
-    q: np.ndarray | None = None,
+    states: list[StateField], reference: PrecurvedReference, r_in: np.ndarray
 ) -> PoseField:
     """Rotation history from intrinsic states, seeded at the clamped end at t = 0.
 
@@ -273,38 +289,26 @@ def reconstruct_rotation(
     U(y2).  The unenforced x-equation is differenced on the computed field
     and reported per time sample in ``residual_rotation``.  ``r_in`` is
     the rotation matrix R(L, 0); the t-sweeps renormalize every step too.
-
-    ``q``, when given, is the quaternion field on ``states`` already swept,
-    as the streamed pass of :func:`run_pipeline` sweeps each record when it
-    arrives; only the rotations and the audit are then computed, and
-    ``r_in`` is not read.
     """
     times = np.array([s.time for s in states])
     n_times = len(times)
-    if q is None:
-        if n_times < 3 or np.abs(np.diff(times) - (times[1] - times[0])).max() > 1e-10 * max(
-            times[-1], 1.0
-        ):
-            raise ValueError("states must be sampled on a uniform time lattice (>= 3 samples)")
-        dt = times[1] - times[0]
-        q = np.empty((n_times, len(reference.grid), 4))
-        q[0] = _sweep_x(states[0].values, reference, r_in)
-        for k in range(n_times - 1):
-            q[k + 1] = _sweep_t(q[k], states[k].values, states[k + 1].values, dt)
+    if n_times < 3 or np.abs(np.diff(times) - (times[1] - times[0])).max() > 1e-10 * max(
+        times[-1], 1.0
+    ):
+        raise ValueError("states must be sampled on a uniform time lattice (>= 3 samples)")
+    dt = times[1] - times[0]
+    q = np.empty((n_times, len(reference.grid), 4))
+    q[0] = _sweep_x(states[0].values, reference, r_in)
+    for k in range(n_times - 1):
+        q[k + 1] = _sweep_t(q[k], states[k].values, states[k + 1].values, dt)
 
-    # rotations, and the audit of the x-equation, block by block
     rot = np.empty(q.shape[:-1] + (3, 3))
     residual = np.empty(n_times)
     norm_defect = np.empty(n_times)
     for lo, hi in _blocks(n_times):
-        qb = q[lo:hi]
-        norm_defect[lo:hi] = np.abs(np.linalg.norm(qb, axis=-1) - 1.0).max(axis=1)
-        rot[lo:hi] = rotation_from_quaternion(qb)
-        dq_dx = diff1(qb, reference.dx, axis=1)
-        gen = reference.curvature + _stack(states, lo, hi, slice(9, 12))
-        predicted = np.einsum("tnij,tnj->tni", umap(gen), qb)
-        residual[lo:hi] = np.linalg.norm(dq_dx - predicted, axis=-1).max(axis=1)
-
+        rot[lo:hi], norm_defect[lo:hi], residual[lo:hi] = _rotations(
+            q[lo:hi], _stack(states, lo, hi), reference
+        )
     return PoseField(
         grid=reference.grid,
         times=times,
@@ -327,9 +331,9 @@ def _from_clamp(rot: np.ndarray, y: np.ndarray, h_p: np.ndarray, dx: float):
     return tangent, h_p - tail
 
 
-def _velocity(rot: np.ndarray, states: list[StateField]) -> np.ndarray:
+def _velocity(rot: np.ndarray, y: np.ndarray) -> np.ndarray:
     """R y1, the centerline's time derivative, on a block of time samples."""
-    return np.einsum("tnij,tnj->tni", rot, _stack(states, 0, len(states), slice(0, 3)))
+    return np.einsum("tnij,tnj->tni", rot, y[..., 0:3])
 
 
 def _time_sums(vel: np.ndarray, carry, dt: float):
@@ -351,71 +355,67 @@ def _time_sums(vel: np.ndarray, carry, dt: float):
     return sums, (vel[-1], sums[-1])
 
 
+def _centerline_audit(
+    R: np.ndarray, p: np.ndarray, vel: np.ndarray, y: np.ndarray, own: slice,
+    h_p: np.ndarray, dt: float, dx: float,
+):
+    """Centerline audits of the rows ``own`` of a halo window (see :func:`_halo`).
+
+    ``R``, ``p``, ``vel`` (R y1) and ``y`` (physical values) are the
+    window's rows.  Returns, per row of ``own``, the mixed-derivative
+    residual dx(R y1) - dt(R (y3 + e1)), and the sup gap between p and the
+    space-quadrature route from the clamped position ``h_p``.
+    """
+    tangent, p2 = _from_clamp(R, y, h_p, dx)
+    gap = np.abs(p[own] - p2[own]).max(axis=(1, 2))
+    mixed = diff1(vel[own], dx, axis=1) - diff1(tangent, dt, axis=0)[own]
+    return np.abs(mixed).max(axis=(1, 2)), float(gap.max())
+
+
 def reconstruct_centerline(
-    states: list[StateField],
-    pose: PoseField,
-    p0: np.ndarray,
-    h_p: np.ndarray,
-    *,
-    own: slice | None = None,
+    states: list[StateField], pose: PoseField, p0: np.ndarray, h_p: np.ndarray
 ) -> PoseField:
     """Centerline by time quadrature of R y1 from the initial shape p0.
 
     The clamped position ``h_p`` anchors the independent space-quadrature
     route p2(x, t) = h_p - int_x^L R (y3 + e1); the sup gap between the two
     routes and the mixed-derivative compatibility residual
-    dx(R y1) - dt(R (y3 + e1)) are stored alongside.
-
-    The audits run one block at a time on its halo window (see
-    :func:`_halo`).  With ``own``, ``states`` and ``pose`` are such a
-    window, with its centerline ``pose.p`` already integrated from
-    ``pose.velocity``, and only the audits of its rows ``own`` are
-    computed: the whole lattice here and the streamed pass of
-    :func:`run_pipeline` audit every block through this call.  A window's
-    pose is given the lattice's first sample times, so its step is the
-    lattice's own ``times[1] - times[0]`` to the bit (the first difference
-    inside a window can differ from it in the last place).  The
-    whole-lattice pose returned carries R y1 in ``velocity``.
+    dx(R y1) - dt(R (y3 + e1)) are stored alongside.  The audits run one
+    block at a time on its halo window.
     """
     p0 = np.asarray(p0, dtype=float)
     h_p = np.asarray(h_p, dtype=float)
     if np.abs(p0[-1] - h_p).max() > 1e-10:
         raise EndpointMismatch(f"p0(L) differs from clamp by {np.abs(p0[-1] - h_p).max():.3g}")
 
+    n_times = len(pose.times)
     dt = pose.times[1] - pose.times[0]
     dx = pose.grid[1] - pose.grid[0]
-    if own is not None:
-        tangent, p2 = _from_clamp(pose.R, _stack(states, 0, len(states)), h_p, dx)
-        gap = np.abs(pose.p[own] - p2[own]).max(axis=(1, 2))
-        mixed = diff1(pose.velocity[own], dx, axis=1) - diff1(tangent, dt, axis=0)[own]
-        return replace(
-            pose, residual_centerline=np.abs(mixed).max(axis=(1, 2)), route_gap=float(gap.max())
-        )
-
     # p = p0 + cumulative_trapezoid(R y1, dt), summed block by block
-    n_times = len(pose.times)
     p = np.empty(pose.R.shape[:-1])
     vel = np.empty_like(p)
     carry = None
     for lo, hi in _blocks(n_times):
-        vel[lo:hi] = _velocity(pose.R[lo:hi], states[lo:hi])
+        vel[lo:hi] = _velocity(pose.R[lo:hi], _stack(states, lo, hi))
         p[lo:hi], carry = _time_sums(vel[lo:hi], carry, dt)
     p += p0
-    pose = replace(pose, p=p, velocity=vel)
 
     gaps = []
     residual = np.empty(n_times)
     for lo, hi in _blocks(n_times):
         wlo, whi = _halo(lo, hi, n_times)
-        window = replace(
-            pose, times=pose.times[: whi - wlo], R=pose.R[wlo:whi], p=pose.p[wlo:whi],
-            velocity=pose.velocity[wlo:whi],
+        residual[lo:hi], gap = _centerline_audit(
+            pose.R[wlo:whi], p[wlo:whi], vel[wlo:whi], _stack(states, wlo, whi),
+            slice(lo - wlo, hi - wlo), h_p, dt, dx,
         )
-        own = slice(lo - wlo, hi - wlo)
-        audit = reconstruct_centerline(states[wlo:whi], window, p0, h_p, own=own)
-        residual[lo:hi] = audit.residual_centerline
-        gaps.append(audit.route_gap)
-    return replace(pose, residual_centerline=residual, route_gap=float(np.max(gaps)))
+        gaps.append(gap)
+    return replace(pose, p=p, residual_centerline=residual, route_gap=float(np.max(gaps)))
+
+
+def _observable(y: np.ndarray) -> np.ndarray:
+    """Per row, the sup over x of the four block norms of the (T, N+1, 12) values ``y``."""
+    norms = np.linalg.norm(y.reshape(y.shape[:2] + (4, 3)), axis=-1)
+    return norms.sum(axis=-1).max(axis=1)
 
 
 def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndarray, np.ndarray]:
@@ -429,9 +429,7 @@ def decay_observable(pose: PoseField, states: list[StateField]) -> tuple[np.ndar
     """
     values = np.empty(len(pose.times))
     for lo, hi in _blocks(len(pose.times)):
-        y = _stack(states, lo, hi)
-        norms = np.linalg.norm(y.reshape(y.shape[:2] + (4, 3)), axis=-1)
-        values[lo:hi] = norms.sum(axis=-1).max(axis=1)
+        values[lo:hi] = _observable(_stack(states, lo, hi))
     return pose.times.copy(), values
 
 
@@ -447,12 +445,13 @@ class _Pass:
     lattice's end the last block too.  Per time sample the pass keeps only
     the scalars, and the pose only on the snapshot rows.
 
-    The rows still read (the states, q, R, p and R y1) live in a window of
-    ``2 TIME_BLOCK + 1`` rows, one allocation made once per pass: the block
-    waiting for its audit, the row before it and the block being filled.
-    Once a block is audited, the rows from one before the next block on
-    move to the window's front.  A block and its halo are contiguous
-    slices of it, as they were of the whole-lattice arrays.
+    The rows still read (the physical values y, q, R, p and R y1) live in a
+    window of ``2 TIME_BLOCK + 1`` rows, one allocation made once per pass:
+    the block waiting for its audit, the row before it and the block being
+    filled.  Once a block is audited, the rows from one before the next
+    block on move to the window's front.  A block and its halo are
+    contiguous slices of it, on which the pass runs the same block
+    functions as the whole-lattice stages.
     (glibc malloc raises its mmap threshold to the largest chunk freed, so
     after one pass the blocks' temporaries stay in its heap.  With fresh
     arrays for every block they went back to the system between blocks,
@@ -487,12 +486,6 @@ class _Pass:
     def dt(self) -> float:
         return self.times[1] - self.times[0]
 
-    def _states(self, lo: int, hi: int) -> list[StateField]:
-        return [
-            StateField(self.reference.grid, "physical", self.y[k - self.first], self.times[k])
-            for k in range(lo, hi)
-        ]
-
     def push(self, record: StateField) -> None:
         """Take the physical state of the run's next record."""
         k = self.received
@@ -522,20 +515,20 @@ class _Pass:
 
     def _rotate(self, lo: int, hi: int) -> None:
         rows = slice(lo - self.first, hi - self.first)
-        states = self._states(lo, hi)
-        pose = reconstruct_rotation(
-            states, self.reference, self.reference.rotation[-1], q=self.q[rows]
+        y = self.y[rows]
+        rot, norm_defect, self.residual_rotation[lo:hi] = _rotations(
+            self.q[rows], y, self.reference
         )
-        self.R[rows] = pose.R
-        self.norm_defects.append(pose.norm_defect)
-        self.residual_rotation[lo:hi] = pose.residual_rotation
+        self.R[rows] = rot
+        self.norm_defects.append(float(norm_defect.max()))
         if lo == 0:
-            _, self.p0 = _from_clamp(pose.R[0], states[0].values, self.h_p, self.reference.dx)
-        vel = _velocity(pose.R, states)
+            _, self.p0 = _from_clamp(rot[0], y[0], self.h_p, self.reference.dx)
+        # a fresh array: the carry must not alias a window row, and the rows move
+        vel = _velocity(rot, y)
         self.velocity[rows] = vel
         sums, self.carry = _time_sums(vel, self.carry, self.dt)
         np.add(sums, self.p0, out=self.p[rows])
-        self.observable[lo:hi] = decay_observable(pose, states)[1]
+        self.observable[lo:hi] = _observable(y)
         for k in self.indices:
             if lo <= k < hi:
                 self.snapshot_q.append(self.q[k - self.first].copy())
@@ -544,17 +537,20 @@ class _Pass:
     def _audit(self, lo: int, hi: int) -> None:
         wlo, whi = _halo(lo, hi, self.n_times)
         rows = slice(wlo - self.first, whi - self.first)
-        states = self._states(wlo, whi)
-        window = PoseField(
-            self.reference.grid, self.times[: whi - wlo], R=self.R[rows], p=self.p[rows],
-            velocity=self.velocity[rows],
-        )
         own = slice(lo - wlo, hi - wlo)
-        audit = reconstruct_centerline(states, window, self.p0, self.h_p, own=own)
-        self.residual_centerline[lo:hi] = audit.residual_centerline
-        self.gaps.append(audit.route_gap)
+        y = self.y[rows]
+        self.residual_centerline[lo:hi], gap = _centerline_audit(
+            self.R[rows], self.p[rows], self.velocity[rows], y, own, self.h_p, self.dt,
+            self.reference.dx,
+        )
+        self.gaps.append(gap)
+        # the window is given the lattice's first times, so its step is the
+        # lattice's own to the bit (a difference inside it can differ in the last place)
+        window = PoseField(
+            self.reference.grid, self.times[: whi - wlo], R=self.R[rows], p=self.p[rows]
+        )
         back = model.strains_velocities_from_pose(window, self.reference)[own]
-        self.errors.append(float(np.abs(back - _stack(states, own.start, own.stop)).max()))
+        self.errors.append(float(np.abs(back - y[own]).max()))
 
     def result(self) -> Reconstruction:
         return Reconstruction(

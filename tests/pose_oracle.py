@@ -148,7 +148,7 @@ def reconstruct_rotation(
         norm_defect[lo:hi] = np.abs(np.linalg.norm(qb, axis=-1) - 1.0).max(axis=1)
         rot[lo:hi] = rotation_from_quaternion(qb)
         dq_dx = diff1(qb, dx, axis=1)
-        gen = reference.curvature + _stack(states, lo, hi, slice(9, 12))
+        gen = reference.curvature + _stack(states, lo, hi)[..., 9:12]
         predicted = np.einsum("tnij,tnj->tni", umap(gen), qb)
         residual[lo:hi] = np.linalg.norm(dq_dx - predicted, axis=-1).max(axis=1)
 
@@ -190,7 +190,7 @@ def reconstruct_centerline(
     vel = np.empty(pose.R.shape[:-1])  # R y1
     p = np.zeros_like(vel)
     for lo, hi in _blocks(n_times):
-        vel[lo:hi] = np.einsum("tnij,tnj->tni", pose.R[lo:hi], _stack(states, lo, hi, slice(0, 3)))
+        vel[lo:hi] = np.einsum("tnij,tnj->tni", pose.R[lo:hi], _stack(states, lo, hi)[..., 0:3])
         k = max(lo, 1)
         p[k:hi] = 0.5 * dt * (vel[k:hi] + vel[k - 1 : hi - 1])
         np.cumsum(p[max(lo - 1, 1) : hi], axis=0, out=p[max(lo - 1, 1) : hi])

@@ -396,16 +396,16 @@ class TestReconstructCommand:
         assert 3 <= len(records) and 33 * len(records) <= budget
 
     def test_pipeline_calls_are_traced(self, tmp_path):
-        """The pose calls are traced on ``reconstruct``.  Its simulation runs
-        in a forked child, whose spans stay there, so the simulation's calls
-        are traced on ``simulate``, which runs the same loop in-process."""
+        """The pose pass's model calls are traced on ``reconstruct`` (its
+        stages are block functions the traced names do not wrap).  Its
+        simulation runs in a forked child, whose spans stay there, so the
+        simulation's calls are traced on ``simulate``, which runs the same
+        loop in-process."""
         tracing = _perfbench("tracing")
         small = ["--scenario", "helical", "--out", str(tmp_path),
                  "--override", "sim.n_cells=32", "--override", "sim.t_end=0.5"]
         for command, names in (
-            ("reconstruct", ("model.reference_centerline", "reconstruct.reconstruct_rotation",
-                             "reconstruct.reconstruct_centerline",
-                             "model.strains_velocities_from_pose")),
+            ("reconstruct", ("model.reference_centerline", "model.strains_velocities_from_pose")),
             ("simulate", ("solver.simulate", "model.to_physical")),
         ):
             trace = tracing.Trace()
@@ -891,6 +891,35 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     rc = main(["dump-matrices", "--scenario", "straight-toy"])
     assert rc == EXIT_OK
     assert (tmp_path / "envdir" / "straight-toy-matrices.csv").exists()
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("--out names a file", "File exists"),
+    ("$BEAMSTAB_OUT names a file", "File exists"),
+    ("--out under a file", "Not a directory"),
+    ("the CSV path is a directory", "Is a directory"),
+])
+def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, case, reason):
+    """An output path that cannot be written exits 2 naming it, not in a traceback."""
+    (tmp_path / "file").write_text("")
+    argv = ["dump-matrices", "--scenario", "straight-toy"]
+    if case == "--out names a file":
+        target = tmp_path / "file"
+        argv += ["--out", str(target)]
+    elif case == "$BEAMSTAB_OUT names a file":
+        target = tmp_path / "file"
+        monkeypatch.setenv("BEAMSTAB_OUT", str(target))
+    elif case == "--out under a file":
+        target = tmp_path / "file" / "out"
+        argv += ["--out", str(target)]
+    else:
+        target = tmp_path / "straight-toy-matrices.csv"
+        target.mkdir()
+        argv += ["--out", str(tmp_path)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert f"error: cannot write {target}: {reason}" in err and "Traceback" not in err
 
 
 def test_traced_attributes_resolve():

@@ -308,16 +308,22 @@ def test_pipeline_keeps_one_copy_of_the_history(toy_params, toy_matrices):
 def test_velocity_computed_once_per_row(toy_params, toy_matrices, monkeypatch):
     """R y1 is formed once per lattice row: the audits read the rows the
     time quadrature formed."""
-    rows = []
+    blocks = []
     original = reconstruct._velocity
 
-    def counting(rot, states):
-        rows.extend(s.time for s in states)
-        return original(rot, states)
+    def counting(rot, y):
+        blocks.append(y.copy())
+        return original(rot, y)
 
     monkeypatch.setattr(reconstruct, "_velocity", counting)
-    _, pose = simulate_and_reconstruct(toy_params, toy_matrices, 16, t_end=1.0)
-    assert rows == pose.times.tolist()
+    ref = curved_reference(toy_params, 16, np.zeros(3))
+    datum = generate_initial_datum(toy_matrices, ref, 1e-2, seed=5, order=1)
+    cfg = SimConfig(n_cells=16, cfl=0.9, t_end=1.0, output_stride=1)
+    _, pose = run_pipeline(cfg, toy_matrices, ref, datum)
+    _, states, _ = pose_oracle.run_pipeline(cfg, toy_matrices, ref, datum)
+    # the blocks' rows, in the order formed, are the lattice's rows, each once
+    assert sum(len(y) for y in blocks) == len(pose.times) == len(states)
+    assert np.array_equal(np.concatenate(blocks), np.stack([s.values for s in states]))
 
 
 def test_each_simulated_state_is_evaluated_once(toy_params, toy_matrices, monkeypatch):
@@ -685,10 +691,15 @@ def test_lattice_stages_allocate_less_than_the_history(toy_params, toy_matrices)
         lambda: reconstruct_rotation(states, ref, ref.rotation[-1]),
         lambda p: p.times.nbytes + p.q.nbytes + p.R.nbytes + p.residual_rotation.nbytes,
     )
+    line = reference_centerline(ref)
+    centerline = _allocated(
+        lambda: reconstruct_centerline(states, pose, line, line[-1]),
+        lambda p: p.p.nbytes + p.residual_centerline.nbytes,
+    )
     observable = _allocated(
         lambda: decay_observable(pose, states), lambda out: out[0].nbytes + out[1].nbytes
     )
-    assert max(rotation, observable) < history, (rotation, observable)
+    assert max(rotation, centerline, observable) < history, (rotation, centerline, observable)
 
     def returned(out):
         traj, rec = out
