@@ -71,9 +71,10 @@ __all__ = [
 ]
 
 # Largest accepted sim.n_cells.  At this size the certificate's per-node
-# 6x6 halves are one (N+1, 2, 6, 6) array of 38 MB; under tracemalloc,
-# certify on the helical preset peaks at 59 MB in the eigensolves of the
-# halves, and at 29 MB while it formats its report a block of rows at a time.
+# 6x6 halves are one (N+1, 2, 6, 6) array of 38 MB; under tracemalloc
+# (started after import), certify on the helical preset peaks at 57 MB in
+# the verification's eigensolve of every node's halves, and at 29 MB while
+# it formats its report a block of rows at a time.
 MAX_CELLS = 2**16
 
 

@@ -76,10 +76,13 @@ def asym_matrices(asym_params):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(args, timeout=300) -> subprocess.CompletedProcess:
-    """Run ``python <args>`` in a fresh interpreter that imports beamstab from src/."""
+def run_python(args, timeout=300, **environ) -> subprocess.CompletedProcess:
+    """Run ``python <args>`` in a fresh interpreter that imports beamstab from src/.
+
+    Keyword arguments are set in the interpreter's environment.
+    """
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, **environ)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamstab.certificate import (
     MARGIN_RTOL,
+    _largest_decay_eigenvalue,
     _largest_eigenvalues,
     build_certificate,
     build_phi,
@@ -18,7 +21,7 @@ from beamstab.certificate import (
 from beamstab.errors import CkappaDegenerate, ValidationError, WindowViolation
 from beamstab.model import StateField, _strain_matrix, curved_reference
 from beamstab.params import derive_matrices
-from beamstab.scenarios import PRESETS, build_reference
+from beamstab.scenarios import PRESETS, apply_override, build_reference
 from beamstab.solver import generate_initial_datum, lyapunov_value, sobolev_norms
 from conftest import curved_cases
 
@@ -549,6 +552,83 @@ def test_two_halves_match_the_12x12_fields(asym_params):
             assert _close_to_column_max(largest, np.linalg.eigvalsh(field)[:, -1])
             assert _close_to_column_max(scale, np.abs(field).sum(axis=2).max(axis=1))
         assert cert.valid == _oracle_valid(cert, m, ref) == (phiL is None)
+
+
+def _full_decay_eigenvalue(cert, matrices):
+    """Oracle for C_S: every node's halves eigensolved, then the maximum."""
+    return _largest_eigenvalues(cert, matrices, -1.0, 2.0)[0].max()
+
+
+def _assert_decay_eigenvalue_is_the_full_solve(cert, matrices, reference):
+    expected = _full_decay_eigenvalue(cert, matrices)
+    got = _largest_decay_eigenvalue(cert, matrices)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (got, expected)
+    c_q = float(cert.q_diag.max() / cert.q_diag.min())
+    alpha = max(0.0, 0.5 * c_q * (-float(expected) / cert.phi0))
+    assert decay_rate_estimate(cert, matrices, reference, delta=0.0) == alpha
+
+
+def test_decay_eigenvalue_is_the_full_solve_bit_for_bit(asym_params):
+    # only the nodes whose Gershgorin bound can reach the maximum are
+    # eigensolved; the oracle solves every node
+    cases = [(m, ref, 1) for m, ref in curved_cases(asym_params, seed=12)]
+    fine = apply_override(PRESETS["helical"], "sim.n_cells=8192")
+    for scenario in (*PRESETS.values(), fine):
+        m = derive_matrices(scenario.params)
+        ref = build_reference(scenario, m)
+        cases += [(m, ref, 1), (m, ref, 2)]
+    for m, ref, order in cases:
+        _assert_decay_eigenvalue_is_the_full_solve(
+            build_certificate(m, ref, m=order, phi0=1.0, phiL=None), m, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    curvature=st.tuples(*[st.floats(min_value=-3.0, max_value=3.0)] * 3),
+    share=st.floats(min_value=0.0, max_value=1.0),
+    n_cells=st.integers(min_value=16, max_value=300),
+)
+def test_decay_eigenvalue_search(asym_params, curvature, share, n_cells):
+    m = derive_matrices(asym_params)
+    ref = curved_reference(asym_params, n_cells, np.array(curvature), m)
+    lo, hi = phi_window(m.reflection_bound, 1.0)
+    phiL = lo + share * (min(hi, 3.0) - lo)
+    _assert_decay_eigenvalue_is_the_full_solve(
+        build_certificate(m, ref, m=1, phi0=1.0, phiL=phiL), m, ref)
+
+
+def test_decay_eigenvalue_off_the_largest_diagonal_entry(toy_params):
+    # constant phi' puts the largest diagonal entry on every node, so the
+    # first is argmax; a gap that peaks mid-grid puts the maximum there
+    m = derive_matrices(toy_params)
+    ref = curved_reference(toy_params, 64, np.array([0.5, -0.2, 0.3]), m)
+    x = ref.grid / ref.grid[-1]
+    cert = replace(build_certificate(m, ref, m=1, phi0=1.0, phiL=None),
+                   dphi=np.full_like(x, 0.7), gap=0.4 * np.exp(-((x - 0.5) / 0.1) ** 2))
+    largest = _largest_eigenvalues(cert, m, -1.0, 2.0)[0]
+    diag = -cert.dphi[:, None] * (m.mass * m.speed)
+    assert largest[np.argmax(diag.max(axis=1))] < largest.max()
+    assert np.argmax(largest) == len(x) // 2
+    _assert_decay_eigenvalue_is_the_full_solve(cert, m, ref)
+
+
+def _outcome(call):
+    try:
+        return np.float64(call()).tobytes()
+    except Exception as exc:  # the two paths must raise the same exception
+        return type(exc), str(exc)
+
+
+def test_decay_eigenvalue_with_a_nan_gap(toy_params):
+    m = derive_matrices(toy_params)
+    ref = curved_reference(toy_params, 32, np.array([0.5, -0.2, 0.3]), m)
+    cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
+    for node in (0, 7, len(ref.grid) - 1):
+        gap = cert.gap.copy()
+        gap[node] = np.nan
+        bad = replace(cert, gap=gap)
+        assert _outcome(lambda: _largest_decay_eigenvalue(bad, m)) == _outcome(
+            lambda: _full_decay_eigenvalue(bad, m))
 
 
 def test_certificate_csv_contains_summary(toy_params):

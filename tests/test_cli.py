@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import shlex
 import sys
 from dataclasses import replace
@@ -920,6 +921,48 @@ def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, case, rea
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION
     assert f"error: cannot write {target}: {reason}" in err and "Traceback" not in err
+
+
+# The three columns that a change of OpenBLAS kernel moves beyond roundoff,
+# with the largest move under OPENBLAS_CORETYPE=Prescott as a share of the
+# column's max.  On an AVX-512 host, over eleven kernels forced in the first
+# run (SkylakeX, Cooperlake, SapphireRapids, Haswell, Zen, Sandybridge,
+# Nehalem, Core2, Barcelona, Bulldozer, Excavator), they moved by at most
+# 3.94e-12, 3.78e-12 and 8.73e-13, and no other column by more than 5e-15.
+KERNEL_MOVES = {"residual_centerline": 4e-12, "residual_rotation": 4e-12, "q2": 9e-13}
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="Prescott is an x86-64 OpenBLAS kernel")
+@pytest.mark.parametrize("argv, moves", [
+    (["reconstruct", "--scenario", "helical", "--override", "sim.n_cells=32",
+      "--override", "sim.t_end=2.0"], KERNEL_MOVES),
+    (["certify", "--scenario", "helical"], {}),
+])
+def test_outputs_on_another_blas_kernel(tmp_path, argv, moves):
+    # every column keeps 1e-13 of its max under the oldest x86-64 kernel,
+    # except the named ones, which keep their measured bounds
+    outputs = _perfbench("outputs")
+    runs = []
+    for name, environ in (("as-is", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        proc = run_python(["-m", "beamstab.cli", *argv, "--out", str(tmp_path / name)],
+                          **environ)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        runs.append(outputs.columns(outputs.read_tree(tmp_path / name)))
+    got, want = runs
+    assert got.keys() == want.keys()
+    for key, expected in want.items():
+        value = got[key]
+        if expected.dtype.kind != "f":
+            assert np.array_equal(value, expected), key
+            continue
+        assert np.array_equal(np.isnan(value), np.isnan(expected)), key
+        finite = ~np.isnan(expected)
+        if not finite.any():
+            continue
+        bound = moves.get(key.rsplit("|", 1)[1], 1e-13)
+        error = np.abs(value[finite] - expected[finite]).max()
+        assert error <= bound * np.abs(expected[finite]).max(), (key, error)
 
 
 def test_traced_attributes_resolve():
