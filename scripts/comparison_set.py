@@ -15,7 +15,7 @@ from pathlib import Path
 
 from beamstab.cli import main as beamstab
 
-EXPECTED_CSVS = 98
+EXPECTED_CSVS = 99
 
 COMMANDS = {
     "certify-straight-toy": ["certify", "--scenario", "straight-toy"],
@@ -23,6 +23,9 @@ COMMANDS = {
     "certify-helical": ["certify", "--scenario", "helical"],
     "certify-helical-fine": ["certify", "--scenario", "helical",
                              "--override", "sim.n_cells=8192"],
+    # the largest accepted grid: 128 full blocks of nodes and a ragged last one
+    "certify-helical-cap": ["certify", "--scenario", "helical",
+                            "--override", "sim.n_cells=65536"],
     "dump-matrices-straight-toy": ["dump-matrices", "--scenario", "straight-toy"],
     "dump-matrices-straight-steel": ["dump-matrices", "--scenario", "straight-steel"],
     "dump-matrices-helical": ["dump-matrices", "--scenario", "helical"],

@@ -27,10 +27,14 @@ union of the spectra of two 6x6 halves, and those are eigensolved: at
 every node for the margins, and for the decay-rate field
 -phi' Lambda + 2 gap Theta, whose largest eigenvalue over the grid is the
 only number kept, only at the nodes whose Gershgorin bound reaches the
-field's largest diagonal entry.  No other node can hold the maximum, and
-LAPACK solves each matrix on its own, so the estimate keeps the bits of
-the full solve.  The analytic phi' and gap enter directly: subtracting
-near-equal weights would lose the thin margin of stiff beams.  Two
+field's largest diagonal entry.  No other node can hold the maximum.  The
+halves are formed and solved ``table.ROW_BLOCK`` nodes at a time, the
+row sums and bounds one (N+1,) column at a time, and the report is drawn
+as chunks of as many rows, so a certificate's working memory is one block
+beside its own (N+1,) fields.  LAPACK solves each matrix on its own, so
+neither the blocks nor the choice of nodes changes a bit.  The analytic
+phi' and gap enter directly: subtracting near-equal weights would lose
+the thin margin of stiff beams.  Two
 sufficient per-node margins are reported alongside: a diagonal-dominance
 slack built from q_1, the largest weighted absolute row sum of Theta, and
 a Weyl-bound slack built from its largest eigenvalue via q_2.  Either
@@ -48,7 +52,7 @@ import numpy as np
 from .errors import CkappaDegenerate, ValidationError, WindowViolation
 from .model import PrecurvedReference, _strain_matrix
 from .params import BeamMatrices, BeamParams
-from .table import csv_table
+from .table import ROW_BLOCK, csv_chunks, csv_table
 
 __all__ = [
     "LyapunovCertificate",
@@ -59,6 +63,7 @@ __all__ = [
     "build_certificate",
     "verify_certificate",
     "decay_rate_estimate",
+    "certificate_csv_chunks",
     "certificate_to_csv",
 ]
 
@@ -188,8 +193,14 @@ def build_certificate(
     """
     if m not in (1, 2):
         raise ValidationError([f"m must be 1 or 2, got {m!r}"])
-    if not 0.0 < phi0 < np.inf:
-        raise ValidationError([f"phi0 must be finite and > 0, got {phi0!r}"])
+    # a subnormal phi0 would scale every weight, margin and eigenvalue into
+    # subnormal arithmetic, where they lose digits
+    tiny = float(np.finfo(float).tiny)
+    if not tiny <= phi0 < np.inf:
+        raise ValidationError([
+            f"certificate.phi0 must be finite and at least the smallest normal double "
+            f"{tiny!r}, got {phi0!r}"
+        ])
     lo, hi = phi_window(matrices.reflection_bound, phi0)
     if phiL is None:
         midpoint = 0.5 * (lo + hi) if np.isfinite(hi) else np.inf
@@ -213,10 +224,9 @@ def build_certificate(
     with np.errstate(over="ignore"):  # an overflowing weight fails the boundary margins
         w_plus = w_minus[-1] + gap
     half_mass = 0.5 * matrices.mass
-    q_diag = np.concatenate(
-        [w_minus[:, None] * half_mass[None, :], w_plus[:, None] * half_mass[None, :]],
-        axis=1,
-    )
+    q_diag = np.empty((len(grid), 12))
+    np.multiply(w_minus[:, None], half_mass, out=q_diag[:, :6])
+    np.multiply(w_plus[:, None], half_mass, out=q_diag[:, 6:])
     cert = LyapunovCertificate(
         m=m,
         c=c,
@@ -237,31 +247,52 @@ def build_certificate(
     return verify_certificate(cert, matrices, reference)
 
 
-def _diagonal_and_block(cert, matrices, a: float):
-    """Diagonal a phi' W (N+1, 6) of the field a phi' Lambda + b gap Theta, and its block -X.
+def _largest_of_halves(cert, matrices, a: float, b: float, nodes=slice(None)):
+    """Largest eigenvalue of a phi' Lambda + b gap Theta at each of ``nodes``, ``ROW_BLOCK`` at a time.
 
     The field is [[a phi' W, -b gap X], [-b gap X, a phi' W]], so its
-    eigenvalues are those of the two 6x6 halves a phi' W -+ b gap X.
+    eigenvalues are those of the two 6x6 halves a phi' W -+ b gap X.  Each
+    block's halves are formed and solved on their own; numpy's ``eigvalsh``
+    calls LAPACK once per matrix, so the blocks keep the bits of one batch.
     """
-    diag = a * cert.dphi[:, None] * (matrices.mass * matrices.speed)
-    return diag, theta_matrix(matrices, cert.curvature)[6:, :6]
-
-
-def _largest_of_halves(diag, block, b: float, gap):
-    """Per-node largest eigenvalue of the two halves diag -+ b gap X, solved in one batch."""
-    halves = (b * gap)[:, None, None, None] * np.stack([block, -block])
+    dphi, gap = cert.dphi[nodes], cert.gap[nodes]
+    block = theta_matrix(matrices, cert.curvature)[6:, :6]
+    signed = np.stack([block, -block])
+    weights = matrices.mass * matrices.speed
     idx = np.arange(6)
-    halves[:, :, idx, idx] += diag[:, None, :]
-    return np.linalg.eigvalsh(halves)[..., -1].max(axis=1)
+    out = np.empty(len(dphi))
+    for lo in range(0, len(dphi), ROW_BLOCK):
+        hi = lo + ROW_BLOCK
+        halves = (b * gap[lo:hi])[:, None, None, None] * signed
+        halves[:, :, idx, idx] += (a * dphi[lo:hi, None] * weights)[:, None, :]
+        out[lo:hi] = np.linalg.eigvalsh(halves)[..., -1].max(axis=1)
+    return out
 
 
-def _off_diagonal_sums(block, b: float, gap):
-    """Per-node absolute off-diagonal row sums |b gap| sum_j |X_ij| of the field, (N+1, 6).
+def _columns(cert, matrices, a: float, b: float):
+    """The field's diagonal a phi' W_i and absolute off-diagonal row sums, one column i at a time.
 
-    Theta has a zero diagonal, so row i of the field sums to
-    |a phi' W_i| + |b gap| sum_j |X_ij|.
+    Yields six pairs of (N+1,) arrays.  Theta has a zero diagonal, so row i
+    of the field sums to |a phi' W_i| + |b gap| sum_j |X_ij|.
     """
-    return np.abs(b * gap)[:, None] * np.abs(block).sum(axis=1)
+    sums = np.abs(theta_matrix(matrices, cert.curvature)[6:, :6]).sum(axis=1)
+    scaled = a * cert.dphi
+    spread = np.abs(b * cert.gap)
+    for weight, total in zip(matrices.mass * matrices.speed, sums):
+        yield scaled * weight, spread * total
+
+
+def _row_scale(cert, matrices, a: float, b: float):
+    """Per-node largest absolute row sum of a phi' Lambda + b gap Theta, (N+1,).
+
+    ``np.maximum`` propagates a NaN row sum, as a max over the rows does.
+    """
+    scale = None
+    for diag, off in _columns(cert, matrices, a, b):
+        row = np.abs(diag, out=diag)
+        row += off
+        scale = row if scale is None else np.maximum(scale, row, out=scale)
+    return scale
 
 
 def _largest_eigenvalues(cert, matrices, a: float, b: float):
@@ -269,10 +300,7 @@ def _largest_eigenvalues(cert, matrices, a: float, b: float):
 
     Returns two (N+1,) arrays.
     """
-    diag, block = _diagonal_and_block(cert, matrices, a)
-    largest = _largest_of_halves(diag, block, b, cert.gap)
-    rows = np.abs(diag) + _off_diagonal_sums(block, b, cert.gap)
-    return largest, rows.max(axis=1)
+    return _largest_of_halves(cert, matrices, a, b), _row_scale(cert, matrices, a, b)
 
 
 def verify_certificate(
@@ -362,11 +390,14 @@ def _largest_decay_eigenvalue(cert: LyapunovCertificate, matrices: BeamMatrices)
     calls LAPACK once per matrix, and the maximum does not depend on order,
     so the result has the bits of the full solve.
     """
-    diag, block = _diagonal_and_block(cert, matrices, -1.0)
-    off = _off_diagonal_sums(block, 2.0, cert.gap)
-    upper = (diag + off).max(axis=1)
-    keep = ~(upper < diag.max() - 1e-12 * (np.abs(diag) + off).max())
-    return float(_largest_of_halves(diag[keep], block, 2.0, cert.gap[keep]).max())
+    upper, tops, rows = None, [], []
+    for diag, off in _columns(cert, matrices, -1.0, 2.0):
+        tops.append(diag.max())
+        rows.append((np.abs(diag) + off).max())
+        diag += off
+        upper = diag if upper is None else np.maximum(upper, diag, out=upper)
+    keep = ~(upper < np.max(tops) - 1e-12 * np.max(rows))
+    return float(_largest_of_halves(cert, matrices, -1.0, 2.0, keep).max())
 
 
 def decay_rate_estimate(
@@ -395,17 +426,16 @@ def decay_rate_estimate(
     return max(0.0, 0.5 * c_q * (-c_s - 4.0 * c_q * c_g * delta))
 
 
-def certificate_to_csv(
-    cert: LyapunovCertificate,
-    matrices: BeamMatrices,
-    reference: PrecurvedReference,
-    alpha_estimate: float,
-) -> str:
-    """Report CSV: per-node margins plus a scalar summary block, all read from ``cert``."""
-    margins = np.column_stack([
+def certificate_csv_chunks(cert: LyapunovCertificate, alpha_estimate: float):
+    """The report CSV in chunks: its heading, per-node margins ``ROW_BLOCK`` rows at a time, the summary.
+
+    Every value is read from ``cert``; the margin rows are stacked one block
+    at a time as the chunks are drawn.
+    """
+    columns = (
         cert.grid, cert.w_minus, cert.w_plus,
         cert.interior_margins, cert.dominance_slack, cert.weyl_slack,
-    ])
+    )
     summary = [
         ("valid", int(cert.valid)),
         ("m", cert.m),
@@ -419,7 +449,20 @@ def certificate_to_csv(
     summary += [(f"boundaryL_eig_{i + 1}", v) for i, v in enumerate(cert.boundary_margins_L)]
     summary.append(("alpha_estimate_heuristic", alpha_estimate))
     header = ["x", "w_minus", "w_plus", "interior_max_eig", "dominance_slack", "weyl_slack"]
-    return (
-        "# certificate report\n" + csv_table(header, margins)
-        + "\n# summary\n" + csv_table(["name", "value"], summary)
+    blocks = (
+        np.column_stack([c[lo : lo + ROW_BLOCK] for c in columns])
+        for lo in range(0, len(cert.grid), ROW_BLOCK)
     )
+    yield "# certificate report\n"
+    yield from csv_chunks(header, blocks)
+    yield "\n# summary\n" + csv_table(["name", "value"], summary)
+
+
+def certificate_to_csv(
+    cert: LyapunovCertificate,
+    matrices: BeamMatrices,
+    reference: PrecurvedReference,
+    alpha_estimate: float,
+) -> str:
+    """Report CSV: the chunks of :func:`certificate_csv_chunks` joined into one text."""
+    return "".join(certificate_csv_chunks(cert, alpha_estimate))

@@ -3,11 +3,11 @@
 All commands take a scenario (YAML file or preset name) and optional
 dot-path overrides.  ``main`` does all of the I/O: it loads the scenario,
 makes the output directory (flag --out, else $BEAMSTAB_OUT, else
-./beamstab-out), runs the command, and writes each CSV text the command
-returns to ``<scenario name>-<suffix>.csv`` with the full scenario echo in
-front.  Tables are formatted by :func:`beamstab.table.csv_table` (17
-significant digits), so every output regenerates bit-identically from its
-scenario.  Timings go to stdout only.
+./beamstab-out), runs the command, and writes each CSV the command returns
+(a text, or an iterable of text chunks) to ``<scenario name>-<suffix>.csv``
+with the full scenario echo in front.  Tables are formatted by
+:func:`beamstab.table.csv_table` (17 significant digits), so every output
+regenerates bit-identically from its scenario.  Timings go to stdout only.
 
 Exit codes: 0 success, 3 certificate failure (an invalid certificate, an
 empty weight window or phiL outside it), 4 blow-up during simulation, and
@@ -58,18 +58,19 @@ def _certified(scenario):
     return matrices, reference, cert
 
 
-def cmd_certify(scenario, args) -> tuple[int, dict[str, str]]:
+def cmd_certify(scenario, args) -> tuple[int, dict]:
     # no datum is built, so datum.* overrides cannot change certify's outcome
     matrices, reference, cert = _certified(scenario)
     alpha = cert_mod.decay_rate_estimate(cert, matrices, reference, delta=0.0) if cert.valid else 0.0
-    text = cert_mod.certificate_to_csv(cert, matrices, reference, alpha_estimate=alpha)
     status = "valid" if cert.valid else "INVALID"
     print(
         f"certificate {status}: C_kappa={cert.reflection_bound:.6g} "
         f"C_q{cert.m}={cert.c:.6g} phiL={cert.phiL:.6g} "
         f"worst interior eig={cert.interior_margins.max():.6g}"
     )
-    return (EXIT_OK if cert.valid else EXIT_CERTIFICATE), {"certificate": text}
+    # the report's chunks are formatted as main writes them
+    chunks = cert_mod.certificate_csv_chunks(cert, alpha_estimate=alpha)
+    return (EXIT_OK if cert.valid else EXIT_CERTIFICATE), {"certificate": chunks}
 
 
 def _prepare_run(scenario):
@@ -249,12 +250,14 @@ def main(argv=None) -> int:
         echo = "".join(f"# {k} = {v}\n" for k, v in scenarios.header_echo(scenario).items())
         for suffix, text in files.items():
             path = out / f"{scenario.name}-{suffix}.csv"
-            # two writes: echo + text would copy the table once more, 0.5 MB of
-            # peak memory for certify at N=8192
+            # a file is written chunk by chunk, the echo first: a finished
+            # text is one chunk, and certify's report comes in blocks of rows
+            # as they are formatted, so no whole copy of it is ever held
             try:
                 with path.open("w") as fh:
                     fh.write(echo)
-                    fh.write(text)
+                    for chunk in (text,) if isinstance(text, str) else text:
+                        fh.write(chunk)
             except OSError as exc:
                 return _cannot_write(path, exc)
             print(f"wrote {path}")

@@ -146,7 +146,8 @@ def umap(v: np.ndarray) -> np.ndarray:
     out[..., 0, 1:] = -v
     out[..., 1:, 0] = v
     out[..., 1:, 1:] = hat(v)
-    return 0.5 * out
+    out *= 0.5
+    return out
 
 
 def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
@@ -158,13 +159,15 @@ def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
     q = q / norm[..., None]
     w = q[..., 0]
     v = q[..., 1:]
+    # (w^2 - |v|^2) I + 2 v v^T + 2 w hat(v), summed in place in that order
+    out = (w**2 - np.einsum("...i,...i->...", v, v))[..., None, None] * np.eye(3)
     vv = np.einsum("...i,...j->...ij", v, v)
-    eye = np.eye(3)
-    return (
-        (w**2 - np.einsum("...i,...i->...", v, v))[..., None, None] * eye
-        + 2.0 * vv
-        + 2.0 * w[..., None, None] * hat(v)
-    )
+    vv *= 2.0
+    out += vv
+    skew = hat(v)
+    skew *= 2.0 * w[..., None, None]
+    out += skew
+    return out
 
 
 def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
@@ -271,9 +274,10 @@ def _rotations(q: np.ndarray, y: np.ndarray, reference: PrecurvedReference):
     unenforced dx q = U(y4 + curvature) q, differenced on the block.
     """
     norm_defect = np.abs(np.linalg.norm(q, axis=-1) - 1.0).max(axis=1)
-    dq_dx = diff1(q, reference.dx, axis=1)
-    predicted = np.einsum("tnij,tnj->tni", umap(reference.curvature + y[..., 9:12]), q)
-    residual = np.linalg.norm(dq_dx - predicted, axis=-1).max(axis=1)
+    defect = diff1(q, reference.dx, axis=1)
+    defect -= np.einsum("tnij,tnj->tni", umap(reference.curvature + y[..., 9:12]), q)
+    residual = np.linalg.norm(defect, axis=-1).max(axis=1)
+    del defect  # not held while the rotations are formed
     return rotation_from_quaternion(q), norm_defect, residual
 
 

@@ -70,11 +70,11 @@ __all__ = [
     "snapshot_to_csv",
 ]
 
-# Largest accepted sim.n_cells.  At this size the certificate's per-node
-# 6x6 halves are one (N+1, 2, 6, 6) array of 38 MB; under tracemalloc
-# (started after import), certify on the helical preset peaks at 57 MB in
-# the verification's eigensolve of every node's halves, and at 29 MB while
-# it formats its report a block of rows at a time.
+# Largest accepted sim.n_cells.  At this size the certificate eigensolves
+# its per-node 6x6 halves 512 nodes at a time and streams its report into
+# its file, so under tracemalloc (started after import) certify on the
+# helical preset peaks at 14.4 MB, most of it the certificate's own
+# (N+1,) fields, and its resident peak is 46 MB.
 MAX_CELLS = 2**16
 
 

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +12,8 @@ from beamstab.certificate import (
     MARGIN_RTOL,
     _largest_decay_eigenvalue,
     _largest_eigenvalues,
+    _largest_of_halves,
+    _row_scale,
     build_certificate,
     build_phi,
     decay_rate_estimate,
@@ -16,13 +22,16 @@ from beamstab.certificate import (
     theta_functions,
     theta_matrix,
     verify_certificate,
+    certificate_csv_chunks,
     certificate_to_csv,
 )
+from beamstab.cli import main
 from beamstab.errors import CkappaDegenerate, ValidationError, WindowViolation
 from beamstab.model import StateField, _strain_matrix, curved_reference
 from beamstab.params import derive_matrices
-from beamstab.scenarios import PRESETS, apply_override, build_reference
+from beamstab.scenarios import PRESETS, apply_override, build_reference, header_echo
 from beamstab.solver import generate_initial_datum, lyapunov_value, sobolev_norms
+from beamstab.table import ROW_BLOCK
 from conftest import curved_cases
 
 
@@ -554,9 +563,30 @@ def test_two_halves_match_the_12x12_fields(asym_params):
         assert cert.valid == _oracle_valid(cert, m, ref) == (phiL is None)
 
 
+def _one_batch_halves(cert, matrices, a: float, b: float):
+    """Oracle: per-node largest eigenvalue of the halves a phi' W -+ b gap X, solved in one batch.
+
+    Also returns the per-node largest absolute row sum of the 12x12 field.
+    """
+    diag = a * cert.dphi[:, None] * (matrices.mass * matrices.speed)
+    block = theta_matrix(matrices, cert.curvature)[6:, :6]
+    halves = (b * cert.gap)[:, None, None, None] * np.stack([block, -block])
+    idx = np.arange(6)
+    halves[:, :, idx, idx] += diag[:, None, :]
+    return np.linalg.eigvalsh(halves)[..., -1].max(axis=1), _one_batch_scale(cert, matrices, a, b)
+
+
+def _one_batch_scale(cert, matrices, a: float, b: float):
+    """Oracle: per-node largest absolute row sum of the 12x12 field, from whole (N+1, 6) arrays."""
+    diag = a * cert.dphi[:, None] * (matrices.mass * matrices.speed)
+    block = theta_matrix(matrices, cert.curvature)[6:, :6]
+    rows = np.abs(diag) + np.abs(b * cert.gap)[:, None] * np.abs(block).sum(axis=1)
+    return rows.max(axis=1)
+
+
 def _full_decay_eigenvalue(cert, matrices):
-    """Oracle for C_S: every node's halves eigensolved, then the maximum."""
-    return _largest_eigenvalues(cert, matrices, -1.0, 2.0)[0].max()
+    """Oracle for C_S: every node's halves eigensolved in one batch, then the maximum."""
+    return _one_batch_halves(cert, matrices, -1.0, 2.0)[0].max()
 
 
 def _assert_decay_eigenvalue_is_the_full_solve(cert, matrices, reference):
@@ -639,3 +669,138 @@ def test_certificate_csv_contains_summary(toy_params):
     assert "C_kappa" in text and "C_q1" in text and "C_q2" in text
     assert "alpha_estimate_heuristic" in text
     assert text.count("\n") > len(ref.grid)
+
+
+def _bits(call):
+    """The bytes of an array result, or the type and message of the exception raised."""
+    try:
+        return np.asarray(call()).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _blocked_cases(asym_params):
+    """Certificates on N+1 = 511, 512, 513 and 1025 nodes, the presets and helical at N = 8192."""
+    m = derive_matrices(asym_params)
+    cases = []
+    for n_cells in (510, 511, 512, 1024):
+        ref = curved_reference(asym_params, n_cells, np.array([0.5, -0.2, 0.3]), m)
+        cases.append((m, ref))
+    fine = apply_override(PRESETS["helical"], "sim.n_cells=8192")
+    for scenario in (*PRESETS.values(), fine):
+        matrices = derive_matrices(scenario.params)
+        cases.append((matrices, build_reference(scenario, matrices)))
+    return [(m, ref, build_certificate(m, ref, m=1, phi0=1.0, phiL=None)) for m, ref in cases]
+
+
+def test_blocked_halves_are_the_one_batch_solve_bit_for_bit(asym_params):
+    # oracle: the halves of every node built and eigensolved in one batch,
+    # and the row sums from the whole (N+1, 6) arrays
+    assert ROW_BLOCK == 512
+    for m, ref, cert in _blocked_cases(asym_params):
+        for a, b in ((-0.5, -0.5), (-1.0, 2.0)):
+            largest, scale = _one_batch_halves(cert, m, a, b)
+            got_largest, got_scale = _largest_eigenvalues(cert, m, a, b)
+            assert got_largest.tobytes() == largest.tobytes()
+            assert got_scale.tobytes() == scale.tobytes()
+            keep = np.arange(len(ref.grid)) % 3 != 1
+            assert _largest_of_halves(cert, m, a, b, keep).tobytes() == largest[keep].tobytes()
+        assert cert.interior_margins.tobytes() == _one_batch_halves(cert, m, -0.5, -0.5)[0].tobytes()
+
+
+def test_blocked_halves_with_a_nan_gap(asym_params):
+    # curved about the first axis only, X has two zero rows, so an infinite
+    # gap makes two columns of row sums NaN (inf * 0) and the others inf:
+    # the per-node scale must still be NaN
+    m = derive_matrices(asym_params)
+    ref = curved_reference(asym_params, 1024, np.array([1.0, 0.0, 0.0]), m)
+    cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
+    for bad_value, node in itertools.product((np.nan, np.inf), (0, 511, 512, 1024)):
+        gap = cert.gap.copy()
+        gap[node] = bad_value
+        bad = replace(cert, gap=gap)
+        with np.errstate(invalid="ignore"):
+            for a, b in ((-0.5, -0.5), (-1.0, 2.0)):
+                scale = _one_batch_scale(bad, m, a, b)
+                assert np.isnan(scale[node])
+                # a NaN's sign bit depends on the reduction, so NaN matches NaN
+                assert np.array_equal(_row_scale(bad, m, a, b), scale, equal_nan=True)
+                assert _bits(lambda: _largest_eigenvalues(bad, m, a, b)) == _bits(
+                    lambda: _one_batch_halves(bad, m, a, b))
+
+
+def _certify_fine(tmp_path, n_cells):
+    """Run certify on helical at ``n_cells``; returns its report file and the scenario."""
+    scenario = apply_override(PRESETS["helical"], f"sim.n_cells={n_cells}")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", "--scenario", "helical", "--override",
+                     f"sim.n_cells={n_cells}", "--out", str(tmp_path)]) == 0
+    return tmp_path / "helical-certificate.csv", scenario
+
+
+def _oracle_table(header, rows):
+    """Every row formatted with f"{v:.17g}", as the report was written before it was streamed."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
+def test_report_chunks_join_to_the_report():
+    scenario = apply_override(PRESETS["helical"], "sim.n_cells=1100")
+    m = derive_matrices(scenario.params)
+    ref = build_reference(scenario, m)
+    cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
+    chunks = list(certificate_csv_chunks(cert, alpha_estimate=0.25))
+    # heading, table header, three row blocks (512 + 512 + 77), summary
+    assert len(chunks) == 6
+    assert [c.count("\n") for c in chunks[2:5]] == [512, 512, 77]
+    assert "".join(chunks) == certificate_to_csv(cert, m, ref, alpha_estimate=0.25)
+
+
+def test_certify_file_keeps_the_whole_table_format(tmp_path):
+    # oracle: the report as one string, every row of the (N+1, 6) margin
+    # table formatted at once, behind the scenario echo
+    path, scenario = _certify_fine(tmp_path, 8192)
+    m = derive_matrices(scenario.params)
+    ref = build_reference(scenario, m)
+    cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
+    alpha = decay_rate_estimate(cert, m, ref, delta=0.0)
+    margins = np.column_stack([cert.grid, cert.w_minus, cert.w_plus, cert.interior_margins,
+                               cert.dominance_slack, cert.weyl_slack]).tolist()
+    summary = [("valid", 1), ("m", 1), ("C_kappa", cert.reflection_bound), ("C_q1", cert.q1),
+               ("C_q2", cert.q2), ("phi0", cert.phi0), ("phiL", cert.phiL)]
+    summary += [(f"boundary0_eig_{i + 1}", v) for i, v in enumerate(cert.boundary_margins_0)]
+    summary += [(f"boundaryL_eig_{i + 1}", v) for i, v in enumerate(cert.boundary_margins_L)]
+    summary.append(("alpha_estimate_heuristic", alpha))
+    header = ["x", "w_minus", "w_plus", "interior_max_eig", "dominance_slack", "weyl_slack"]
+    expected = (
+        "".join(f"# {k} = {v}\n" for k, v in header_echo(scenario).items())
+        + "# certificate report\n" + _oracle_table(header, margins)
+        + "\n# summary\n" + _oracle_table(["name", "value"], summary)
+    )
+    assert path.read_text() == expected
+
+
+# tracemalloc peak of certify on helical above its entry: 2.15 MB at N = 8192
+# and 14.39 MB at N = 65536 (numpy 2.4), against 7.45 and 56.86 MB when the
+# halves of every node were one batch and the report one string
+@pytest.mark.parametrize("n_cells, bound_mb", [(8192, 3.0), (65536, 16.0)])
+def test_certify_peak_memory(tmp_path, n_cells, bound_mb):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _certify_fine(tmp_path, n_cells)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6, peak
+
+
+@pytest.mark.parametrize("phi0", [5e-324, 1e-320, 1e-310, 2.225073858507201e-308])
+def test_subnormal_phi0_is_rejected(toy_params, phi0):
+    m = derive_matrices(toy_params)
+    ref = curved_reference(toy_params, 32, np.array([0.5, -0.2, 0.3]), m)
+    with pytest.raises(ValidationError, match="certificate.phi0"):
+        build_certificate(m, ref, m=1, phi0=phi0, phiL=None)
+    # the smallest normal double is accepted and certifies as phi0 = 1 does
+    tiny = build_certificate(m, ref, m=1, phi0=float(np.finfo(float).tiny), phiL=None)
+    assert tiny.valid == build_certificate(m, ref, m=1, phi0=1.0, phiL=None).valid

@@ -70,3 +70,17 @@ def test_array_rows_and_empty_tables(monkeypatch):
         assert csv_table(["s", *header], quoted) == whole
     assert csv_table(header, []) == "c0,c1,c2,c3,c4\n"
     assert csv_table(header, np.zeros((0, 5))) == "c0,c1,c2,c3,c4\n"
+
+
+def test_chunks_are_the_header_then_one_chunk_per_block():
+    values = np.random.default_rng(5).normal(size=(11, 3))
+    header = ["a", "b", "c"]
+    rows = [(f"r,{k}", *row) for k, row in enumerate(values.tolist())]
+    for data, head in ((values, header), (rows, ["s", *header])):
+        # blocks of any sizes: the kind of each column is read from the first row
+        chunks = list(table.csv_chunks(head, [data[:2], data[2:9], data[9:]]))
+        assert chunks[0] == ",".join(head) + "\n"
+        assert [c.count("\n") for c in chunks[1:]] == [2, 7, 2]
+        assert "".join(chunks) == csv_table(head, data)
+    assert "".join(table.csv_chunks(header, [values[:2], values[2:]])) == _oracle(header, values)
+    assert list(table.csv_chunks(header, [])) == ["a,b,c\n"]
