@@ -15,7 +15,7 @@ from pathlib import Path
 
 from beamstab.cli import main as beamstab
 
-EXPECTED_CSVS = 99
+EXPECTED_CSVS = 100
 
 COMMANDS = {
     "certify-straight-toy": ["certify", "--scenario", "straight-toy"],
@@ -26,6 +26,10 @@ COMMANDS = {
     # the largest accepted grid: 128 full blocks of nodes and a ragged last one
     "certify-helical-cap": ["certify", "--scenario", "helical",
                             "--override", "sim.n_cells=65536"],
+    # the longest straight-steel beam whose generator slack stays a normal double
+    "certify-straight-steel-edge": ["certify", "--scenario", "straight-steel",
+                                    "--override", "sim.n_cells=64",
+                                    "--override", "params.length=2.05"],
     "dump-matrices-straight-toy": ["dump-matrices", "--scenario", "straight-toy"],
     "dump-matrices-straight-steel": ["dump-matrices", "--scenario", "straight-steel"],
     "dump-matrices-helical": ["dump-matrices", "--scenario", "helical"],

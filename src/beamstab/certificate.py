@@ -27,14 +27,15 @@ union of the spectra of two 6x6 halves, and those are eigensolved: at
 every node for the margins, and for the decay-rate field
 -phi' Lambda + 2 gap Theta, whose largest eigenvalue over the grid is the
 only number kept, only at the nodes whose Gershgorin bound reaches the
-field's largest diagonal entry.  No other node can hold the maximum.  The
-halves are formed and solved ``table.ROW_BLOCK`` nodes at a time, the
-row sums and bounds one (N+1,) column at a time, and the report is drawn
-as chunks of as many rows, so a certificate's working memory is one block
-beside its own (N+1,) fields.  LAPACK solves each matrix on its own, so
-neither the blocks nor the choice of nodes changes a bit.  The analytic
-phi' and gap enter directly: subtracting near-equal weights would lose
-the thin margin of stiff beams.  Two
+field's largest diagonal entry.  No other node can hold the maximum.  X
+is formed once per verification and once per decay estimate and passed
+to the helpers.  The halves are formed and solved ``table.ROW_BLOCK``
+nodes at a time, the row sums and bounds one (N+1,) column at a time,
+and the report is drawn as chunks of as many rows, so a certificate's
+working memory is one block beside its own (N+1,) fields.  LAPACK solves
+each matrix on its own, so neither the blocks nor the choice of nodes
+changes a bit.  The analytic phi' and gap enter directly: subtracting
+near-equal weights would lose the thin margin of stiff beams.  Two
 sufficient per-node margins are reported alongside: a diagonal-dominance
 slack built from q_1, the largest weighted absolute row sum of Theta, and
 a Weyl-bound slack built from its largest eigenvalue via q_2.  Either
@@ -139,9 +140,11 @@ def build_phi(c: float, phi0: float, phiL: float, grid: np.ndarray):
     phi(x) = phiL - exp(-2 c x) (1 - x/L) (phiL - phi0).  Requires
     0 < phi0 < phiL.  Returns (phi, dphi, gap) with gap = phiL - phi kept
     in product form; the three generator conditions are re-checked at every
-    node on the analytic quantities (the slack dphi - 2 c gap equals
-    exp(-2 c x) (phiL - phi0) / L, positive until it underflows, and the
-    check refuses grids on which it underflows to zero).
+    node on the analytic quantities.  The slack dphi - 2 c gap equals
+    exp(-2 c x) (phiL - phi0) / L, a lower bound of phi' that equals it at
+    x = L, and the check requires it to be at least the smallest normal
+    double at every node: a subnormal phi' would put the interior margins
+    in subnormal arithmetic, where they lose digits.
     """
     if not (phi0 > 0.0 and phi0 < phiL):
         raise ValidationError([f"need 0 < phi0 < phiL, got phi0={phi0!r} phiL={phiL!r}"])
@@ -157,12 +160,13 @@ def build_phi(c: float, phi0: float, phiL: float, grid: np.ndarray):
     phi = phiL - gap
     dphi = damp * span * (alpha * (1.0 - grid / length) + 1.0 / length)
     slack = damp * span / length
-    ok = (phi > 0.0) & (dphi > 0.0) & (dphi < np.inf) & (slack > 0.0)
+    ok = (phi > 0.0) & (dphi > 0.0) & (dphi < np.inf) & (slack >= np.finfo(float).tiny)
     if not np.all(ok):
         raise ValidationError(
-            ["generator conditions failed (likely exp(-2 c x) underflow: "
-             f"2 c L = {alpha * length:.3g} exceeds the double range, "
-             f"or phi' overflow: L = {length:.3g})"]
+            ["generator conditions failed: the slack exp(-2 c x) (phiL - phi0) / L falls "
+             "below the smallest normal double, or phi' overflows "
+             f"(2 c L = {alpha * length:.3g} at params.length = {length:.3g}; "
+             "change certificate.phi0, certificate.phiL or params.length)"]
         )
     return phi, dphi, gap
 
@@ -247,16 +251,17 @@ def build_certificate(
     return verify_certificate(cert, matrices, reference)
 
 
-def _largest_of_halves(cert, matrices, a: float, b: float, nodes=slice(None)):
+def _largest_of_halves(cert, matrices, block, a: float, b: float, nodes=slice(None)):
     """Largest eigenvalue of a phi' Lambda + b gap Theta at each of ``nodes``, ``ROW_BLOCK`` at a time.
 
-    The field is [[a phi' W, -b gap X], [-b gap X, a phi' W]], so its
-    eigenvalues are those of the two 6x6 halves a phi' W -+ b gap X.  Each
-    block's halves are formed and solved on their own; numpy's ``eigvalsh``
-    calls LAPACK once per matrix, so the blocks keep the bits of one batch.
+    ``block`` is Theta's lower-left 6x6 block, -X.  The field is
+    [[a phi' W, -b gap X], [-b gap X, a phi' W]], so its eigenvalues are
+    those of the two 6x6 halves a phi' W -+ b gap X.  The halves of each
+    block of nodes are formed and solved on their own; numpy's
+    ``eigvalsh`` calls LAPACK once per matrix, so the blocks keep the bits
+    of one batch.
     """
     dphi, gap = cert.dphi[nodes], cert.gap[nodes]
-    block = theta_matrix(matrices, cert.curvature)[6:, :6]
     signed = np.stack([block, -block])
     weights = matrices.mass * matrices.speed
     idx = np.arange(6)
@@ -269,38 +274,30 @@ def _largest_of_halves(cert, matrices, a: float, b: float, nodes=slice(None)):
     return out
 
 
-def _columns(cert, matrices, a: float, b: float):
+def _columns(cert, matrices, block, a: float, b: float):
     """The field's diagonal a phi' W_i and absolute off-diagonal row sums, one column i at a time.
 
     Yields six pairs of (N+1,) arrays.  Theta has a zero diagonal, so row i
     of the field sums to |a phi' W_i| + |b gap| sum_j |X_ij|.
     """
-    sums = np.abs(theta_matrix(matrices, cert.curvature)[6:, :6]).sum(axis=1)
+    sums = np.abs(block).sum(axis=1)
     scaled = a * cert.dphi
     spread = np.abs(b * cert.gap)
     for weight, total in zip(matrices.mass * matrices.speed, sums):
         yield scaled * weight, spread * total
 
 
-def _row_scale(cert, matrices, a: float, b: float):
+def _row_scale(cert, matrices, block, a: float, b: float):
     """Per-node largest absolute row sum of a phi' Lambda + b gap Theta, (N+1,).
 
     ``np.maximum`` propagates a NaN row sum, as a max over the rows does.
     """
     scale = None
-    for diag, off in _columns(cert, matrices, a, b):
+    for diag, off in _columns(cert, matrices, block, a, b):
         row = np.abs(diag, out=diag)
         row += off
         scale = row if scale is None else np.maximum(scale, row, out=scale)
     return scale
-
-
-def _largest_eigenvalues(cert, matrices, a: float, b: float):
-    """Per-node largest eigenvalue and largest absolute row sum of a phi' Lambda + b gap Theta.
-
-    Returns two (N+1,) arrays.
-    """
-    return _largest_of_halves(cert, matrices, a, b), _row_scale(cert, matrices, a, b)
 
 
 def verify_certificate(
@@ -333,7 +330,9 @@ def verify_certificate(
         b0 = 0.5 * (cert.w_plus[0] * matrices.kappa**2 - cert.w_minus[0]) * matrices.mass
         bL = 0.5 * (cert.w_minus[-1] - cert.w_plus[-1]) * matrices.mass
 
-    margins, scale = _largest_eigenvalues(cert, matrices, -0.5, -0.5)
+    block = theta_matrix(matrices, cert.curvature)[6:, :6]
+    margins = _largest_of_halves(cert, matrices, block, -0.5, -0.5)
+    scale = _row_scale(cert, matrices, block, -0.5, -0.5)
     # strict negativity with a relative margin; a zero matrix (constant
     # weights) must fail, so the inequality is strict on both counts
     interior_ok = bool(np.all(margins < 0.0) and np.all(margins <= -MARGIN_RTOL * scale))
@@ -390,14 +389,15 @@ def _largest_decay_eigenvalue(cert: LyapunovCertificate, matrices: BeamMatrices)
     calls LAPACK once per matrix, and the maximum does not depend on order,
     so the result has the bits of the full solve.
     """
+    block = theta_matrix(matrices, cert.curvature)[6:, :6]
     upper, tops, rows = None, [], []
-    for diag, off in _columns(cert, matrices, -1.0, 2.0):
+    for diag, off in _columns(cert, matrices, block, -1.0, 2.0):
         tops.append(diag.max())
         rows.append((np.abs(diag) + off).max())
         diag += off
         upper = diag if upper is None else np.maximum(upper, diag, out=upper)
     keep = ~(upper < np.max(tops) - 1e-12 * np.max(rows))
-    return float(_largest_of_halves(cert, matrices, -1.0, 2.0, keep).max())
+    return float(_largest_of_halves(cert, matrices, block, -1.0, 2.0, keep).max())
 
 
 def decay_rate_estimate(

@@ -82,16 +82,19 @@ def _prepare_run(scenario):
     return matrices, reference, cert, datum
 
 
+def _fit(scenario, times, values) -> tuple:
+    """(alpha, eta, r_squared) of the decay fit after the first round trip, or NaNs if it fails."""
+    try:
+        return solver.fit_decay(times, values, t_min=solver.round_trip_time(scenario.params))
+    except (NonPositiveValues, ValidationError):
+        return (float("nan"),) * 3
+
+
 def _fit_summary(scenario, traj, extra=None) -> str:
-    t_min = solver.round_trip_time(scenario.params)
     nan = float("nan")
-    rows = []
     # every command passes its certificate to the solver, so traj.lyap is recorded
-    for label, values in (("lyapunov", traj.lyap), ("h1_sq", traj.h1**2)):
-        try:
-            rows.append((label, *solver.fit_decay(traj.times, values, t_min=t_min)))
-        except (NonPositiveValues, ValidationError):
-            rows.append((label, nan, nan, nan))
+    rows = [(label, *_fit(scenario, traj.times, values))
+            for label, values in (("lyapunov", traj.lyap), ("h1_sq", traj.h1**2))]
     rows += [(key, value, nan, nan) for key, value in (extra or {}).items()]
     return csv_table(["series", "alpha", "eta", "r_squared"], rows)
 
@@ -119,12 +122,7 @@ def cmd_reconstruct(scenario, args) -> tuple[int, dict[str, str]]:
     }
     for i, idx in enumerate(pose.indices):
         files[f"pose-{idx:05d}"] = reconstruct.pose_snapshot_to_csv(pose.snapshots, i)
-    try:
-        alpha_obs, _, r2_obs = solver.fit_decay(
-            pose.times, pose.observable, t_min=solver.round_trip_time(scenario.params)
-        )
-    except (NonPositiveValues, ValidationError):
-        alpha_obs = r2_obs = float("nan")
+    alpha_obs, _, r2_obs = _fit(scenario, pose.times, pose.observable)
     extra = {
         "roundtrip_sup_error": pose.roundtrip_error,
         "quaternion_norm_defect": pose.norm_defect,

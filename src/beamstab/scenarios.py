@@ -74,12 +74,10 @@ class Scenario:
 
 
 def _toy_params() -> BeamParams:
-    base = BeamParams(
+    return BeamParams(
         rho=1.0, area=1.0, young=4.0, shear=1.0, moment2=1.0, moment3=1.0,
         k1=1.0, k2=1.0, k3=1.0, length=1.0, mu1=1.0, mu2=1.0,
     )
-    mu1, mu2 = optimal_feedback(base)
-    return replace(base, mu1=mu1, mu2=mu2)
 
 
 def _steel_params() -> BeamParams:
@@ -88,17 +86,17 @@ def _steel_params() -> BeamParams:
     # exponentials (the admissible weight gap provably shrinks like
     # exp(-2 C_q1 x)), so the preset stays stocky enough to keep every
     # certificate margin representable.
-    base = BeamParams(
+    return BeamParams(
         rho=7850.0, area=4e-2, young=2.1e11, shear=8.1e10,
         moment2=1.3333333333333333e-04, moment3=1.3333333333333333e-04,
         k1=0.843, k2=0.85, k3=0.85, length=1.0, mu1=1.0, mu2=1.0,
     )
-    mu1, mu2 = optimal_feedback(base)
-    return replace(base, mu1=mu1, mu2=mu2)
 
 
 def _preset(name: str, params: BeamParams, reference: ReferenceSpec) -> Scenario:
-    """The recipe every preset shares: N = 256, ten round trips recorded every step."""
+    """The recipe every preset shares: optimal gains, N = 256, ten round trips recorded every step."""
+    mu1, mu2 = optimal_feedback(params)
+    params = replace(params, mu1=mu1, mu2=mu2)
     return Scenario(
         name=name,
         params=params,
@@ -177,10 +175,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     name = data["name"]
     if not isinstance(name, str):
         raise ScenarioError(f"name must be a string, got {name!r}")
-    # the name is the stem of every output file
-    if not 0 < len(name) <= 200 or any(c in name for c in "/\\\0"):
+    # the name is the stem of every output file and is echoed on one line of
+    # each, so it holds no path separator, line break or other control character
+    if not (0 < len(name) <= 200 and name.isprintable()) or any(c in name for c in "/\\"):
         raise ScenarioError(
-            f"name must be 1 to 200 characters without / \\ or NUL, got {name!r}"
+            f"name must be 1 to 200 printable characters without / or \\, got {name!r}"
         )
     kwargs = {"name": name}
     for key, cls in _SECTIONS.items():

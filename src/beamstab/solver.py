@@ -307,26 +307,26 @@ def _upwind_gradient(r: np.ndarray, dx: float, scheme: str) -> np.ndarray:
     out = np.empty_like(r)
     if scheme == "upwind1":
         out[1:, 6:] = (r[1:, 6:] - r[:-1, 6:]) / dx
-        out[0, 6:] = (r[1, 6:] - r[0, 6:]) / dx
         out[:-1, :6] = (r[1:, :6] - r[:-1, :6]) / dx
-        out[-1, :6] = (r[-1, :6] - r[-2, :6]) / dx
-        return out
-    # Upwind-biased face reconstruction with centered (Fromm) slopes and
-    # linearly extrapolated ghost nodes.  The states here are smooth and
-    # small, so no limiter: slope limiting at smooth extrema costs the
-    # second-order convergence this scheme exists to provide.
-    padded = np.empty((r.shape[0] + 2, r.shape[1]))
-    padded[1:-1] = r
-    padded[0] = 2.0 * r[0] - r[1]
-    padded[-1] = 2.0 * r[-1] - r[-2]
-    slope = (padded[2:] - padded[:-2]) / (2.0 * dx)
-    # right-movers: faces F_{j+1/2} = r_j + dx/2 slope_j
-    plus_face = padded[1:-1, 6:] + 0.5 * dx * slope[:, 6:]
-    out[1:, 6:] = (plus_face[1:] - plus_face[:-1]) / dx
+    else:
+        # Upwind-biased face reconstruction with centered (Fromm) slopes and
+        # linearly extrapolated ghost nodes.  The states here are smooth and
+        # small, so no limiter: slope limiting at smooth extrema costs the
+        # second-order convergence this scheme exists to provide.
+        padded = np.empty((r.shape[0] + 2, r.shape[1]))
+        padded[1:-1] = r
+        padded[0] = 2.0 * r[0] - r[1]
+        padded[-1] = 2.0 * r[-1] - r[-2]
+        slope = (padded[2:] - padded[:-2]) / (2.0 * dx)
+        # right-movers: faces F_{j+1/2} = r_j + dx/2 slope_j
+        plus_face = padded[1:-1, 6:] + 0.5 * dx * slope[:, 6:]
+        out[1:, 6:] = (plus_face[1:] - plus_face[:-1]) / dx
+        # left-movers: faces F_{j-1/2} = r_j - dx/2 slope_j
+        minus_face = padded[1:-1, :6] - 0.5 * dx * slope[:, :6]
+        out[:-1, :6] = (minus_face[1:] - minus_face[:-1]) / dx
+    # each family's inflow node has no upwind neighbour: a first-order
+    # one-sided difference into the grid, in both schemes
     out[0, 6:] = (r[1, 6:] - r[0, 6:]) / dx
-    # left-movers: faces F_{j-1/2} = r_j - dx/2 slope_j
-    minus_face = padded[1:-1, :6] - 0.5 * dx * slope[:, :6]
-    out[:-1, :6] = (minus_face[1:] - minus_face[:-1]) / dx
     out[-1, :6] = (r[-1, :6] - r[-2, :6]) / dx
     return out
 
@@ -543,7 +543,7 @@ def snapshot_to_csv(state: StateField, matrices: BeamMatrices) -> str:
     if state.repr != "diagonal":
         raise ValidationError(["snapshot_to_csv expects a diagonal state"])
     r = state.values
-    y = r @ matrices.from_char.T
+    y = model.to_physical(state, matrices).values
     cols = ["x"] + [f"r{i + 1}" for i in range(12)] + [f"y{i + 1}" for i in range(12)]
     rows = np.column_stack([state.grid, r, y]).tolist()
     return f"# t = {state.time:.17g}\n" + csv_table(cols, rows)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from beamstab.certificate import (
     MARGIN_RTOL,
     _largest_decay_eigenvalue,
-    _largest_eigenvalues,
     _largest_of_halves,
     _row_scale,
     build_certificate,
@@ -25,6 +24,7 @@ from beamstab.certificate import (
     certificate_csv_chunks,
     certificate_to_csv,
 )
+from beamstab import certificate as cert_module
 from beamstab.cli import main
 from beamstab.errors import CkappaDegenerate, ValidationError, WindowViolation
 from beamstab.model import StateField, _strain_matrix, curved_reference
@@ -43,6 +43,13 @@ def _weighted_field(cert, matrices, reference, a: float, b: float) -> np.ndarray
     idx = np.arange(12)
     out[:, idx, idx] += a * cert.dphi[:, None] * lam[None, :]
     return out
+
+
+def _halves_and_scale(cert, matrices, a: float, b: float):
+    """The library's per-node largest eigenvalue and largest absolute row sum of a phi' Lambda + b gap Theta."""
+    block = theta_matrix(matrices, cert.curvature)[6:, :6]
+    return (_largest_of_halves(cert, matrices, block, a, b),
+            _row_scale(cert, matrices, block, a, b))
 
 
 def interior_matrices(cert, matrices, reference) -> np.ndarray:
@@ -330,7 +337,7 @@ def test_dominance_margin_implies_negative_definite(asym_params):
     m = derive_matrices(asym_params)
     ref = curved_reference(asym_params, 20, np.array([0.8, 0.3, -0.5]))
     cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
-    eigs = _largest_eigenvalues(cert, m, -1.0, 2.0)[0]
+    eigs = _halves_and_scale(cert, m, -1.0, 2.0)[0]
     assert _close_to_column_max(eigs, np.linalg.eigvalsh(sigma_matrices(cert, m, ref))[:, -1])
     for k in range(len(ref.grid)):
         if cert.dominance_slack[k] > 0 or cert.weyl_slack[k] > 0:
@@ -529,7 +536,7 @@ def test_weighted_fields_equal_the_per_node_theta_assembly(asym_params):
             expected = b * cert.gap[:, None, None] * theta
             expected[:, idx, idx] += a * cert.dphi[:, None] * lam[None, :]
             assert np.array_equal(field(cert, m, ref), expected)
-            largest = _largest_eigenvalues(cert, m, a, b)[0]
+            largest = _halves_and_scale(cert, m, a, b)[0]
             assert _close_to_column_max(largest, np.linalg.eigvalsh(expected)[:, -1])
 
 
@@ -557,7 +564,7 @@ def test_two_halves_match_the_12x12_fields(asym_params):
         cert = build_certificate(m, ref, m=order, phi0=1.0, phiL=phiL)
         for a, b in ((-0.5, -0.5), (-1.0, 2.0)):
             field = _weighted_field(cert, m, ref, a, b)
-            largest, scale = _largest_eigenvalues(cert, m, a, b)
+            largest, scale = _halves_and_scale(cert, m, a, b)
             assert _close_to_column_max(largest, np.linalg.eigvalsh(field)[:, -1])
             assert _close_to_column_max(scale, np.abs(field).sum(axis=2).max(axis=1))
         assert cert.valid == _oracle_valid(cert, m, ref) == (phiL is None)
@@ -635,7 +642,7 @@ def test_decay_eigenvalue_off_the_largest_diagonal_entry(toy_params):
     x = ref.grid / ref.grid[-1]
     cert = replace(build_certificate(m, ref, m=1, phi0=1.0, phiL=None),
                    dphi=np.full_like(x, 0.7), gap=0.4 * np.exp(-((x - 0.5) / 0.1) ** 2))
-    largest = _largest_eigenvalues(cert, m, -1.0, 2.0)[0]
+    largest = _halves_and_scale(cert, m, -1.0, 2.0)[0]
     diag = -cert.dphi[:, None] * (m.mass * m.speed)
     assert largest[np.argmax(diag.max(axis=1))] < largest.max()
     assert np.argmax(largest) == len(x) // 2
@@ -698,13 +705,14 @@ def test_blocked_halves_are_the_one_batch_solve_bit_for_bit(asym_params):
     # and the row sums from the whole (N+1, 6) arrays
     assert ROW_BLOCK == 512
     for m, ref, cert in _blocked_cases(asym_params):
+        block = theta_matrix(m, cert.curvature)[6:, :6]
+        keep = np.arange(len(ref.grid)) % 3 != 1
         for a, b in ((-0.5, -0.5), (-1.0, 2.0)):
             largest, scale = _one_batch_halves(cert, m, a, b)
-            got_largest, got_scale = _largest_eigenvalues(cert, m, a, b)
+            got_largest, got_scale = _halves_and_scale(cert, m, a, b)
             assert got_largest.tobytes() == largest.tobytes()
             assert got_scale.tobytes() == scale.tobytes()
-            keep = np.arange(len(ref.grid)) % 3 != 1
-            assert _largest_of_halves(cert, m, a, b, keep).tobytes() == largest[keep].tobytes()
+            assert _largest_of_halves(cert, m, block, a, b, keep).tobytes() == largest[keep].tobytes()
         assert cert.interior_margins.tobytes() == _one_batch_halves(cert, m, -0.5, -0.5)[0].tobytes()
 
 
@@ -724,8 +732,9 @@ def test_blocked_halves_with_a_nan_gap(asym_params):
                 scale = _one_batch_scale(bad, m, a, b)
                 assert np.isnan(scale[node])
                 # a NaN's sign bit depends on the reduction, so NaN matches NaN
-                assert np.array_equal(_row_scale(bad, m, a, b), scale, equal_nan=True)
-                assert _bits(lambda: _largest_eigenvalues(bad, m, a, b)) == _bits(
+                got = _row_scale(bad, m, theta_matrix(m, bad.curvature)[6:, :6], a, b)
+                assert np.array_equal(got, scale, equal_nan=True)
+                assert _bits(lambda: _halves_and_scale(bad, m, a, b)) == _bits(
                     lambda: _one_batch_halves(bad, m, a, b))
 
 
@@ -795,12 +804,45 @@ def test_certify_peak_memory(tmp_path, n_cells, bound_mb):
     assert peak < bound_mb * 1e6, peak
 
 
-@pytest.mark.parametrize("phi0", [5e-324, 1e-320, 1e-310, 2.225073858507201e-308])
+# the last two are normal, but their generator slack exp(-2 c x) (phiL - phi0) / L
+# is not: at phi0 = tiny phiL - phi0 is subnormal, at 1e-307 the slack at x = L is
+@pytest.mark.parametrize("phi0", [5e-324, 1e-320, 1e-310, 2.225073858507201e-308,
+                                  2.2250738585072014e-308, 1e-307])
 def test_subnormal_phi0_is_rejected(toy_params, phi0):
     m = derive_matrices(toy_params)
     ref = curved_reference(toy_params, 32, np.array([0.5, -0.2, 0.3]), m)
     with pytest.raises(ValidationError, match="certificate.phi0"):
         build_certificate(m, ref, m=1, phi0=phi0, phiL=None)
-    # the smallest normal double is accepted and certifies as phi0 = 1 does
-    tiny = build_certificate(m, ref, m=1, phi0=float(np.finfo(float).tiny), phiL=None)
-    assert tiny.valid == build_certificate(m, ref, m=1, phi0=1.0, phiL=None).valid
+    # a small phi0 whose slack stays normal is accepted and certifies as phi0 = 1 does
+    small = build_certificate(m, ref, m=1, phi0=1e-300, phiL=None)
+    assert small.valid == build_certificate(m, ref, m=1, phi0=1.0, phiL=None).valid
+
+
+def test_generator_slack_stays_normal():
+    # straight-steel at N = 64: at L = 2.05 the smallest phi' is 3.3e-307 and
+    # the slack normal; at L = 2.1 the slack would be subnormal
+    steel = apply_override(PRESETS["straight-steel"], "sim.n_cells=64")
+    for length, certifies in ((2.0, True), (2.05, True), (2.1, False)):
+        scenario = apply_override(steel, f"params.length={length}")
+        m = derive_matrices(scenario.params)
+        ref = build_reference(scenario, m)
+        if certifies:
+            cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
+            assert cert.valid and cert.dphi.min() >= np.finfo(float).tiny
+        else:
+            with pytest.raises(ValidationError, match="params.length"):
+                build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
+
+
+def test_certify_forms_theta_three_times(tmp_path, monkeypatch):
+    # once for the bounds q_1, q_2, once in verification, once in the decay estimate
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return theta_matrix(*args)
+
+    monkeypatch.setattr(cert_module, "theta_matrix", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", "--scenario", "helical", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 3

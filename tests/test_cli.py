@@ -614,6 +614,9 @@ class TestSweepCommand:
      "certificate.phi0"),
     (["certify", "--override", "sim.n_cells=32", "--override", "certificate.phi0=1e-310"],
      "certificate.phi0"),
+    # the generator's slack would be subnormal; a later --scenario replaces straight-toy
+    (["certify", "--scenario", "straight-steel", "--override", "sim.n_cells=64",
+      "--override", "params.length=2.1"], "params.length"),
 ])
 def test_bad_value_exits_2_naming_the_field(tmp_path, args, field):
     proc = run_python(["-m", "beamstab.cli", args[0], "--scenario", "straight-toy",
@@ -701,7 +704,7 @@ _YAML_TOKENS = [
     "~", "null", "true", "no", ".nan", ".inf", "-.inf", "abc", "'1'", "0x10", "1_000",
     "1e400", "-0", "[]", "{}", "[1, 2]", "[1e-1,0,0.5]", "[1, a, 2]", "{a: 1}", "[",
     "'", "&a 1", "*a", "!!binary aGk=", "2001-01-01", "upwind2", "curved", "a/b",
-    "[1e308,0,0]", "[1e-320,0,0]",
+    "[1e308,0,0]", "[1e-320,0,0]", '"a\\nb"',
 ]
 
 
@@ -820,6 +823,19 @@ def test_a_name_of_another_type_is_rejected(tmp_path, capsys, value):
             "--override", "sim.n_cells=32"]
     assert main(argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: name must be a string, got ")
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]
+
+
+def test_a_name_with_a_line_break_is_rejected(tmp_path, capsys):
+    """The name is echoed on one line of every CSV, so a line break in it is refused."""
+    data = scenario_to_dict(load_scenario("straight-toy"))
+    data["name"] = "a\nb"
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data))
+    for source, extra in ((str(path), []), ("straight-toy", ["--override", 'name="a\\nb"'])):
+        argv = ["dump-matrices", "--scenario", source, "--out", str(tmp_path), *extra]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: name must be 1 to 200 printable ")
     assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]
 
 

@@ -28,7 +28,7 @@ def test_comparison_set_commands_parse():
     spec = importlib.util.spec_from_file_location("comparison_set", SCRIPTS / "comparison_set.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert len(module.COMMANDS) == 15
+    assert len(module.COMMANDS) == 16
     for name, argv in module.COMMANDS.items():
         try:
             cli._build_parser().parse_args([*argv, "--out", name])

@@ -19,6 +19,7 @@ from beamstab.solver import (
     _boundary_residual,
     _couple,
     _pde_rhs,
+    _upwind_gradient,
     energies,
     fit_decay,
     generate_initial_datum,
@@ -391,6 +392,18 @@ def test_convergence_against_refined_reference(toy_params):
         err_coarse = np.sqrt(((terminal(64, scheme) - fine[::8]) ** 2).mean())
         err_half = np.sqrt(((terminal(128, scheme) - fine[::4]) ** 2).mean())
         assert err_coarse / err_half >= factor
+
+
+@pytest.mark.parametrize("scheme", ["upwind1", "upwind2"])
+def test_upwind_inflow_rows_are_one_sided_differences(scheme):
+    # oracle: the first-order one-sided difference into the grid at each
+    # family's inflow node, right-movers (columns 6:) at x = 0 and
+    # left-movers (columns :6) at x = L
+    r = np.random.default_rng(5).standard_normal((17, 12))
+    dx = 0.0625
+    out = _upwind_gradient(r, dx, scheme)
+    assert out[0, 6:].tobytes() == ((r[1, 6:] - r[0, 6:]) / dx).tobytes()
+    assert out[-1, :6].tobytes() == ((r[-1, :6] - r[-2, :6]) / dx).tobytes()
 
 
 def test_nonlinearity_onset_quadratic(toy_params):
