@@ -3,7 +3,8 @@
 
 Sweeps mu1 around its closed-form optimum (keeping mu2 optimal) and, for the
 optimal gains, sweeps the certificate endpoint phi(L) across its admissible
-window.  Writes two CSV tables into --out.
+window.  Each case reads the scenario's certificate and datum specs and is
+fitted as the commands fit (nan without a window).  Writes two CSV tables into --out.
 """
 
 import argparse
@@ -11,21 +12,18 @@ from pathlib import Path
 
 import numpy as np
 
-from beamstab.certificate import build_certificate, decay_rate_estimate, phi_window
+from beamstab.certificate import decay_rate_estimate, phi_window
+from beamstab.cli import _fit, _prepare_run
 from beamstab.params import derive_matrices
-from beamstab.scenarios import PRESETS, apply_override, build_reference
-from beamstab.solver import SimConfig, fit_decay, generate_initial_datum, simulate
+from beamstab.scenarios import PRESETS, apply_override
+from beamstab.solver import simulate
 from beamstab.table import csv_table
 
 
-def run_case(scenario, phiL=None):
-    matrices = derive_matrices(scenario.params)
-    reference = build_reference(scenario, matrices)
-    cert = build_certificate(matrices, reference, m=1, phi0=1.0, phiL=phiL)
-    datum = generate_initial_datum(matrices, reference, scenario.datum.amplitude,
-                                   seed=scenario.datum.seed, order=1)
+def run_case(scenario):
+    matrices, reference, cert, datum = _prepare_run(scenario)
     traj = simulate(scenario.sim, matrices, reference, datum, cert=cert, lyap_order=1)
-    alpha, _, r2 = fit_decay(traj.times, traj.lyap, t_min=1.0)
+    alpha, _, r2 = _fit(scenario, traj.times, traj.lyap)
     return matrices, reference, cert, alpha, r2
 
 
@@ -60,7 +58,8 @@ def main():
     hi = min(hi, 3.0)
     rows = []
     for phiL in np.linspace(lo + 1e-3, hi, 6):
-        _, _, cert, alpha, r2 = run_case(base, phiL=float(phiL))
+        scenario = apply_override(base, f"certificate.phiL={float(phiL)!r}")
+        _, _, cert, alpha, r2 = run_case(scenario)
         rows.append((phiL, cert.c, alpha, r2))
         print(f"phiL = {phiL:6.3f}  alpha_fit = {alpha:.4f}  (r2 = {r2:.4f})")
     path = args.out / "decay-vs-phiL.csv"

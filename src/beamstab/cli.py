@@ -12,8 +12,8 @@ regenerates bit-identically from its scenario.  Timings go to stdout only.
 Exit codes: 0 success, 3 certificate failure (an invalid certificate, an
 empty weight window or phiL outside it), 4 blow-up during simulation, and
 2 for every other package error (validation and scenario problems,
-reconstruction and fitting failures) and for an output path that cannot be
-written.
+reconstruction failures) and for an output path that cannot be written.
+A decay fit that fails writes NaN; it sets no exit code.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import certificate as cert_mod
 from . import reconstruct, scenarios, solver
@@ -150,12 +148,7 @@ def _sweep_row(scenario, axis, value) -> tuple:
         matrices, reference, cert, datum = _prepare_run(scenario)
         c_kappa, valid = matrices.reflection_bound, int(cert.valid)
         traj = solver.simulate(scenario.sim, matrices, reference, datum, cert=cert, lyap_order=1)
-        # fit after the first round trip when the run is long enough,
-        # otherwise over whatever trailing window still has 10 samples
-        t_min = min(solver.round_trip_time(scenario.params), 0.5 * scenario.sim.t_end)
-        if np.count_nonzero(traj.times >= t_min) < 10:
-            t_min = traj.times[-min(10, len(traj.times))]
-        alpha, _, _ = solver.fit_decay(traj.times, traj.lyap, t_min=t_min)
+        alpha, _, _ = _fit(scenario, traj.times, traj.lyap)
     except BeamstabError as exc:
         status = f"{type(exc).__name__}: {exc}"
     # an N is written as its decimal text: %.17g would round one beyond 2**53

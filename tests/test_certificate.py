@@ -381,6 +381,25 @@ def test_verify_returns_the_built_margins(asym_params):
         assert again.valid == cert.valid == (phiL is None)
 
 
+def test_interior_margin_is_relative_to_MARGIN_RTOL():
+    # phi' scaled to just above the value at which the worst node's interior
+    # matrix turns singular: phi' >= gap mu with mu the largest |eigenvalue|
+    # of W^-1/2 X W^-1/2, so 1 + eps puts the relative margin near -eps
+    scenario = apply_override(PRESETS["straight-toy"], "sim.n_cells=16")
+    m = derive_matrices(scenario.params)
+    ref = build_reference(scenario, m)
+    cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
+    s = 1.0 / np.sqrt(m.mass * m.speed)
+    block = theta_matrix(m, cert.curvature)[6:, :6]
+    mu = np.abs(np.linalg.eigvalsh(s[:, None] * block * s[None, :])).max()
+    onset = (cert.gap * mu / cert.dphi).max()
+    for eps, lo, hi, valid in ((1e-6, -1e-3, -1e-10, True), (1e-10, -1e-10, 0.0, False)):
+        near = verify_certificate(replace(cert, dphi=onset * (1.0 + eps) * cert.dphi), m, ref)
+        worst = (near.interior_margins / _one_batch_scale(near, m, -0.5, -0.5)).max()
+        assert lo < worst < hi, (eps, worst)
+        assert near.valid == valid, (eps, worst)
+
+
 def test_q_functions_continuity(toy_params):
     # q_1, q_2 are continuous in the curvature: along a smooth path of
     # curvatures, sample-to-sample jumps vanish with the spacing
@@ -666,6 +685,26 @@ def test_decay_eigenvalue_with_a_nan_gap(toy_params):
         bad = replace(cert, gap=gap)
         assert _outcome(lambda: _largest_decay_eigenvalue(bad, m)) == _outcome(
             lambda: _full_decay_eigenvalue(bad, m))
+
+
+def test_decay_eigenvalue_solves_only_the_nodes_that_can_hold_it(monkeypatch):
+    # the Gershgorin bound keeps 1 of 8193 nodes on helical at N = 8192; on
+    # straight-steel the bounds crowd the maximum and keep 245 of 257
+    kept = []
+
+    def counted(cert, matrices, block, a, b, nodes=slice(None)):
+        kept.append((len(cert.dphi), int(np.count_nonzero(nodes))))
+        return _largest_of_halves(cert, matrices, block, a, b, nodes)
+
+    monkeypatch.setattr(cert_module, "_largest_of_halves", counted)
+    fine = apply_override(PRESETS["helical"], "sim.n_cells=8192")
+    for scenario, expected in ((fine, (8193, 1)), (PRESETS["straight-steel"], (257, 245))):
+        m = derive_matrices(scenario.params)
+        ref = build_reference(scenario, m)
+        cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
+        kept.clear()
+        _largest_decay_eigenvalue(cert, m)
+        assert kept == [expected], scenario.name
 
 
 def test_certificate_csv_contains_summary(toy_params):

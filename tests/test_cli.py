@@ -321,9 +321,10 @@ class TestReconstructCommand:
         assert float(rows["quaternion_norm_defect"][1]) < 1e-10
         assert float(rows["roundtrip_sup_error"][1]) < 1e-2
         assert float(rows["observable_decay_rate"][1]) > 0.0
-        assert (tmp_path / "straight-toy-pose-residuals.csv").exists()
+        residuals = (tmp_path / "straight-toy-pose-residuals.csv").read_text().splitlines()
+        lattice_rows = len([ln for ln in residuals if not ln.startswith(("#", "t,"))])
         poses = list(tmp_path.glob("straight-toy-pose-0*.csv"))
-        assert 2 <= len(poses) <= 24
+        assert len(poses) == min(24, lattice_rows)
 
     def test_failed_observable_fit_writes_nan_rows(self, tmp_path):
         # t_end is below one round trip, so none of the three fits has a window
@@ -524,6 +525,24 @@ class TestSweepCommand:
         assert [r[4] for r in rows] == [
             "ok", "ValidationError: mu1 must be finite and > 0, got -1.0", "ok"
         ]
+
+    @pytest.mark.parametrize("t_end", ["2.0", "0.5"])
+    def test_sweep_alpha_is_the_simulate_fit(self, tmp_path, t_end):
+        # one fit rule: from one round trip on, nan when that leaves no window;
+        # datum order 0 has simulate record the order-1 functional, as the sweep does
+        common = ["--scenario", "straight-toy", "--out", str(tmp_path),
+                  "--override", "datum.order=0", "--override", "sim.n_cells=32",
+                  "--override", f"sim.t_end={t_end}"]
+        assert main(["sweep", *common, "--axis", "mu1", "--values", "2.0"]) == EXIT_OK
+        assert main(["simulate", *common, "--override", "params.mu1=2.0"]) == EXIT_OK
+        sweep = (tmp_path / "straight-toy-sweep-mu1.csv").read_text()
+        row = list(csv.DictReader(ln for ln in sweep.splitlines() if not ln.startswith("#")))
+        decay = (tmp_path / "straight-toy-decay.csv").read_text()
+        fits = {r["series"]: r for r in
+                csv.DictReader(ln for ln in decay.splitlines() if not ln.startswith("#"))}
+        assert len(row) == 1 and row[0]["status"] == "ok"
+        assert row[0]["alpha"] == fits["lyapunov"]["alpha"]
+        assert (row[0]["alpha"] == "nan") == (t_end == "0.5")
 
     def test_sweep_n_axis(self, tmp_path):
         rc = main(["sweep", "--scenario", "straight-toy", "--out", str(tmp_path),
