@@ -41,7 +41,10 @@ slack built from q_1, the largest weighted absolute row sum of Theta, and
 a Weyl-bound slack built from its largest eigenvalue via q_2.  Either
 margin being positive implies the interior matrix is negative definite;
 the eigensolve is the ground truth either way.  :func:`verify_certificate`
-returns the certificate with these margins and its validity filled in.
+returns the certificate with these margins and its validity filled in:
+it solves the interior margins over the nodes, and :func:`_verified`
+forms the rest from them, so ``certify`` can solve the back half of a
+large grid in a forked child (:func:`.forked.certify`) with the same bits.
 """
 
 from __future__ import annotations
@@ -195,6 +198,13 @@ def build_certificate(
     negative control).  The bounds q_1, q_2 are computed here once and
     carried on the certificate for verification and reporting.
     """
+    return verify_certificate(
+        _unverified(matrices, reference, m, phi0, phiL), matrices, reference
+    )
+
+
+def _unverified(matrices, reference, m, phi0, phiL) -> LyapunovCertificate:
+    """The certificate of :func:`build_certificate` before its verification."""
     if m not in (1, 2):
         raise ValidationError([f"m must be 1 or 2, got {m!r}"])
     # a subnormal phi0 would scale every weight, margin and eigenvalue into
@@ -231,7 +241,7 @@ def build_certificate(
     q_diag = np.empty((len(grid), 12))
     np.multiply(w_minus[:, None], half_mass, out=q_diag[:, :6])
     np.multiply(w_plus[:, None], half_mass, out=q_diag[:, 6:])
-    cert = LyapunovCertificate(
+    return LyapunovCertificate(
         m=m,
         c=c,
         phi0=float(phi0),
@@ -248,7 +258,10 @@ def build_certificate(
         q2=q2,
         reflection_bound=matrices.reflection_bound,
     )
-    return verify_certificate(cert, matrices, reference)
+
+
+# (a, b) of the interior matrix a phi' Lambda + b gap Theta = -phi'/2 Lambda - gap/2 Theta
+_INTERIOR = (-0.5, -0.5)
 
 
 def _largest_of_halves(cert, matrices, block, a: float, b: float, nodes=slice(None)):
@@ -314,6 +327,8 @@ def verify_certificate(
     The slacks use the bounds q_1, q_2 carried on ``cert``, so ``matrices``
     and ``reference`` must be the ones the certificate was built from; other
     parameters or another curvature raise :class:`ValidationError`.
+    The margins are solved here at every node; :func:`_verified` forms
+    the rest from them.
     """
     if len(cert.grid) != len(reference.grid) or not np.allclose(
         cert.grid, reference.grid
@@ -326,13 +341,23 @@ def verify_certificate(
             ["certificate was built from other beam parameters or another curvature"]
         )
 
+    block = theta_matrix(matrices, cert.curvature)[6:, :6]
+    return _verified(cert, matrices, block, _largest_of_halves(cert, matrices, block, *_INTERIOR))
+
+
+def _verified(cert, matrices, block, margins) -> LyapunovCertificate:
+    """``cert`` verified, given the interior margins at all of its nodes.
+
+    ``block`` is Theta's lower-left block, -X, and ``margins`` the largest
+    eigenvalue of the interior matrix at each node, from
+    :func:`_largest_of_halves` with ``_INTERIOR`` over the nodes in one
+    call or over ranges of them, which gives the same bits.
+    """
     with np.errstate(all="ignore"):  # a non-finite margin fails the check below
         b0 = 0.5 * (cert.w_plus[0] * matrices.kappa**2 - cert.w_minus[0]) * matrices.mass
         bL = 0.5 * (cert.w_minus[-1] - cert.w_plus[-1]) * matrices.mass
 
-    block = theta_matrix(matrices, cert.curvature)[6:, :6]
-    margins = _largest_of_halves(cert, matrices, block, -0.5, -0.5)
-    scale = _row_scale(cert, matrices, block, -0.5, -0.5)
+    scale = _row_scale(cert, matrices, block, *_INTERIOR)
     # strict negativity with a relative margin; a zero matrix (constant
     # weights) must fail, so the inequality is strict on both counts
     interior_ok = bool(np.all(margins < 0.0) and np.all(margins <= -MARGIN_RTOL * scale))
@@ -342,13 +367,7 @@ def verify_certificate(
         np.all(b0 <= MARGIN_RTOL * bscale) and np.all(bL <= MARGIN_RTOL * bscale)
     )
 
-    # dw-/dx = phi' and dw+/dx = -phi', so the minimum modulus is |phi'|;
-    # w+ - w- = 2 gap, taken from the analytic product form
-    min_dw = np.abs(cert.dphi)
-    gap = 2.0 * cert.gap
-    dominance = min_dw - gap * cert.q1
-    weyl = min_dw - gap * cert.q2
-
+    dominance, weyl = _slacks(cert)
     return replace(
         cert,
         boundary_margins_0=b0,
@@ -358,6 +377,15 @@ def verify_certificate(
         weyl_slack=weyl,
         valid=boundary_ok and interior_ok,
     )
+
+
+def _slacks(cert: LyapunovCertificate, nodes=slice(None)):
+    """The dominance and Weyl slacks min(|w-'|, |w+'|) - (w+ - w-) q_m, m = 1, 2, at ``nodes``."""
+    # dw-/dx = phi' and dw+/dx = -phi', so the minimum modulus is |phi'|;
+    # w+ - w- = 2 gap, taken from the analytic product form
+    min_dw = np.abs(cert.dphi[nodes])
+    gap = 2.0 * cert.gap[nodes]
+    return min_dw - gap * cert.q1, min_dw - gap * cert.q2
 
 
 def lipschitz_bound(matrices: BeamMatrices) -> float:
@@ -426,16 +454,33 @@ def decay_rate_estimate(
     return max(0.0, 0.5 * c_q * (-c_s - 4.0 * c_q * c_g * delta))
 
 
-def certificate_csv_chunks(cert: LyapunovCertificate, alpha_estimate: float):
-    """The report CSV in chunks: its heading, per-node margins ``ROW_BLOCK`` rows at a time, the summary.
+# the report's margin table, one row per node
+_TABLE_HEADER = ["x", "w_minus", "w_plus", "interior_max_eig", "dominance_slack", "weyl_slack"]
 
-    Every value is read from ``cert``; the margin rows are stacked one block
-    at a time as the chunks are drawn.
-    """
+
+def _table_columns(cert: LyapunovCertificate, nodes=slice(None)) -> list:
+    """The margin table's six columns at ``nodes`` of a verified certificate."""
     columns = (
         cert.grid, cert.w_minus, cert.w_plus,
         cert.interior_margins, cert.dominance_slack, cert.weyl_slack,
     )
+    return [c[nodes] for c in columns]
+
+
+def _row_blocks(columns):
+    """The rows of the margin table's ``columns``, stacked ``ROW_BLOCK`` rows at a time as they are drawn.
+
+    The table of a range of nodes that starts at a multiple of
+    ``ROW_BLOCK`` has the whole table's blocks from there on.
+    """
+    return (
+        np.column_stack([c[lo : lo + ROW_BLOCK] for c in columns])
+        for lo in range(0, len(columns[0]), ROW_BLOCK)
+    )
+
+
+def _report_chunks(cert: LyapunovCertificate, alpha_estimate: float, table):
+    """The report's heading, the chunks of ``table`` (its margin table's header line and rows), the summary."""
     summary = [
         ("valid", int(cert.valid)),
         ("m", cert.m),
@@ -448,14 +493,19 @@ def certificate_csv_chunks(cert: LyapunovCertificate, alpha_estimate: float):
     summary += [(f"boundary0_eig_{i + 1}", v) for i, v in enumerate(cert.boundary_margins_0)]
     summary += [(f"boundaryL_eig_{i + 1}", v) for i, v in enumerate(cert.boundary_margins_L)]
     summary.append(("alpha_estimate_heuristic", alpha_estimate))
-    header = ["x", "w_minus", "w_plus", "interior_max_eig", "dominance_slack", "weyl_slack"]
-    blocks = (
-        np.column_stack([c[lo : lo + ROW_BLOCK] for c in columns])
-        for lo in range(0, len(cert.grid), ROW_BLOCK)
-    )
     yield "# certificate report\n"
-    yield from csv_chunks(header, blocks)
+    yield from table
     yield "\n# summary\n" + csv_table(["name", "value"], summary)
+
+
+def certificate_csv_chunks(cert: LyapunovCertificate, alpha_estimate: float):
+    """The report CSV in chunks: its heading, per-node margins ``ROW_BLOCK`` rows at a time, the summary.
+
+    Every value is read from ``cert``; the margin rows are stacked one block
+    at a time as the chunks are drawn.
+    """
+    table = csv_chunks(_TABLE_HEADER, _row_blocks(_table_columns(cert)))
+    return _report_chunks(cert, alpha_estimate, table)
 
 
 def certificate_to_csv(

@@ -8,6 +8,10 @@ makes the output directory (flag --out, else $BEAMSTAB_OUT, else
 with the full scenario echo in front.  Tables are formatted by
 :func:`beamstab.table.csv_table` (17 significant digits), so every output
 regenerates bit-identically from its scenario.  Timings go to stdout only.
+On Linux ``reconstruct`` and, on a grid of at least two ``table.ROW_BLOCK``
+blocks of nodes, ``certify`` run part of their work in a forked child
+(:mod:`beamstab.forked`) with the same bits; the child has ended when the
+command's files are written or the command fails.
 
 Exit codes: 0 success, 3 certificate failure (an invalid certificate, an
 empty weight window or phiL outside it), 4 blow-up during simulation, and
@@ -37,7 +41,7 @@ from .errors import (
     WindowViolation,
 )
 from .params import derive_matrices, dump_matrices
-from .table import csv_table
+from .table import ROW_BLOCK, csv_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -45,20 +49,25 @@ EXIT_CERTIFICATE = 3
 EXIT_BLOWUP = 4
 
 
-def _certified(scenario):
-    """The scenario's matrices, reference and certificate."""
+def _certified(scenario, build=cert_mod.build_certificate):
+    """The scenario's matrices, reference and ``build(matrices, reference, m, phi0, phiL)``."""
     matrices = derive_matrices(scenario.params)
     reference = scenarios.build_reference(scenario, matrices)
     spec = scenario.certificate
-    cert = cert_mod.build_certificate(
-        matrices, reference, m=spec.m, phi0=spec.phi0, phiL=spec.phiL
-    )
-    return matrices, reference, cert
+    return matrices, reference, build(matrices, reference, spec.m, spec.phi0, spec.phiL)
 
 
 def cmd_certify(scenario, args) -> tuple[int, dict]:
-    # no datum is built, so datum.* overrides cannot change certify's outcome
-    matrices, reference, cert = _certified(scenario)
+    # no datum is built, so datum.* overrides cannot change certify's outcome.
+    # On a grid of two row blocks or more, the back half of the nodes is
+    # eigensolved and formatted in a forked child, with the same bits
+    forks = reconstruct._FORK and scenario.sim.n_cells + 1 >= 2 * ROW_BLOCK
+    if forks:
+        from .forked import certify  # here: the commands that do not fork never compile it
+
+        matrices, reference, (cert, table) = _certified(scenario, certify)
+    else:
+        matrices, reference, cert = _certified(scenario)
     alpha = cert_mod.decay_rate_estimate(cert, matrices, reference, delta=0.0) if cert.valid else 0.0
     status = "valid" if cert.valid else "INVALID"
     print(
@@ -67,7 +76,10 @@ def cmd_certify(scenario, args) -> tuple[int, dict]:
         f"worst interior eig={cert.interior_margins.max():.6g}"
     )
     # the report's chunks are formatted as main writes them
-    chunks = cert_mod.certificate_csv_chunks(cert, alpha_estimate=alpha)
+    if forks:
+        chunks = cert_mod._report_chunks(cert, alpha, table)
+    else:
+        chunks = cert_mod.certificate_csv_chunks(cert, alpha_estimate=alpha)
     return (EXIT_OK if cert.valid else EXIT_CERTIFICATE), {"certificate": chunks}
 
 

@@ -243,10 +243,21 @@ def energies(state: StateField, matrices: BeamMatrices) -> tuple[float, float]:
 
 def sobolev_norms(values: np.ndarray, dx: float, order: int = 1) -> float:
     """Discrete H1 or H2 norm of grid samples (N+1, d)."""
+    return _sobolev_norms(values, dx, order)[-1]
+
+
+def _sobolev_norms(values: np.ndarray, dx: float, order: int) -> list[float]:
+    """The discrete H1 norm of grid samples (N+1, d), then at ``order`` 2 their H2 norm.
+
+    H2 adds the squared second differences to H1's per-node sums, so one
+    first difference serves both.
+    """
     total = (values**2).sum(axis=1) + (diff1(values, dx, axis=0) ** 2).sum(axis=1)
+    norms = [math.sqrt(float(trapezoid(total, dx)))]
     if order == 2:
         total = total + (diff2(values, dx) ** 2).sum(axis=1)
-    return math.sqrt(float(trapezoid(total, dx)))
+        norms.append(math.sqrt(float(trapezoid(total, dx))))
+    return norms
 
 
 def _pde_rhs(
@@ -446,9 +457,10 @@ def simulate(
         y = physical.values
         e_phys[k], e_char[k] = _energies(r, y, dx, matrices)
         times[k] = t
-        h1[k] = sobolev_norms(y, dx, 1)
+        norms = _sobolev_norms(y, dx, lyap_order)
+        h1[k] = norms[0]
         if lyap_order == 2:
-            h2[k] = sobolev_norms(y, dx, 2)
+            h2[k] = norms[1]
         if cert is not None:
             lyap[k] = _lyapunov(now, dx, cert, matrices, reference, lyap_order)
         tr_m0[k] = r[0, :6]

@@ -21,12 +21,17 @@ def _quoted(cell: str) -> str:
 
 
 def csv_chunks(header: Sequence[str], blocks):
-    """The header line, then the lines of each block of rows as one chunk.
+    """The header line, then the lines of each block of rows as one chunk (see :func:`csv_rows`)."""
+    yield ",".join(header) + "\n"
+    yield from csv_rows(blocks)
+
+
+def csv_rows(blocks):
+    """The lines of each block of rows as one chunk.
 
     A block is a sequence of rows or a 2-D array of numbers.  The kind of
     each column is read from the first row of the first block.
     """
-    yield ",".join(header) + "\n"
     text = line = None
     for block in blocks:
         if isinstance(block, np.ndarray):

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +74,28 @@ def asym_matrices(asym_params):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_bits(a, b, path="result"):
+    """Two results field by field: arrays by their bytes, dataclasses recursively."""
+    if is_dataclass(a) and not isinstance(a, type):
+        assert type(a) is type(b), path
+        for f in fields(a):
+            assert_same_bits(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, (tuple, list)):
+        assert type(a) is type(b) and len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_bits(x, y, f"{path}[{i}]")
+    elif isinstance(a, (np.ndarray, float)):
+        bits = [np.asarray(v, dtype=float).tobytes() for v in (a, b)]
+        assert bits[0] == bits[1] and np.shape(a) == np.shape(b), path
+    else:
+        assert a == b, path
 
 
 def run_python(args, timeout=300, **environ) -> subprocess.CompletedProcess:

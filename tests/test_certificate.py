@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from beamstab.certificate import (
     certificate_to_csv,
 )
 from beamstab import certificate as cert_module
+from beamstab import forked, reconstruct
 from beamstab.cli import main
 from beamstab.errors import CkappaDegenerate, ValidationError, WindowViolation
 from beamstab.model import StateField, _strain_matrix, curved_reference
@@ -32,7 +34,7 @@ from beamstab.params import derive_matrices
 from beamstab.scenarios import PRESETS, apply_override, build_reference, header_echo
 from beamstab.solver import generate_initial_datum, lyapunov_value, sobolev_norms
 from beamstab.table import ROW_BLOCK
-from conftest import curved_cases
+from conftest import assert_no_child_left, assert_same_bits, curved_cases
 
 
 def _weighted_field(cert, matrices, reference, a: float, b: float) -> np.ndarray:
@@ -777,19 +779,30 @@ def test_blocked_halves_with_a_nan_gap(asym_params):
                     lambda: _one_batch_halves(bad, m, a, b))
 
 
-def _certify_fine(tmp_path, n_cells):
-    """Run certify on helical at ``n_cells``; returns its report file and the scenario."""
-    scenario = apply_override(PRESETS["helical"], f"sim.n_cells={n_cells}")
+def _certify_fine(tmp_path, n_cells, preset="helical", extra=(), code=0):
+    """Run certify on ``preset`` at ``n_cells``; returns its report file and the scenario."""
+    overrides = [f"sim.n_cells={n_cells}", *extra]
+    scenario = PRESETS[preset]
+    argv = ["certify", "--scenario", preset, "--out", str(tmp_path)]
+    for item in overrides:
+        scenario = apply_override(scenario, item)
+        argv += ["--override", item]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["certify", "--scenario", "helical", "--override",
-                     f"sim.n_cells={n_cells}", "--out", str(tmp_path)]) == 0
-    return tmp_path / "helical-certificate.csv", scenario
+        assert main(argv) == code
+    return tmp_path / f"{preset}-certificate.csv", scenario
 
 
 def _oracle_table(header, rows):
     """Every row formatted with f"{v:.17g}", as the report was written before it was streamed."""
     return ",".join(header) + "\n" + "".join(
         ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
+def _assert_same_text(got, expected):
+    """``got == expected``, naming the first line that differs (pytest's diff of two reports takes minutes)."""
+    same = got == expected
+    lines = itertools.zip_longest(got.splitlines(), expected.splitlines())
+    assert same, next((i, a, b) for i, (a, b) in enumerate(lines) if a != b)
 
 
 def test_report_chunks_join_to_the_report():
@@ -804,18 +817,56 @@ def test_report_chunks_join_to_the_report():
     assert "".join(chunks) == certificate_to_csv(cert, m, ref, alpha_estimate=0.25)
 
 
-def test_certify_file_keeps_the_whole_table_format(tmp_path):
+# node counts N+1 on both sides of the fork's two row blocks and of its
+# split mid = ROW_BLOCK * ((N+1) // (2 ROW_BLOCK)), the cap, an invalid
+# certificate (phiL = phi0, exit 3) and another preset
+@pytest.mark.parametrize("preset, n_cells, extra, code", [
+    pytest.param("helical", 1022, (), 0, id="helical-1022"),
+    pytest.param("helical", 1023, (), 0, id="helical-1023"),
+    pytest.param("helical", 1024, (), 0, id="helical-1024"),
+    pytest.param("helical", 2047, (), 0, id="helical-2047"),
+    pytest.param("helical", 1100, (), 0, id="helical-1100"),
+    pytest.param("helical", 8192, (), 0, id="helical-8192"),
+    pytest.param("helical", 65536, (), 0, id="helical-65536"),
+    pytest.param("helical", 1100, ("certificate.phiL=1.0",), 3, id="helical-1100-invalid"),
+    pytest.param("straight-steel", 2048, (), 0, id="straight-steel-2048"),
+])
+def test_certify_file_keeps_the_whole_table_format(tmp_path, monkeypatch, preset, n_cells,
+                                                   extra, code):
     # oracle: the report as one string, every row of the (N+1, 6) margin
-    # table formatted at once, behind the scenario echo
-    path, scenario = _certify_fine(tmp_path, 8192)
+    # table formatted at once, behind the scenario echo, from the
+    # certificate verified in this process.  From two row blocks of nodes
+    # on, certify forks once and its child solves and writes the back half;
+    # the in-process path writes the same bytes
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    path, scenario = _certify_fine(tmp_path / "forked", n_cells, preset, extra, code)
+    assert_no_child_left()
+    assert len(forks) == (n_cells + 1 >= 2 * ROW_BLOCK)
+    monkeypatch.setattr(reconstruct, "_FORK", False)
+    here, _ = _certify_fine(tmp_path / "in-process", n_cells, preset, extra, code)
+    assert len(forks) == (n_cells + 1 >= 2 * ROW_BLOCK)
+
     m = derive_matrices(scenario.params)
     ref = build_reference(scenario, m)
-    cert = build_certificate(m, ref, m=1, phi0=1.0, phiL=None)
-    alpha = decay_rate_estimate(cert, m, ref, delta=0.0)
+    spec = scenario.certificate
+    cert = build_certificate(m, ref, m=spec.m, phi0=spec.phi0, phiL=spec.phiL)
+    assert cert.valid == (code == 0)
+    got, table = forked.certify(m, ref, spec.m, spec.phi0, spec.phiL)
+    table.close()
+    assert_no_child_left()
+    assert_same_bits(got, cert)
+    alpha = decay_rate_estimate(cert, m, ref, delta=0.0) if cert.valid else 0.0
     margins = np.column_stack([cert.grid, cert.w_minus, cert.w_plus, cert.interior_margins,
                                cert.dominance_slack, cert.weyl_slack]).tolist()
-    summary = [("valid", 1), ("m", 1), ("C_kappa", cert.reflection_bound), ("C_q1", cert.q1),
-               ("C_q2", cert.q2), ("phi0", cert.phi0), ("phiL", cert.phiL)]
+    summary = [("valid", int(cert.valid)), ("m", spec.m), ("C_kappa", cert.reflection_bound),
+               ("C_q1", cert.q1), ("C_q2", cert.q2), ("phi0", cert.phi0), ("phiL", cert.phiL)]
     summary += [(f"boundary0_eig_{i + 1}", v) for i, v in enumerate(cert.boundary_margins_0)]
     summary += [(f"boundaryL_eig_{i + 1}", v) for i, v in enumerate(cert.boundary_margins_L)]
     summary.append(("alpha_estimate_heuristic", alpha))
@@ -825,7 +876,8 @@ def test_certify_file_keeps_the_whole_table_format(tmp_path):
         + "# certificate report\n" + _oracle_table(header, margins)
         + "\n# summary\n" + _oracle_table(["name", "value"], summary)
     )
-    assert path.read_text() == expected
+    for report in (path, here):
+        _assert_same_text(report.read_text(), expected)
 
 
 # tracemalloc peak of certify on helical above its entry: 2.15 MB at N = 8192

@@ -16,7 +16,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import beamstab
-from beamstab import cli, model, params, reconstruct, solver
+from beamstab import certificate, cli, model, params, reconstruct, solver
 from beamstab.cli import EXIT_BLOWUP, EXIT_CERTIFICATE, EXIT_OK, EXIT_VALIDATION, main
 from beamstab.errors import (
     BeamstabError,
@@ -41,7 +41,7 @@ from beamstab.scenarios import (
     scenario_to_dict,
 )
 from beamstab.solver import MAX_CELLS, SimConfig, round_trip_time, time_step
-from conftest import run_python
+from conftest import assert_no_child_left, run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -218,6 +218,37 @@ class TestExitCodes:
             messages.append(capsys.readouterr().err)
         assert messages[0].startswith("blow-up: state blew up at t=")
         assert messages[1] == messages[0]
+
+    @pytest.mark.parametrize("ending", ["raises", "exits"])
+    def test_an_error_in_certify_s_child_exits_2(self, tmp_path, monkeypatch, capsys, ending):
+        """An eigensolve that fails in certify's forked child exits 2 with a
+        message, not a traceback, and leaves no child behind.  An exception
+        reads as the in-process path's; a child that ends without its
+        margins is named."""
+        parent, in_process = os.getpid(), []
+        solve = certificate._largest_of_halves
+
+        def failing(*args, **kwargs):
+            if os.getpid() == parent and not in_process:
+                return solve(*args, **kwargs)
+            if ending == "exits":
+                os._exit(1)
+            raise ValidationError(["raised in the eigensolve"])
+
+        argv = ["certify", "--scenario", "helical", "--out", str(tmp_path),
+                "--override", "sim.n_cells=1100"]
+        monkeypatch.setattr(certificate, "_largest_of_halves", failing)
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert_no_child_left()
+        assert rc == EXIT_VALIDATION and "Traceback" not in err
+        if ending == "exits":
+            assert "error: the certificate's process ended without a result (exit status 1)" in err
+            return
+        monkeypatch.setattr(reconstruct, "_FORK", False)
+        in_process.append(True)  # the in-process solve raises
+        assert main(argv) == rc
+        assert capsys.readouterr().err == err == "error: raised in the eigensolve\n"
 
     def test_unknown_scenario(self, tmp_path):
         rc = main(["certify", "--scenario", "missing.yaml", "--out", str(tmp_path)])
@@ -939,6 +970,9 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     ("$BEAMSTAB_OUT names a file", "File exists"),
     ("--out under a file", "Not a directory"),
     ("the CSV path is a directory", "Is a directory"),
+    # certify forks at this N, and the child's 3.7 MB of rows fill the 1 MiB
+    # pipe: it is blocked on a write when the report cannot be opened
+    ("certify's report path is a directory", "Is a directory"),
 ])
 def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, case, reason):
     """An output path that cannot be written exits 2 naming it, not in a traceback."""
@@ -953,14 +987,20 @@ def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, case, rea
     elif case == "--out under a file":
         target = tmp_path / "file" / "out"
         argv += ["--out", str(target)]
-    else:
+    elif case == "the CSV path is a directory":
         target = tmp_path / "straight-toy-matrices.csv"
         target.mkdir()
         argv += ["--out", str(tmp_path)]
+    else:
+        target = tmp_path / "helical-certificate.csv"
+        target.mkdir()
+        argv = ["certify", "--scenario", "helical", "--override", "sim.n_cells=65536",
+                "--out", str(tmp_path)]
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION
     assert f"error: cannot write {target}: {reason}" in err and "Traceback" not in err
+    assert_no_child_left()
 
 
 # The three columns that a change of OpenBLAS kernel moves beyond roundoff,

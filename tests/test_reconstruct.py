@@ -1,13 +1,14 @@
 import mmap
 import os
 import tracemalloc
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pose_oracle
+from conftest import assert_no_child_left, assert_same_bits
 from beamstab import forked, model, reconstruct, solver, xsweep
 from beamstab.certificate import build_certificate
 from beamstab.errors import EndpointMismatch, NotARotation, ZeroQuaternion
@@ -351,27 +352,6 @@ def test_each_simulated_state_is_evaluated_once(toy_params, toy_matrices, monkey
     assert calls == {"to_physical": n_states, "_couple": n_states, "gbar": n_states}
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _assert_same_bits(a, b, path="result"):
-    """Two results field by field: arrays by their bytes, dataclasses recursively."""
-    if is_dataclass(a) and not isinstance(a, type):
-        assert type(a) is type(b), path
-        for f in fields(a):
-            _assert_same_bits(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
-    elif isinstance(a, (tuple, list)):
-        assert type(a) is type(b) and len(a) == len(b), path
-        for i, (x, y) in enumerate(zip(a, b)):
-            _assert_same_bits(x, y, f"{path}[{i}]")
-    elif isinstance(a, (np.ndarray, float)):
-        assert _bits(a) == _bits(b) and np.shape(a) == np.shape(b), path
-    else:
-        assert a == b, path
-
-
 def test_the_in_process_branch_gives_the_forked_bits(toy_params, toy_matrices, monkeypatch):
     """Where no fork is used, the simulation runs in this process before
     the pass has its records, and every returned value has the same bits."""
@@ -379,9 +359,9 @@ def test_the_in_process_branch_gives_the_forked_bits(toy_params, toy_matrices, m
     cert = build_certificate(toy_matrices, ref, m=1, phi0=1.0, phiL=None)
     assert reconstruct._FORK
     forked = run_pipeline(cfg, toy_matrices, ref, datum, cert=cert)
-    _assert_no_child_left()
+    assert_no_child_left()
     monkeypatch.setattr(reconstruct, "_FORK", False)
-    _assert_same_bits(forked, run_pipeline(cfg, toy_matrices, ref, datum, cert=cert))
+    assert_same_bits(forked, run_pipeline(cfg, toy_matrices, ref, datum, cert=cert))
 
 
 def test_a_pass_error_stops_the_simulation(toy_params, toy_matrices, monkeypatch):
@@ -419,7 +399,7 @@ def test_a_pass_error_stops_the_simulation(toy_params, toy_matrices, monkeypatch
     monkeypatch.setattr(solver, "simulate", counting)
     with pytest.raises(ZeroQuaternion, match="raised by the test"):
         run_pipeline(cfg, toy_matrices, ref, datum)
-    _assert_no_child_left()
+    assert_no_child_left()
     assert len(rotated) == 3
     assert 3 * reconstruct.TIME_BLOCK <= sent[0] < n_records - in_pipe
 
@@ -437,7 +417,7 @@ def test_an_error_in_the_child_is_raised_with_its_traceback(toy_params, toy_matr
     cfg, ref, datum = _toy_run(toy_params, toy_matrices, 9, 1)
     with pytest.raises(ArithmeticError, match="raised in the child") as info:
         run_pipeline(cfg, toy_matrices, ref, datum)
-    _assert_no_child_left()
+    assert_no_child_left()
     assert "in failing" in str(info.value.__cause__)
 
 

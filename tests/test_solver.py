@@ -10,7 +10,8 @@ from beamstab.errors import (
     NonPositiveValues,
     ValidationError,
 )
-from beamstab.fd import diff1, trapezoid
+from beamstab import solver
+from beamstab.fd import diff1, diff2, trapezoid
 from beamstab.model import PrecurvedReference, StateField, curved_reference, g_diag, to_physical
 from beamstab.params import derive_matrices
 from beamstab.scenarios import PRESETS, build_reference, load_scenario
@@ -240,6 +241,33 @@ class TestSimulate:
         for series in (traj.energy_phys, traj.energy_char, traj.h1, traj.h2, traj.lyap,
                        traj.trace_minus_0, traj.trace_plus_L):
             assert len(series) == len(steps)
+
+    def test_h1_and_h2_share_one_first_difference(self, toy_matrices, toy_reference,
+                                                  monkeypatch):
+        """At lyap_order 2 a record takes diff1(y) once for H1 and H2, and
+        each norm keeps the bits of its own sums in their own order."""
+        from beamstab.certificate import build_certificate
+
+        def norm(values, dx, order):  # oracle: each norm with its own first difference
+            total = (values**2).sum(axis=1) + (diff1(values, dx, axis=0) ** 2).sum(axis=1)
+            if order == 2:
+                total = total + (diff2(values, dx) ** 2).sum(axis=1)
+            return math.sqrt(float(trapezoid(total, dx)))
+
+        cert = build_certificate(toy_matrices, toy_reference, m=1, phi0=1.0, phiL=None)
+        datum = generate_initial_datum(toy_matrices, toy_reference, 1e-2, seed=8, order=1)
+        cfg = SimConfig(n_cells=32, cfl=0.9, t_end=0.7, output_stride=3, store_snapshots=True)
+        traj = simulate(cfg, toy_matrices, toy_reference, datum, cert=cert, lyap_order=2)
+        dx = toy_reference.dx
+        for k, snap in enumerate(traj.snapshots):
+            y = to_physical(snap, toy_matrices).values
+            assert traj.h1[k].hex() == norm(y, dx, 1).hex()
+            assert traj.h2[k].hex() == norm(y, dx, 2).hex()
+            assert sobolev_norms(y, dx, 2).hex() == traj.h2[k].hex()
+        calls = []
+        monkeypatch.setattr(solver, "diff1", lambda *a, **k: calls.append(a) or diff1(*a, **k))
+        assert solver._sobolev_norms(y, dx, 2) == [traj.h1[-1], traj.h2[-1]]
+        assert len(calls) == 1
 
     def test_energy_monotone_small_amplitude(self, toy_matrices, toy_reference):
         datum = generate_initial_datum(toy_matrices, toy_reference, 1e-2, seed=8, order=1)
